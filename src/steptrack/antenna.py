@@ -41,6 +41,14 @@ class AntennaState:
     resolver_step: float = DEFAULT_RESOLVER_STEP  # deg per count
 
     def __post_init__(self) -> None:
+        # Angles need no check of their own: NaN or inf fails the
+        # limits comparison below once the limits are finite.
+        for name in ("az_slew_rate", "el_slew_rate", "resolver_step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("az_limits", "el_limits"):
+            if not all(map(math.isfinite, getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.az_slew_rate <= 0 or self.el_slew_rate <= 0:
             raise ValueError("slew rates must be positive")
         if self.resolver_step <= 0:
@@ -73,6 +81,9 @@ class ReceiverConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("floor_db", "max_db", "noise_sigma", "drift_amplitude", "drift_period"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.max_db <= self.floor_db:
             raise ValueError(
                 f"max_db ({self.max_db}) must exceed floor_db ({self.floor_db})"
@@ -186,7 +197,36 @@ def measure(
     return BeaconSample(t=t, azimuth=az, elevation=el, level=level)
 
 
+def measure_array(
+    state: AntennaState,
+    params: ParabolaParams,
+    rx: ReceiverConfig,
+    t: np.ndarray,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Array form of ``measure`` for a plant at rest: the level at each time.
+
+    ``params`` holds one surface per time (array ``k_az``, ``peak_az`` and
+    ``peak_el``). The noise is one batch from ``rng``, the same stream as
+    one scalar draw per time, so each level is bit-equal to what
+    ``measure`` returns at that time. The readbacks are
+    ``read_resolvers(state)`` at every time.
+    """
+    raw = beacon_level(params, state.true_azimuth, state.true_elevation)
+    if rx.drift_amplitude != 0.0:
+        raw = raw + rx.drift_amplitude * np.sin(2.0 * math.pi * t / rx.drift_period)
+    if rx.noise_sigma > 0.0:
+        raw = raw + rng.normal(0.0, rx.noise_sigma, size=len(t))
+    return np.where(raw > rx.floor_db, raw, rx.floor_db)
+
+
 def receiver_voltage(level: float, rx: ReceiverConfig) -> float:
     """Affine dB-to-volts telemetry map, clamped to [0, 10] V."""
     v = 10.0 * (level - rx.floor_db) / (rx.max_db - rx.floor_db)
     return min(10.0, max(0.0, v))
+
+
+def receiver_voltage_array(level: np.ndarray, rx: ReceiverConfig) -> np.ndarray:
+    """Array form of ``receiver_voltage``: bit-equal at each level."""
+    v = 10.0 * (level - rx.floor_db) / (rx.max_db - rx.floor_db)
+    return np.minimum(10.0, np.maximum(0.0, v))

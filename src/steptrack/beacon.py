@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # Elevation-axis quadratic coefficient of a 3 m dish tracking a Ku-band
 # beacon, in dB/deg^2; scenario configuration may override it.
 DEFAULT_K_EL = -11.4
@@ -41,6 +43,9 @@ class ParabolaParams:
     ``peak_level`` is expected to sit at or above the receiver noise
     floor; that relation is checked where receiver and surface meet,
     not here.
+
+    ``k_az``, ``peak_az`` and ``peak_el`` may also be equal-length arrays,
+    one surface per sample time; ``beacon_level`` then evaluates each.
     """
 
     k_az: float  # dB/deg^2
@@ -50,7 +55,8 @@ class ParabolaParams:
     peak_level: float  # dB
 
     def __post_init__(self) -> None:
-        if not (self.k_az < 0 and self.k_el < 0):
+        k_az = self.k_az.max() if isinstance(self.k_az, np.ndarray) else self.k_az
+        if not (k_az < 0 and self.k_el < 0):
             raise ValueError(
                 f"quadratic coefficients must be strictly negative, "
                 f"got k_az={self.k_az}, k_el={self.k_el}"
@@ -61,7 +67,8 @@ def beacon_level(params: ParabolaParams, azimuth: float, elevation: float) -> fl
     """Ideal beacon level (dB) at a pointing direction.
 
     Total function; the result is <= params.peak_level with equality
-    exactly at the peak.
+    exactly at the peak. Plain arithmetic, so it is also the array form:
+    array fields in ``params`` give the level at each surface.
     """
     daz = azimuth - params.peak_az
     del_ = elevation - params.peak_el
@@ -84,4 +91,19 @@ def az_coeff_from_elevation(k_el: float, elevation: float) -> float:
     if not k_el < 0:
         raise ValueError(f"k_el must be strictly negative, got {k_el}")
     c = math.cos(math.radians(elevation))
+    return k_el * c * c
+
+
+def az_coeff_from_elevation_array(k_el: float, elevation: np.ndarray) -> np.ndarray:
+    """Array form of ``az_coeff_from_elevation``: bit-equal at each elevation.
+
+    Raises ValueError if any elevation is outside [0, 90] or k_el >= 0.
+    """
+    if not (elevation.min() >= 0.0 and elevation.max() <= 90.0):
+        raise ValueError(
+            f"elevation must be in [0, 90] deg, got [{elevation.min()}, {elevation.max()}]"
+        )
+    if not k_el < 0:
+        raise ValueError(f"k_el must be strictly negative, got {k_el}")
+    c = np.cos(np.radians(elevation))
     return k_el * c * c

@@ -31,7 +31,14 @@ from .estimators import (
     rls_update,
 )
 from .scenario import ScenarioError, load_scenario, resolve_scenario_path
-from .telemetry import beacon_stats, extract_trajectory, format_float, read_csv, write_csv
+from .telemetry import (
+    beacon_stats,
+    extract_trajectory,
+    format_float,
+    read_csv,
+    time_window,
+    write_csv,
+)
 from .tracker import PatternInfeasibleError, run_scenario
 
 USAGE_ERROR = 1
@@ -120,20 +127,17 @@ def _cmd_simulate(args) -> int:
     print(f"wrote {len(log)} records to {output}")
     if len(log):
         stats = beacon_stats(log)
-        cmd_az = [r.commanded_az for r in log]
-        cmd_el = [r.commanded_el for r in log]
+        cmd_az = log.column("commanded_az")
+        cmd_el = log.column("commanded_el")
         print(f"beacon mean {stats.mean:.3f} dB, stddev {stats.stddev:.3f} dB, "
               f"min {stats.minimum:.3f} dB, max {stats.maximum:.3f} dB")
-        print(f"command peak-to-peak: azimuth {max(cmd_az) - min(cmd_az):.4f} deg, "
-              f"elevation {max(cmd_el) - min(cmd_el):.4f} deg")
+        print(f"command peak-to-peak: azimuth {cmd_az.max() - cmd_az.min():.4f} deg, "
+              f"elevation {cmd_el.max() - cmd_el.min():.4f} deg")
     return 0
 
 
 def _window(log, t0, t1):
-    return [
-        r for r in log
-        if (t0 is None or r.t >= t0) and (t1 is None or r.t <= t1)
-    ]
+    return log[time_window(log, t0, t1)]
 
 
 def _cmd_fit(args) -> int:
@@ -148,21 +152,23 @@ def _cmd_fit(args) -> int:
             raise InsufficientDataError(
                 f"window holds {len(records)} records, need at least 3"
             )
-        mean_az = float(np.mean([r.readback_az for r in records]))
-        mean_el = float(np.mean([r.readback_el for r in records]))
+        az = records.column("readback_az")
+        el = records.column("readback_el")
+        mean_az = float(np.mean(az))
+        mean_el = float(np.mean(el))
         k = QuadraticCoefficients(
             k_az=az_coeff_from_elevation(args.k_y, mean_el), k_el=args.k_y
         )
         # Fit in window-mean-centered coordinates: identical minimizer,
         # but keeps the recursive solver conditioned at large angles.
         rows = [
-            regression_row(
-                BeaconSample(
-                    r.t, r.readback_az - mean_az, r.readback_el - mean_el, r.beacon_db
-                ),
-                k,
+            regression_row(BeaconSample(t, a - mean_az, e - mean_el, level), k)
+            for t, a, e, level in zip(
+                records.column("t").tolist(),
+                az.tolist(),
+                el.tolist(),
+                records.column("beacon_db").tolist(),
             )
-            for r in records
         ]
         if args.mode == "batch-ls":
             beta = ls_fit(rows)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 SIDEREAL_DAY_S = 86164.0
 
 AXIS_MODES = ("azimuth-major", "elevation-major")
@@ -37,6 +39,12 @@ class OrbitConfig:
     drift_deg_per_day: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in (
+            "center_azimuth", "center_elevation", "azimuth_amplitude",
+            "elevation_amplitude", "period", "phase", "drift_deg_per_day",
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.period <= 0:
             raise ValueError(f"period must be positive, got {self.period}")
         if self.azimuth_amplitude < 0 or self.elevation_amplitude < 0:
@@ -51,17 +59,30 @@ class OrbitConfig:
             )
 
 
-def satellite_direction(config: OrbitConfig, t: float) -> tuple[float, float]:
-    """True satellite (azimuth, elevation) in degrees at time t seconds."""
+def _direction(config: OrbitConfig, t, sin):
+    # The formula for both forms: ``sin`` is math.sin for a float ``t`` and
+    # np.sin for an array, with the same operations in the same order.
     theta = 2.0 * math.pi * t / config.period + config.phase
     drift = config.drift_deg_per_day * t / 86400.0
     if config.axis_mode == "azimuth-major":
-        major = config.azimuth_amplitude * math.sin(theta)
-        minor = 0.5 * config.elevation_amplitude * math.sin(2.0 * theta)
+        major = config.azimuth_amplitude * sin(theta)
+        minor = 0.5 * config.elevation_amplitude * sin(2.0 * theta)
         return config.center_azimuth + major + drift, config.center_elevation + minor
-    major = config.elevation_amplitude * math.sin(theta)
-    minor = 0.5 * config.azimuth_amplitude * math.sin(2.0 * theta)
+    major = config.elevation_amplitude * sin(theta)
+    minor = 0.5 * config.azimuth_amplitude * sin(2.0 * theta)
     return config.center_azimuth + minor, config.center_elevation + major + drift
+
+
+def satellite_direction(config: OrbitConfig, t: float) -> tuple[float, float]:
+    """True satellite (azimuth, elevation) in degrees at time t seconds."""
+    return _direction(config, t, math.sin)
+
+
+def satellite_direction_array(
+    config: OrbitConfig, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of ``satellite_direction``: bit-equal at each time in ``t``."""
+    return _direction(config, t, np.sin)
 
 
 def orbit_trace(
@@ -76,9 +97,6 @@ def orbit_trace(
     if t1 <= t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
     n = int(math.floor((t1 - t0) / step + 1e-9)) + 1
-    out = []
-    for i in range(n):
-        t = t0 + i * step
-        az, el = satellite_direction(config, t)
-        out.append((t, az, el))
-    return out
+    t = t0 + np.arange(n) * step
+    az, el = satellite_direction_array(config, t)
+    return list(zip(t.tolist(), az.tolist(), el.tolist()))

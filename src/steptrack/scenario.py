@@ -7,6 +7,7 @@ defaults; validation errors name the offending section and key.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -57,6 +58,8 @@ def _number(section: dict, section_name: str, key: str, default=None):
     value = section[key]
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ScenarioError(f"field '{_field_name(section_name, key)}' must be a number")
+    if not math.isfinite(value):
+        raise ScenarioError(f"field '{_field_name(section_name, key)}' must be finite")
     return float(value)
 
 
@@ -66,7 +69,10 @@ def _pair(section: dict, section_name: str, key: str, default):
     value = section[key]
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ScenarioError(f"field '{section_name}.{key}' must be a [min, max] pair")
-    return (float(value[0]), float(value[1]))
+    lo, hi = float(value[0]), float(value[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ScenarioError(f"field '{section_name}.{key}' must be finite")
+    return (lo, hi)
 
 
 def load_scenario(path: str | Path) -> Scenario:

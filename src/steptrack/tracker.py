@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,10 @@ from .antenna import (
     ReceiverConfig,
     command,
     measure,
+    measure_array,
+    read_resolvers,
     receiver_voltage,
+    receiver_voltage_array,
     tick,
 )
 from .beacon import (
@@ -30,6 +34,7 @@ from .beacon import (
     ParabolaParams,
     QuadraticCoefficients,
     az_coeff_from_elevation,
+    az_coeff_from_elevation_array,
 )
 from .estimators import (
     DEFAULT_COEFF_FLOOR,
@@ -45,7 +50,7 @@ from .estimators import (
     rls_recover,
     rls_update,
 )
-from .orbit import OrbitConfig, satellite_direction
+from .orbit import OrbitConfig, satellite_direction, satellite_direction_array
 from .telemetry import TelemetryLog, TelemetryRecord
 
 logger = logging.getLogger(__name__)
@@ -91,6 +96,13 @@ class TrackerConfig:
     carry_rls_state: bool = True
 
     def __post_init__(self) -> None:
+        for name in (
+            "rect_half_width_az", "rect_half_width_el", "dwell_time",
+            "sample_interval", "cycle_period", "forgetting", "rls_delta",
+            "k_el", "coeff_floor",
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.rect_half_width_az <= 0 or self.rect_half_width_el <= 0:
             raise ValueError("rectangle half-widths must be positive")
         if self.dwell_time < 0:
@@ -387,6 +399,32 @@ def pattern_duration(config: TrackerConfig, plant: AntennaState) -> float:
     return approach + perimeter + dwells
 
 
+def _wait_span_end(
+    tracker: StepTracker, plant: AntennaState, i: int, dt: float, n_steps: int
+) -> int:
+    """End (exclusive) of the WAIT span that starts at step ``i``.
+
+    A span is the steps before the next cycle is due while the tracker
+    waits with the plant exactly at its target, so that ``tick`` leaves it
+    unchanged. Returns ``i`` or less when step ``i`` starts no span.
+    """
+    due = tracker.next_cycle_time
+    if (
+        tracker.phase is not TrackerPhase.WAIT
+        or due is None
+        or plant.true_azimuth != plant.target_azimuth
+        or plant.true_elevation != plant.target_elevation
+    ):
+        return i
+    # The first step j with j * dt >= due; the quotient may round either way.
+    end = math.ceil(due / dt)
+    while end > 0 and (end - 1) * dt >= due:
+        end -= 1
+    while end * dt < due:
+        end += 1
+    return min(end, n_steps)
+
+
 def run_scenario(
     orbit: OrbitConfig,
     plant: AntennaState,
@@ -403,6 +441,15 @@ def run_scenario(
     record. The true beacon surface peaks at the satellite direction
     with level ``peak_level_db`` (the receiver's max_db when omitted)
     and an azimuth curvature re-derived from the satellite elevation.
+
+    A WAIT span is fast-forwarded: when the tracker waits, the plant
+    sits exactly at its target and the next cycle is not yet due, every
+    step up to the due time (or the end of the run) is evaluated in one
+    array pass. Nothing in the loop changes over such a span except the
+    satellite, the drift and the noise, and the array forms of those
+    formulas are bit-equal to the scalar ones, with the noise drawn as one
+    batch from the same generator. So the log is the same, byte for byte
+    once written, as stepping each of those steps.
 
     Deterministic for a fixed receiver seed. Raises ValueError before
     starting if the cycle period cannot contain the pattern, and
@@ -425,11 +472,38 @@ def run_scenario(
     peak = rx.max_db if peak_level_db is None else peak_level_db
     k_el = config.k_el
     tracker = StepTracker(config)
-    log = TelemetryLog()
     rng = np.random.default_rng(rx.rng_seed)
     dt = config.sample_interval
     n_steps = round(duration / dt)
-    for i in range(n_steps):
+    log = TelemetryLog(capacity=n_steps)
+    i = 0
+    while i < n_steps:
+        end = _wait_span_end(tracker, plant, i, dt, n_steps)
+        if end > i:
+            t = np.arange(i, end) * dt
+            sat_az, sat_el = satellite_direction_array(orbit, t)
+            field = ParabolaParams(
+                k_az=az_coeff_from_elevation_array(k_el, sat_el),
+                k_el=k_el,
+                peak_az=sat_az,
+                peak_el=sat_el,
+                peak_level=peak,
+            )
+            level = measure_array(plant, field, rx, t, rng)
+            readback_az, readback_el = read_resolvers(plant)
+            log.extend(
+                t,
+                plant.target_azimuth,
+                plant.target_elevation,
+                readback_az,
+                readback_el,
+                level,
+                receiver_voltage_array(level, rx),
+                TrackerPhase.WAIT.value,
+                tracker.cycle_index,
+            )
+            i = end
+            continue
         t = i * dt
         sat_az, sat_el = satellite_direction(orbit, t)
         field = ParabolaParams(
@@ -457,4 +531,5 @@ def run_scenario(
             )
         )
         plant = tick(plant, dt)
+        i += 1
     return log

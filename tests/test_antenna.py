@@ -232,3 +232,33 @@ def test_receiver_validation():
         ReceiverConfig(floor_db=6.0, max_db=-24.0)
     with pytest.raises(ValueError):
         ReceiverConfig(noise_sigma=-0.1)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("az_slew_rate", float("inf")),
+        ("el_slew_rate", float("nan")),
+        ("resolver_step", float("inf")),
+        ("az_limits", (float("-inf"), float("inf"))),
+        ("el_limits", (5.0, float("nan"))),
+    ],
+)
+def test_state_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        _plant(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("floor_db", float("-inf")),
+        ("max_db", float("inf")),
+        ("noise_sigma", float("nan")),
+        ("drift_amplitude", float("nan")),
+        ("drift_period", float("inf")),
+    ],
+)
+def test_receiver_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        ReceiverConfig(**{field: value})

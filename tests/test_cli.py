@@ -91,6 +91,23 @@ def test_invalid_section_value_reported(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize(
+    "old, new, field",
+    [
+        ("cycle_period_s: 3.0", "cycle_period_s: .inf", "tracker.cycle_period_s"),
+        ("noise_sigma_db: 0.0", "noise_sigma_db: .nan", "receiver.noise_sigma_db"),
+        ("duration_s: 4.0", "duration_s: .inf", "duration_s"),
+        ("  elevation_deg: 70.0", "  elevation_deg: 70.0\n  az_limits_deg: [-.inf, .inf]",
+         "antenna.az_limits_deg"),
+    ],
+)
+def test_non_finite_value_names_field(tmp_path, old, new, field):
+    path = tmp_path / "s.yaml"
+    path.write_text(MINIMAL.replace(old, new))
+    with pytest.raises(ScenarioError, match=field):
+        load_scenario(path)
+
+
 def test_bundled_scenarios_load():
     names = bundled_scenarios()
     assert "default_figure8" in names

@@ -108,3 +108,14 @@ def test_config_validation():
         _default(center_elevation=89.5)  # 89.5 + 1.0 > 90
     with pytest.raises(ValueError):
         _default(axis_mode="diagonal")
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["center_azimuth", "center_elevation", "azimuth_amplitude",
+     "elevation_amplitude", "period", "phase", "drift_deg_per_day"],
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        _default(**{field: value})

@@ -4,14 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steptrack.telemetry import (
+    CSV_HEADER,
     TelemetryLog,
     TelemetryRecord,
     beacon_stats,
     extract_trajectory,
     format_float,
+    format_floats,
     read_csv,
+    time_window,
     write_csv,
 )
 
@@ -97,6 +102,19 @@ def test_stats_pooled_windows_match_oracle():
     assert whole.stddev == pytest.approx(math.sqrt(pooled_var), abs=1e-12)
 
 
+BOUNDS = [None, -1.0, 0.0, 2.5, 3.0, 9.0, 12.0, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("t0", BOUNDS)
+@pytest.mark.parametrize("t1", BOUNDS)
+def test_time_window_selects_inclusive_range(t0, t1):
+    log = TelemetryLog([_record(float(i)) for i in range(10)])
+    inside = [
+        i for i in range(10) if (t0 is None or i >= t0) and (t1 is None or i <= t1)
+    ]
+    assert list(range(10))[time_window(log, t0, t1)] == inside
+
+
 def test_trajectory_decimation_one_keeps_all():
     log = TelemetryLog([_record(i, az=float(i)) for i in range(10)])
     assert len(extract_trajectory(log, 1)) == 10
@@ -163,3 +181,107 @@ def test_read_csv_rejects_foreign_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         read_csv(str(path))
+
+
+def test_read_csv_rejects_wrong_field_count(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text(CSV_HEADER + "\n0.0,1.0,2.0\n")
+    with pytest.raises(ValueError, match="malformed"):
+        read_csv(str(path))
+
+
+def test_read_csv_rejects_non_monotonic_time(tmp_path):
+    log = TelemetryLog([_record(1.0), _record(2.0)])
+    path = tmp_path / "log.csv"
+    write_csv(log, str(path))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0], lines[2], lines[1]]) + "\n")
+    with pytest.raises(ValueError, match="non-monotonic"):
+        read_csv(str(path))
+
+
+def test_unknown_phase_rejected():
+    with pytest.raises(ValueError, match="phase"):
+        TelemetryLog([_record(0.0)._replace(phase="idle")])
+
+
+def test_extend_equals_appends():
+    rows = [_record(i * 0.5, level=float(i), az=180.0 + i) for i in range(5)]
+    log = TelemetryLog([rows[0]])
+    t = [r.t for r in rows[1:]]
+    az = [r.commanded_az for r in rows[1:]]
+    db = np.array([r.beacon_db for r in rows[1:]])
+    log.extend(t, az, 72.0, az, 72.0, db, 5.0, "wait", 0)
+    assert list(log) == rows
+
+
+def test_extend_rejects_non_monotonic_time():
+    log = TelemetryLog([_record(1.0)])
+    with pytest.raises(ValueError):
+        log.extend([1.0, 2.0], 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, "wait", 0)
+    with pytest.raises(ValueError):
+        log.extend([2.0, 2.0], 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, "wait", 0)
+    assert len(log) == 1
+
+
+def test_indexing_and_slicing():
+    records = [_record(float(i), level=float(i)) for i in range(10)]
+    log = TelemetryLog(records)
+    assert log[0] == records[0]
+    assert log[-1] == records[-1]
+    assert list(log[2:8:3]) == records[2:8:3]
+    with pytest.raises(IndexError):
+        log[10]
+
+
+def test_column_is_a_read_only_view():
+    log = TelemetryLog([_record(0.0, level=1.5), _record(1.0, level=2.5)])
+    levels = log.column("beacon_db")
+    assert levels.tolist() == [1.5, 2.5]
+    with pytest.raises(ValueError):
+        levels[0] = 0.0
+
+
+def _reference_format(value):
+    s = repr(float(value))
+    if "e" not in s and "E" not in s and "." in s:
+        decimals = len(s) - s.index(".") - 1
+        if decimals < 6:
+            s += "0" * (6 - decimals)
+    return s
+
+
+@settings(deadline=None)
+@given(values=st.lists(st.floats() | st.sampled_from([0.0, -0.0, 1e-5, 1e16, 0.02])))
+def test_format_floats_matches_one_at_a_time(values):
+    assert format_floats(values) == [_reference_format(v) for v in values]
+
+
+def test_write_csv_matches_row_wise_reference(tmp_path):
+    # Several blocks, runs of repeated values, and -0.0 next to 0.0.
+    rng = np.random.default_rng(4)
+    n = 10_000
+    hold = np.repeat(rng.normal(size=n // 100), 100)
+    zeros = np.where(np.arange(n) % 3 == 0, -0.0, 0.0)
+    phases = ["acquire", "estimate", "move", "wait"]
+    records = [
+        TelemetryRecord(
+            t=i * 0.02,
+            commanded_az=float(hold[i]),
+            commanded_el=float(zeros[i]),
+            readback_az=float(hold[i]) + 1e-7,
+            readback_el=72.0,
+            beacon_db=float(rng.normal()),
+            receiver_volts=float(rng.uniform(0.0, 10.0)),
+            phase=phases[(i // 700) % 4],
+            cycle_index=i // 2800 - 1,
+        )
+        for i in range(n)
+    ]
+    path = tmp_path / "log.csv"
+    write_csv(TelemetryLog(records), str(path))
+    want = [CSV_HEADER] + [
+        ",".join([_reference_format(v) for v in r[:7]] + [r.phase, str(r.cycle_index)])
+        for r in records
+    ]
+    assert path.read_text() == "\n".join(want) + "\n"

@@ -96,6 +96,17 @@ def test_config_validation():
         TrackerConfig(k_el=1.0)
 
 
+@pytest.mark.parametrize(
+    "field",
+    ["rect_half_width_az", "rect_half_width_el", "dwell_time", "sample_interval",
+     "cycle_period", "forgetting", "rls_delta", "k_el", "coeff_floor"],
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrackerConfig(**{field: value})
+
+
 # -- one full cycle, static satellite ------------------------------------------
 
 @pytest.mark.parametrize("estimator", ["batch-ls", "rls"])
