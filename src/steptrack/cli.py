@@ -18,23 +18,26 @@ import sys
 
 import numpy as np
 
-from .antenna import BeaconSample
 from .beacon import QuadraticCoefficients, az_coeff_from_elevation
 from .estimators import (
     EstimationError,
     InsufficientDataError,
-    ls_fit,
+    ls_solve,
     recover_peak,
-    regression_row,
+    regression_rows,
     rls_init,
     rls_recover,
-    rls_update,
+    rls_run,
 )
+# The commands fit whole windows through the array forms above. The
+# per-sample forms stay bound here too, as the layer names through which
+# perfbench/tracer.py traces this module.
+from .estimators import ls_fit, regression_row, rls_update  # noqa: F401
 from .scenario import ScenarioError, load_scenario, resolve_scenario_path
 from .telemetry import (
     beacon_stats,
     extract_trajectory,
-    format_float,
+    format_floats,
     read_csv,
     time_window,
     write_csv,
@@ -136,24 +139,19 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _window(log, t0, t1):
-    return log[time_window(log, t0, t1)]
-
-
 def _cmd_fit(args) -> int:
     try:
         log = read_csv(args.log)
     except (OSError, ValueError) as exc:
         print(f"error: cannot read log: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    records = _window(log, args.t0, args.t1)
+    window = time_window(log, args.t0, args.t1)
     try:
-        if len(records) < 3:
-            raise InsufficientDataError(
-                f"window holds {len(records)} records, need at least 3"
-            )
-        az = records.column("readback_az")
-        el = records.column("readback_el")
+        n = window.stop - window.start
+        if n < 3:
+            raise InsufficientDataError(f"window holds {n} records, need at least 3")
+        az = log.column("readback_az")[window]
+        el = log.column("readback_el")[window]
         mean_az = float(np.mean(az))
         mean_el = float(np.mean(el))
         k = QuadraticCoefficients(
@@ -161,29 +159,19 @@ def _cmd_fit(args) -> int:
         )
         # Fit in window-mean-centered coordinates: identical minimizer,
         # but keeps the recursive solver conditioned at large angles.
-        rows = [
-            regression_row(BeaconSample(t, a - mean_az, e - mean_el, level), k)
-            for t, a, e, level in zip(
-                records.column("t").tolist(),
-                az.tolist(),
-                el.tolist(),
-                records.column("beacon_db").tolist(),
-            )
-        ]
+        x, y = regression_rows(
+            az - mean_az, el - mean_el, log.column("beacon_db")[window], k
+        )
         if args.mode == "batch-ls":
-            beta = ls_fit(rows)
+            beta = ls_solve(x, y)
             local = recover_peak(beta, k, args.k_floor)
         else:
-            state = rls_init(args.forgetting, args.delta)
-            for row in rows:
-                state, _ = rls_update(state, row)
+            state = rls_run(rls_init(args.forgetting, args.delta), x, y)
             beta = state.coeffs
             local = rls_recover(state, k, args.k_floor)
     except (EstimationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ESTIMATION_ERROR
-    x = np.array([row.regressors for row in rows])
-    y = np.array([row.response for row in rows])
     rms = float(np.sqrt(np.mean((y - x @ beta) ** 2)))
     print(f"peak azimuth   : {local.azimuth + mean_az:.6f} deg")
     print(f"peak elevation : {local.elevation + mean_el:.6f} deg")
@@ -199,7 +187,8 @@ def _cmd_stats(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    print(f"records : {len(_window(log, args.t0, args.t1))}")
+    window = time_window(log, args.t0, args.t1)
+    print(f"records : {window.stop - window.start}")
     print(f"mean    : {stats.mean:.6f} dB")
     print(f"stddev  : {stats.stddev:.6f} dB")
     print(f"min     : {stats.minimum:.6f} dB")
@@ -217,8 +206,9 @@ def _cmd_trajectory(args) -> int:
     try:
         with open(args.output, "w", newline="") as fh:
             fh.write("readback_az_deg,readback_el_deg\n")
-            for az, el in points:
-                fh.write(f"{format_float(az)},{format_float(el)}\n")
+            az = format_floats([point[0] for point in points])
+            el = format_floats([point[1] for point in points])
+            fh.writelines(f"{a},{e}\n" for a, e in zip(az, el))
     except OSError as exc:
         print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -15,6 +15,12 @@ whose coefficient vector b encodes the peak:
 only a 3-vector and a 3x3 gain matrix, optionally down-weighting old
 samples through a forgetting factor, which both bounds memory and lets
 the fit follow a slowly moving peak.
+
+Each step has a scalar form for the tracker, which handles one sample
+at a time, and an array form for whole logged windows: ``regression_row``
+and ``regression_rows`` build the same rows, ``ls_fit`` stacks its rows
+into ``ls_solve``, and ``rls_update`` and ``rls_run`` apply the one RLS
+recursion, ``_rls_step``, to one row or to every row of a matrix.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ RCOND_LIMIT = 1e-12
 DEFAULT_COEFF_FLOOR = 0.01
 
 DEFAULT_RLS_DELTA = 1e4
+
+_EYE3 = np.eye(3)
 
 
 class EstimationError(Exception):
@@ -94,8 +102,24 @@ def regression_row(sample: BeaconSample, k: QuadraticCoefficients) -> Regression
     )
 
 
+def regression_rows(
+    az: np.ndarray, el: np.ndarray, level: np.ndarray, k: QuadraticCoefficients
+) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of ``regression_row``: the (n, 3) regressors and n responses."""
+    response = level - k.k_az * az * az - k.k_el * el * el
+    return np.column_stack([az, el, np.ones(len(az))]), response
+
+
 def ls_fit(rows: Sequence[RegressionRow]) -> np.ndarray:
-    """Least-squares coefficient vector for a batch of rows.
+    """Least-squares coefficient vector for a batch of rows; see ``ls_solve``."""
+    return ls_solve(
+        np.array([row.regressors for row in rows]),
+        np.array([row.response for row in rows]),
+    )
+
+
+def ls_solve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares coefficient vector for regressors x (n, 3) and responses y.
 
     Solved through an orthogonal factorization with the angle columns
     shifted to their means, which is the same minimizer as the normal
@@ -106,11 +130,9 @@ def ls_fit(rows: Sequence[RegressionRow]) -> np.ndarray:
     RankDeficientError when the positions are collinear (reciprocal
     condition estimate below RCOND_LIMIT).
     """
-    n = len(rows)
+    n = len(x)
     if n < 3:
         raise InsufficientDataError(f"need at least 3 samples, got {n}")
-    x = np.array([row.regressors for row in rows])
-    y = np.array([row.response for row in rows])
     mean_az = x[:, 0].mean()
     mean_el = x[:, 1].mean()
     shifted = np.column_stack([x[:, 0] - mean_az, x[:, 1] - mean_el, np.ones(n)])
@@ -158,27 +180,44 @@ def rls_init(forgetting: float, delta: float = DEFAULT_RLS_DELTA) -> RlsState:
     )
 
 
-def rls_update(state: RlsState, row: RegressionRow) -> tuple[RlsState, float]:
-    """One recursion step; returns the new state and the prediction residual.
+def _rls_step(
+    coeffs: np.ndarray, p: np.ndarray, lam: float, x: np.ndarray, y: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The RLS recursion: new coefficients, new gain matrix and the residual.
 
     Applies, in order: normalized gain matrix, gain vector, prediction,
     residual, coefficient correction, and the forgetting-scaled
     downdate of the gain matrix, which is then re-symmetrized.
     """
-    x = row.regressors
-    if not (np.isfinite(x).all() and math.isfinite(row.response)):
-        raise ValueError(f"non-finite regression row: {row}")
-    p = state.cov
-    lam = state.forgetting
     px = p @ x
     q = p / (lam + float(x @ px))
     gain = q @ x
-    predicted = float(x @ state.coeffs)
-    residual = row.response - predicted
-    coeffs = state.coeffs + gain * residual
-    new_p = (np.eye(3) - np.outer(gain, x)) @ p / lam
-    new_p = 0.5 * (new_p + new_p.T)
-    return RlsState(coeffs=coeffs, cov=new_p, forgetting=lam), residual
+    residual = y - float(x @ coeffs)
+    new_p = (_EYE3 - gain[:, None] * x) @ p / lam
+    return coeffs + gain * residual, 0.5 * (new_p + new_p.T), residual
+
+
+def rls_update(state: RlsState, row: RegressionRow) -> tuple[RlsState, float]:
+    """One recursion step; returns the new state and the prediction residual."""
+    if not (np.isfinite(row.regressors).all() and math.isfinite(row.response)):
+        raise ValueError(f"non-finite regression row: {row}")
+    coeffs, cov, residual = _rls_step(
+        state.coeffs, state.cov, state.forgetting, row.regressors, row.response
+    )
+    return RlsState(coeffs=coeffs, cov=cov, forgetting=state.forgetting), residual
+
+
+def rls_run(state: RlsState, x: np.ndarray, y: np.ndarray) -> RlsState:
+    """``rls_update`` over each row of regressors x (n, 3) and responses y, in order."""
+    finite = np.isfinite(x).all(axis=1) & np.isfinite(y)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        row = RegressionRow(regressors=x[i], response=float(y[i]))
+        raise ValueError(f"non-finite regression row: {row}")
+    coeffs, cov, lam = state.coeffs, state.cov, state.forgetting
+    for xi, yi in zip(x, y.tolist()):
+        coeffs, cov, _ = _rls_step(coeffs, cov, lam, xi, yi)
+    return RlsState(coeffs=coeffs, cov=cov, forgetting=lam)
 
 
 def memory_horizon(forgetting: float) -> float:

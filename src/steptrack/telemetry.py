@@ -11,13 +11,15 @@ The CSV encoding writes floats at full round-trip precision (padded to at
 least six decimal places), so a written log reads back bit-exact and
 still drops straight into any plotting tool. ``write_csv`` and
 ``read_csv`` work in fixed-size row blocks, so their memory does not
-grow with the log.
+grow with the log: ``read_csv`` parses each block of lines into columns
+with one ``np.loadtxt`` call.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import warnings
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -45,6 +47,11 @@ PHASES = ("acquire", "estimate", "move", "wait")
 _PHASE_CODES = {name: code for code, name in enumerate(PHASES)}
 _DTYPES = (np.float64,) * 7 + (np.int8, np.int64)
 _PHASE = FIELDS.index("phase")
+# One parsed CSV row. A phase field longer than the longest name is cut
+# to one character more, so it can never be cut down to a valid name.
+_CSV_ROW = np.dtype(
+    list(zip(FIELDS, ("f8",) * 7 + (f"U{max(map(len, PHASES)) + 1}", "i8")))
+)
 # Rows per block when converting between columns and text: bounds the
 # Python objects alive at once to a few MB however long the log is.
 _BLOCK_ROWS = 1 << 12
@@ -62,6 +69,18 @@ def _phase_code(name: str) -> int:
         return _PHASE_CODES[name]
     except KeyError:
         raise ValueError(f"unknown phase {name!r}, expected one of {PHASES}") from None
+
+
+def _phase_codes(names) -> np.ndarray:
+    """``_phase_code`` of each name in a sequence, compared as one array."""
+    names = np.asarray(names, dtype=str)
+    codes = np.full(names.shape, -1, dtype=np.int8)
+    for code, name in enumerate(PHASES):
+        codes[names == name] = code
+    unknown = names[codes < 0]
+    if len(unknown):
+        _phase_code(str(unknown[0]))  # raises, naming the first unknown name
+    return codes
 
 
 class TelemetryLog:
@@ -130,10 +149,7 @@ class TelemetryLog:
         if not (np.diff(t) > 0).all() or (n and not t[0] > self._cols[0][n - 1]):
             last = self._cols[0][n - 1] if n else None
             raise ValueError(f"non-monotonic time in block starting {t[0]} after {last}")
-        if isinstance(phase, str):
-            phase = _phase_code(phase)
-        else:
-            phase = list(map(_phase_code, phase))
+        phase = _phase_code(phase) if isinstance(phase, str) else _phase_codes(phase)
         columns = (
             t, commanded_az, commanded_el, readback_az, readback_el,
             beacon_db, receiver_volts, phase, cycle_index,
@@ -288,23 +304,33 @@ def write_csv(log: TelemetryLog, path: str) -> None:
 
 
 def read_csv(path: str) -> TelemetryLog:
+    """Parse a CSV written by ``write_csv``; blank lines are skipped.
+
+    Raises ValueError on a foreign header, a line that does not parse
+    into the nine fields (``#`` starts no comment), an unknown phase or
+    time that does not strictly increase.
+    """
     log = TelemetryLog()
     with open(path, "r", newline="") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"unrecognized telemetry header: {header!r}")
+        line_no = 2
         while True:
             lines = fh.readlines(_BLOCK_ROWS * 128)  # about 128 bytes a row
             if not lines:
                 break
-            rows = [line.split(",") for line in map(str.strip, lines) if line]
-            for parts in rows:
-                if len(parts) != 9:
-                    raise ValueError(f"malformed telemetry line: {','.join(parts)!r}")
-            if not rows:
-                continue
-            cols = list(zip(*rows))
-            floats = [np.fromiter(map(float, col), np.float64, len(rows)) for col in cols[:7]]
-            cycles = np.fromiter(map(int, cols[8]), np.int64, len(rows))
-            log.extend(*floats, cols[_PHASE], cycles)
+            try:
+                with warnings.catch_warnings():
+                    # A block of blank lines holds no data, which is fine.
+                    warnings.simplefilter("ignore", UserWarning)
+                    rows = np.loadtxt(
+                        lines, delimiter=",", comments=None, ndmin=1, dtype=_CSV_ROW
+                    )
+            except ValueError as exc:
+                raise ValueError(
+                    f"malformed telemetry line in the block from line {line_no}: {exc}"
+                ) from None
+            log.extend(*(rows[name] for name in FIELDS))
+            line_no += len(lines)
     return log

@@ -10,6 +10,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from steptrack.antenna import BeaconSample
 from steptrack.beacon import QuadraticCoefficients, beacon_level, ParabolaParams
@@ -17,13 +20,17 @@ from steptrack.estimators import (
     DegenerateCoefficientsError,
     InsufficientDataError,
     RankDeficientError,
+    RegressionRow,
     RlsState,
     ls_fit,
+    ls_solve,
     memory_horizon,
     recover_peak,
     regression_row,
+    regression_rows,
     rls_init,
     rls_recover,
+    rls_run,
     rls_update,
 )
 
@@ -277,8 +284,6 @@ def test_rls_cov_stays_symmetric_positive_definite():
 
 def test_rls_update_rejects_non_finite():
     state = rls_init(0.98)
-    from steptrack.estimators import RegressionRow
-
     with pytest.raises(ValueError):
         rls_update(state, RegressionRow(np.array([np.nan, 0.0, 1.0]), 1.0))
     with pytest.raises(ValueError):
@@ -314,3 +319,118 @@ def test_memory_horizon_domain():
         memory_horizon(0.0)
     with pytest.raises(ValueError):
         memory_horizon(1.01)
+
+
+# -- array forms -------------------------------------------------------------------
+# The CLI fits whole logged windows through the array forms, the tracker
+# one sample at a time through the scalar forms: both must agree bit for
+# bit, NaN included.
+
+def _scalar_rows(az, el, level, k):
+    return [
+        regression_row(BeaconSample(0.0, a, e, lv), k)
+        for a, e, lv in zip(az.tolist(), el.tolist(), level.tolist())
+    ]
+
+
+def _same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _rls_loop(state, rows):
+    for row in rows:
+        state, _ = rls_update(state, row)
+    return state
+
+
+def _columns(n, elements):
+    return st.tuples(*[hnp.arrays(np.float64, n, elements=elements)] * 3)
+
+
+curvatures = st.builds(
+    QuadraticCoefficients, st.floats(-50.0, -0.01), st.floats(-50.0, -0.01)
+)
+samples = st.integers(3, 60).flatmap(
+    lambda n: _columns(n, st.floats(allow_nan=False, allow_infinity=False))
+)
+pattern_samples = st.integers(3, 200).flatmap(
+    lambda n: _columns(n, st.floats(-0.5, 0.5))
+)
+
+
+@given(columns=samples, k=curvatures)
+def test_regression_rows_match_scalar_rows(columns, k):
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y = regression_rows(*columns, k)
+    rows = _scalar_rows(*columns, k)
+    assert _same_bits(x, [row.regressors for row in rows])
+    assert _same_bits(y, [row.response for row in rows])
+
+
+@given(
+    columns=pattern_samples,
+    k=curvatures,
+    forgetting=st.sampled_from([1.0, 0.999, 0.98]) | st.floats(0.5, 1.0),
+    delta=st.sampled_from([1e8, 1e4]),
+)
+def test_rls_run_matches_rls_update_loop(columns, k, forgetting, delta):
+    state = rls_init(forgetting, delta)
+    x, y = regression_rows(*columns, k)
+    with np.errstate(all="ignore"):
+        run = rls_run(state, x, y)
+        loop = _rls_loop(state, _scalar_rows(*columns, k))
+    assert _same_bits(run.coeffs, loop.coeffs)
+    assert _same_bits(run.cov, loop.cov)
+    assert run.forgetting == loop.forgetting
+
+
+def test_rls_run_matches_rls_update_loop_through_windup():
+    # A rectangle pattern, then the antenna holding still: at forgetting
+    # 0.98 the gain matrix grows by 1/0.98 a row along the directions the
+    # held rows do not excite, until it overflows into inf and nan.
+    rng = np.random.default_rng(12)
+    corners = np.repeat([(-0.2, -0.05), (0.2, -0.05), (0.2, 0.05), (-0.2, 0.05)], 50, 0)
+    pos = np.vstack([corners, np.tile([(0.01, -0.02)], (36_000, 1))])
+    level = 6.0 + 0.2 * rng.standard_normal(len(pos))
+    state = rls_init(0.98, 1e8)
+    x, y = regression_rows(pos[:, 0], pos[:, 1], level, K12)
+    with np.errstate(all="ignore"):
+        run = rls_run(state, x, y)
+        loop = _rls_loop(state, _scalar_rows(pos[:, 0], pos[:, 1], level, K12))
+    assert np.isnan(run.cov).any()
+    assert _same_bits(run.coeffs, loop.coeffs)
+    assert _same_bits(run.cov, loop.cov)
+
+
+@pytest.mark.parametrize("bad", [(2, 0), (2, 1), (0, 0), (4, None)])
+def test_rls_run_rejects_non_finite_row_like_rls_update(bad):
+    i, j = bad
+    x, y = regression_rows(np.linspace(0.0, 1.0, 5), np.linspace(1.0, 0.0, 5), np.ones(5), K12)
+    if j is None:
+        y[i] = math.inf
+    else:
+        x[i, j] = math.nan
+    state = rls_init(0.98)
+    with pytest.raises(ValueError) as from_update:
+        _rls_loop(state, [RegressionRow(xi, float(yi)) for xi, yi in zip(x, y)])
+    with pytest.raises(ValueError) as from_run:
+        rls_run(state, x, y)
+    assert str(from_run.value) == str(from_update.value)
+    assert "non-finite regression row" in str(from_run.value)
+
+
+@given(columns=pattern_samples, k=curvatures)
+def test_ls_fit_matches_ls_solve(columns, k):
+    rows = _scalar_rows(*columns, k)
+    try:
+        want = ls_fit(rows)
+    except RankDeficientError:
+        with pytest.raises(RankDeficientError):
+            ls_solve(*regression_rows(*columns, k))
+        return
+    assert _same_bits(ls_solve(*regression_rows(*columns, k)), want)
+
+
+def test_ls_solve_insufficient_data():
+    with pytest.raises(InsufficientDataError):
+        ls_solve(np.ones((2, 3)), np.ones(2))

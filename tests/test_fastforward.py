@@ -133,7 +133,7 @@ cases = st.fixed_dictionaries(
 )
 
 
-@settings(deadline=None, max_examples=30)
+@settings(max_examples=30)
 @given(case=cases)
 @example(case=_case(axis_mode="elevation-major"))
 @example(case=_case(axis_mode="elevation-major", orbit_drift=400.0))
@@ -178,7 +178,6 @@ def test_run_scenario_matches_stepping(case):
 finite = dict(allow_nan=False, allow_infinity=False)
 
 
-@settings(deadline=None)
 @given(
     axis_mode=st.sampled_from(["azimuth-major", "elevation-major"]),
     az_amp=st.floats(0.0, 20.0),
@@ -200,7 +199,6 @@ def test_satellite_direction_array_is_bit_equal(
     _assert_bit_equal(el, [e for _, e in want])
 
 
-@settings(deadline=None)
 @given(
     k_el=st.floats(-100.0, -1e-3),
     elevation=st.lists(st.floats(0.0, 90.0), min_size=1, max_size=64),
@@ -238,7 +236,6 @@ def _surface(rows, k_el=-11.4, peak_level=6.0):
     return ParabolaParams(k_az, k_el, peak_az, peak_el, peak_level)
 
 
-@settings(deadline=None)
 @given(rows=surfaces, az=st.floats(170.0, 190.0), el=st.floats(50.0, 80.0))
 def test_beacon_level_on_array_surface_is_bit_equal(rows, az, el):
     got = beacon_level(_surface(rows), az, el)
@@ -248,7 +245,6 @@ def test_beacon_level_on_array_surface_is_bit_equal(rows, az, el):
     _assert_bit_equal(got, want)
 
 
-@settings(deadline=None)
 @given(
     rows=surfaces,
     az=st.floats(170.0, 190.0),
@@ -274,7 +270,6 @@ def test_measure_array_is_bit_equal(rows, az, el, noise, drift_amp, drift_period
     _assert_bit_equal(got, want)
 
 
-@settings(deadline=None)
 @given(
     levels=st.lists(st.floats(-60.0, 60.0, **finite), min_size=1, max_size=64),
     floor=st.floats(-40.0, 0.0),

@@ -1,7 +1,8 @@
-"""Golden bytes: the CSVs that ``steptrack simulate`` writes must not change.
+"""Golden bytes: what the ``steptrack`` commands write must not change.
 
 The digests are sha256 of the CSV files written for the bundled scenarios
-(``default_figure8`` cut to its first two cycles and their WAIT spans).
+(``default_figure8`` cut to its first two cycles and their WAIT spans),
+and of what the offline commands print or write for that cut CSV.
 A change that alters them on purpose re-records them and says why.
 """
 
@@ -9,6 +10,7 @@ import contextlib
 import hashlib
 import io
 
+import numpy as np
 import pytest
 
 from steptrack.cli import main
@@ -31,3 +33,51 @@ def test_simulate_csv_bytes_match_golden(tmp_path, name, extra, digest):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["simulate", name, "--output", str(out)] + extra) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# sha256 of what the offline commands print (``stats``, ``fit``) or write
+# (``trajectory``) for the ``default_figure8`` CSV cut at 1200 s, over the
+# window of its second cycle.
+WINDOW = ["--t0", "600", "--t1", "1199.99"]
+FIT = ["fit", "{csv}", "--k-y", "-11.4"] + WINDOW
+OFFLINE_GOLDEN = [
+    ("stats", ["stats", "{csv}"] + WINDOW,
+     "34e12d706f191afb5de19e79df1b13c0a54f6277f0b0f508823cad21e4d4e724"),
+    ("fit-batch", FIT,
+     "93fee4f3916a7b08ab40f01f1031144e7bec7b41573a0fd808b4512f439a3f8b"),
+    ("fit-rls-1.0", FIT + ["--mode", "rls", "--forgetting", "1.0"],
+     "93fee4f3916a7b08ab40f01f1031144e7bec7b41573a0fd808b4512f439a3f8b"),
+    ("fit-rls-0.999", FIT + ["--mode", "rls", "--forgetting", "0.999"],
+     "0c9e60bf29fa2e96692889da65381b76a41c03756e7306778426d8e6dba29ccf"),
+    # The gain matrix winds up to inf/nan at 0.98: the fit prints nan.
+    ("fit-rls-0.98", FIT + ["--mode", "rls", "--forgetting", "0.98"],
+     "79006af32459f30b7b06f1f73ed11cd891dd1ea355193225381e5b483a1479ea"),
+]
+TRAJECTORY_DIGEST = "f063f116aa3cd646377592b166f727761ec11ef33157dd529ec7a2b2596d8c2f"
+
+
+@pytest.fixture(scope="module")
+def figure8_csv(tmp_path_factory):
+    out = tmp_path_factory.mktemp("offline") / "telemetry.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "default_figure8", "--output", str(out),
+                     "--duration-s", "1200"]) == 0
+    return str(out)
+
+
+@pytest.mark.parametrize(
+    "argv, digest", [g[1:] for g in OFFLINE_GOLDEN], ids=[g[0] for g in OFFLINE_GOLDEN]
+)
+def test_offline_stdout_matches_golden(figure8_csv, argv, digest):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), np.errstate(all="ignore"):
+        assert main([arg.format(csv=figure8_csv) for arg in argv]) == 0
+    assert hashlib.sha256(stdout.getvalue().encode()).hexdigest() == digest
+
+
+def test_trajectory_bytes_match_golden(figure8_csv, tmp_path):
+    out = tmp_path / "trajectory.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["trajectory", figure8_csv, "--decimation", "50",
+                     "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TRAJECTORY_DIGEST

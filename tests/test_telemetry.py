@@ -1,14 +1,17 @@
 """Telemetry log tests: ordering, statistics, trajectory, CSV round trip."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from steptrack.telemetry import (
     CSV_HEADER,
+    FIELDS,
+    PHASES,
     TelemetryLog,
     TelemetryRecord,
     beacon_stats,
@@ -183,11 +186,68 @@ def test_read_csv_rejects_foreign_header(tmp_path):
         read_csv(str(path))
 
 
+ROW = "0.5,180.25,72.0,180.0,-72.5,5.5,6.0,wait,3"
+
+
+def _read_text(tmp_path, text):
+    path = tmp_path / "log.csv"
+    path.write_bytes(text.encode())
+    return read_csv(str(path))
+
+
+def test_read_csv_accepts_crlf_line_endings(tmp_path):
+    log = _read_text(tmp_path, CSV_HEADER + "\r\n" + ROW + "\r\n")
+    assert list(log) == [
+        TelemetryRecord(0.5, 180.25, 72.0, 180.0, -72.5, 5.5, 6.0, "wait", 3)
+    ]
+
+
+def test_read_csv_skips_blank_lines(tmp_path):
+    later = ROW.replace("0.5,", "0.75,", 1)
+    log = _read_text(tmp_path, f"{CSV_HEADER}\n\n{ROW}\n\r\n\n{later}\n\n")
+    assert log.column("t").tolist() == [0.5, 0.75]
+
+
+@pytest.mark.parametrize("rest", ["", "\n", "\n\r\n\n"])
+def test_read_csv_header_only_gives_empty_log(tmp_path, rest):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(_read_text(tmp_path, CSV_HEADER + "\n" + rest)) == 0
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        ROW.replace(",5.5,", ",5.5#x,"),
+        "# " + ROW,
+        "# a comment",
+        ROW.replace(",3", ",3 # note"),
+    ],
+)
+def test_read_csv_hash_is_not_a_comment(tmp_path, line):
+    with pytest.raises(ValueError, match="malformed"):
+        _read_text(tmp_path, f"{CSV_HEADER}\n{line}\n")
+
+
 def test_read_csv_rejects_wrong_field_count(tmp_path):
     path = tmp_path / "short.csv"
     path.write_text(CSV_HEADER + "\n0.0,1.0,2.0\n")
     with pytest.raises(ValueError, match="malformed"):
         read_csv(str(path))
+
+
+@pytest.mark.parametrize("line", [ROW + ",1", ROW.rsplit(",", 1)[0], ROW + "\n" + ROW[:9]])
+def test_read_csv_rejects_one_field_too_many_or_few(tmp_path, line):
+    with pytest.raises(ValueError, match="malformed"):
+        _read_text(tmp_path, f"{CSV_HEADER}\n{line}\n")
+
+
+# "estimatewait" starts with a phase name, so a reader that cut the
+# field to the longest name would accept it.
+@pytest.mark.parametrize("phase", ["idle", "Wait", " wait", "estimatewait", ""])
+def test_read_csv_rejects_unknown_phase(tmp_path, phase):
+    with pytest.raises(ValueError, match="phase"):
+        _read_text(tmp_path, f"{CSV_HEADER}\n{ROW.replace('wait', phase)}\n")
 
 
 def test_read_csv_rejects_non_monotonic_time(tmp_path):
@@ -198,6 +258,47 @@ def test_read_csv_rejects_non_monotonic_time(tmp_path):
     path.write_text("\n".join([lines[0], lines[2], lines[1]]) + "\n")
     with pytest.raises(ValueError, match="non-monotonic"):
         read_csv(str(path))
+
+
+def test_read_csv_rejects_repeated_time(tmp_path):
+    with pytest.raises(ValueError, match="non-monotonic"):
+        _read_text(tmp_path, f"{CSV_HEADER}\n{ROW}\n{ROW}\n")
+
+
+def test_read_csv_reads_nan_and_inf_tokens(tmp_path):
+    line = "0.5,nan,72.0,inf,-inf,NaN,Infinity,wait,3"
+    record = _read_text(tmp_path, f"{CSV_HEADER}\n{line}\n")[0]
+    assert math.isnan(record.commanded_az) and math.isnan(record.beacon_db)
+    assert record.readback_az == math.inf and record.readback_el == -math.inf
+    assert record.receiver_volts == math.inf
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e300, 0.1 + 0.2]
+)
+
+
+@st.composite
+def logs(draw):
+    t = sorted(draw(st.lists(finite_floats, min_size=1, max_size=30, unique=True)))
+    n = len(t)
+    floats = [draw(st.lists(finite_floats, min_size=n, max_size=n)) for _ in range(6)]
+    phases = draw(st.lists(st.sampled_from(PHASES), min_size=n, max_size=n))
+    cycles = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n))
+    log = TelemetryLog()
+    log.extend(t, *floats, phases, cycles)
+    return log
+
+
+@given(log=logs())
+def test_csv_round_trip_bit_exact_property(tmp_path_factory, log):
+    path = tmp_path_factory.mktemp("round_trip") / "log.csv"
+    write_csv(log, str(path))
+    back = read_csv(str(path))
+    for name in FIELDS:
+        want, got = log.column(name), back.column(name)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), name
 
 
 def test_unknown_phase_rejected():
@@ -251,7 +352,6 @@ def _reference_format(value):
     return s
 
 
-@settings(deadline=None)
 @given(values=st.lists(st.floats() | st.sampled_from([0.0, -0.0, 1e-5, 1e16, 0.02])))
 def test_format_floats_matches_one_at_a_time(values):
     assert format_floats(values) == [_reference_format(v) for v in values]
