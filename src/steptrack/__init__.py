@@ -32,6 +32,7 @@ from .estimators import (
     RankDeficientError,
     RegressionRow,
     RlsState,
+    fit_peak,
     ls_fit,
     memory_horizon,
     recover_peak,
@@ -92,6 +93,7 @@ __all__ = [
     "beacon_stats",
     "command",
     "extract_trajectory",
+    "fit_peak",
     "load_scenario",
     "ls_fit",
     "measure",

@@ -229,4 +229,7 @@ def receiver_voltage(level: float, rx: ReceiverConfig) -> float:
 def receiver_voltage_array(level: np.ndarray, rx: ReceiverConfig) -> np.ndarray:
     """Array form of ``receiver_voltage``: bit-equal at each level."""
     v = 10.0 * (level - rx.floor_db) / (rx.max_db - rx.floor_db)
-    return np.minimum(10.0, np.maximum(0.0, v))
+    # Python's max/min keep the first argument on a tie, so -0.0 clamps to
+    # +0.0; np.maximum would keep -0.0.
+    v = np.where(v > 0.0, v, 0.0)
+    return np.where(v < 10.0, v, 10.0)

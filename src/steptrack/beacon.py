@@ -23,13 +23,18 @@ DEFAULT_K_EL = -11.4
 
 @dataclass(frozen=True)
 class QuadraticCoefficients:
-    """The a-priori curvature pair the estimators must know."""
+    """The a-priori curvature pair the estimators must know.
 
-    k_az: float
-    k_el: float
+    ``k_az`` may also be an array, as in ``ParabolaParams``; every element
+    must then be negative.
+    """
+
+    k_az: float  # dB/deg^2
+    k_el: float  # dB/deg^2
 
     def __post_init__(self) -> None:
-        if not (self.k_az < 0 and self.k_el < 0):
+        k_az = self.k_az.max() if isinstance(self.k_az, np.ndarray) else self.k_az
+        if not (k_az < 0 and self.k_el < 0):
             raise ValueError(
                 f"quadratic coefficients must be strictly negative, "
                 f"got k_az={self.k_az}, k_el={self.k_el}"
@@ -37,7 +42,7 @@ class QuadraticCoefficients:
 
 
 @dataclass(frozen=True)
-class ParabolaParams:
+class ParabolaParams(QuadraticCoefficients):
     """Full beacon surface: curvature, peak direction and peak level.
 
     ``peak_level`` is expected to sit at or above the receiver noise
@@ -48,19 +53,9 @@ class ParabolaParams:
     one surface per sample time; ``beacon_level`` then evaluates each.
     """
 
-    k_az: float  # dB/deg^2
-    k_el: float  # dB/deg^2
     peak_az: float  # deg
     peak_el: float  # deg
     peak_level: float  # dB
-
-    def __post_init__(self) -> None:
-        k_az = self.k_az.max() if isinstance(self.k_az, np.ndarray) else self.k_az
-        if not (k_az < 0 and self.k_el < 0):
-            raise ValueError(
-                f"quadratic coefficients must be strictly negative, "
-                f"got k_az={self.k_az}, k_el={self.k_el}"
-            )
 
 
 def beacon_level(params: ParabolaParams, azimuth: float, elevation: float) -> float:

@@ -19,20 +19,12 @@ import sys
 import numpy as np
 
 from .beacon import QuadraticCoefficients, az_coeff_from_elevation
-from .estimators import (
-    EstimationError,
-    InsufficientDataError,
-    ls_solve,
-    recover_peak,
-    regression_rows,
-    rls_init,
-    rls_recover,
-    rls_run,
+from .estimators import ESTIMATORS, EstimationError, fit_peak
+# Unused here since ``fit`` runs through ``fit_peak``, but bound as the
+# layer names through which perfbench/tracer.py traces this module.
+from .estimators import (  # noqa: F401
+    ls_fit, recover_peak, regression_row, rls_init, rls_recover, rls_update,
 )
-# The commands fit whole windows through the array forms above. The
-# per-sample forms stay bound here too, as the layer names through which
-# perfbench/tracer.py traces this module.
-from .estimators import ls_fit, regression_row, rls_update  # noqa: F401
 from .scenario import ScenarioError, load_scenario, resolve_scenario_path
 from .telemetry import (
     beacon_stats,
@@ -74,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fit.add_argument("--t0", type=float, default=None, help="window start, s")
     fit.add_argument("--t1", type=float, default=None, help="window end, s")
-    fit.add_argument("--mode", choices=("batch-ls", "rls"), default="batch-ls")
+    fit.add_argument("--mode", choices=ESTIMATORS, default="batch-ls")
     fit.add_argument(
         "--forgetting", type=float, default=1.0, help="RLS forgetting factor"
     )
@@ -146,36 +138,27 @@ def _cmd_fit(args) -> int:
         print(f"error: cannot read log: {exc}", file=sys.stderr)
         return USAGE_ERROR
     window = time_window(log, args.t0, args.t1)
+    if window.stop == window.start:
+        print(f"error: no records in window [{args.t0}, {args.t1}]", file=sys.stderr)
+        return ESTIMATION_ERROR
+    az = log.column("readback_az")[window]
+    el = log.column("readback_el")[window]
+    # Centred on the window mean, where the curvature is taken too.
+    centre = (float(np.mean(az)), float(np.mean(el)))
     try:
-        n = window.stop - window.start
-        if n < 3:
-            raise InsufficientDataError(f"window holds {n} records, need at least 3")
-        az = log.column("readback_az")[window]
-        el = log.column("readback_el")[window]
-        mean_az = float(np.mean(az))
-        mean_el = float(np.mean(el))
         k = QuadraticCoefficients(
-            k_az=az_coeff_from_elevation(args.k_y, mean_el), k_el=args.k_y
+            k_az=az_coeff_from_elevation(args.k_y, centre[1]), k_el=args.k_y
         )
-        # Fit in window-mean-centered coordinates: identical minimizer,
-        # but keeps the recursive solver conditioned at large angles.
-        x, y = regression_rows(
-            az - mean_az, el - mean_el, log.column("beacon_db")[window], k
+        peak, rms = fit_peak(
+            az, el, log.column("beacon_db")[window], centre, k, args.mode,
+            args.forgetting, args.delta, args.k_floor,
         )
-        if args.mode == "batch-ls":
-            beta = ls_solve(x, y)
-            local = recover_peak(beta, k, args.k_floor)
-        else:
-            state = rls_run(rls_init(args.forgetting, args.delta), x, y)
-            beta = state.coeffs
-            local = rls_recover(state, k, args.k_floor)
     except (EstimationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ESTIMATION_ERROR
-    rms = float(np.sqrt(np.mean((y - x @ beta) ** 2)))
-    print(f"peak azimuth   : {local.azimuth + mean_az:.6f} deg")
-    print(f"peak elevation : {local.elevation + mean_el:.6f} deg")
-    print(f"peak level     : {local.level:.6f} dB")
+    print(f"peak azimuth   : {peak.azimuth:.6f} deg")
+    print(f"peak elevation : {peak.elevation:.6f} deg")
+    print(f"peak level     : {peak.level:.6f} dB")
     print(f"residual rms   : {rms:.6e} dB")
     return 0
 

@@ -11,16 +11,18 @@ whose coefficient vector b encodes the peak:
     b = [-2*k_az*peak_az, -2*k_el*peak_el,
          peak_level + k_az*peak_az**2 + k_el*peak_el**2]
 
-``ls_fit`` solves the whole batch at once; the recursive variant keeps
-only a 3-vector and a 3x3 gain matrix, optionally down-weighting old
-samples through a forgetting factor, which both bounds memory and lets
-the fit follow a slowly moving peak.
+``fit_peak`` is the one fit, for the tracker's cycles and for ``steptrack
+fit``'s logged windows. It centres the samples, builds the regression rows
+(``regression_rows``), solves them by batch least squares (``ls_solve``)
+or by the recursive filter (``rls_init``, ``rls_run``), recovers the peak
+(``recover_peak``) and shifts it back. The recursive filter keeps only a
+3-vector and a 3x3 gain matrix, optionally down-weighting old samples
+through a forgetting factor, which both bounds memory and lets the fit
+follow a slowly moving peak.
 
-Each step has a scalar form for the tracker, which handles one sample
-at a time, and an array form for whole logged windows: ``regression_row``
-and ``regression_rows`` build the same rows, ``ls_fit`` stacks its rows
-into ``ls_solve``, and ``rls_update`` and ``rls_run`` apply the one RLS
-recursion, ``_rls_step``, to one row or to every row of a matrix.
+The per-sample forms ``regression_row``, ``ls_fit`` and ``rls_update``
+are the references the array forms match bit for bit; ``rls_update`` and
+``rls_run`` share the one RLS recursion, ``_rls_step``.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ RCOND_LIMIT = 1e-12
 DEFAULT_COEFF_FLOOR = 0.01
 
 DEFAULT_RLS_DELTA = 1e4
+
+# The solvers ``fit_peak`` selects between, by name.
+ESTIMATORS = ("batch-ls", "rls")
 
 _EYE3 = np.eye(3)
 
@@ -110,6 +115,11 @@ def regression_rows(
     return np.column_stack([az, el, np.ones(len(az))]), response
 
 
+def _require_samples(n: int) -> None:
+    if n < 3:
+        raise InsufficientDataError(f"need at least 3 samples, got {n}")
+
+
 def ls_fit(rows: Sequence[RegressionRow]) -> np.ndarray:
     """Least-squares coefficient vector for a batch of rows; see ``ls_solve``."""
     return ls_solve(
@@ -131,8 +141,7 @@ def ls_solve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     condition estimate below RCOND_LIMIT).
     """
     n = len(x)
-    if n < 3:
-        raise InsufficientDataError(f"need at least 3 samples, got {n}")
+    _require_samples(n)
     mean_az = x[:, 0].mean()
     mean_el = x[:, 1].mean()
     shifted = np.column_stack([x[:, 0] - mean_az, x[:, 1] - mean_el, np.ones(n)])
@@ -218,6 +227,51 @@ def rls_run(state: RlsState, x: np.ndarray, y: np.ndarray) -> RlsState:
     for xi, yi in zip(x, y.tolist()):
         coeffs, cov, _ = _rls_step(coeffs, cov, lam, xi, yi)
     return RlsState(coeffs=coeffs, cov=cov, forgetting=lam)
+
+
+def fit_peak(
+    az: np.ndarray,
+    el: np.ndarray,
+    level: np.ndarray,
+    centre: tuple[float, float],
+    k: QuadraticCoefficients,
+    estimator: str,
+    forgetting: float = 1.0,
+    delta: float = DEFAULT_RLS_DELTA,
+    coeff_floor: float = DEFAULT_COEFF_FLOOR,
+    prior: PeakEstimate | None = None,
+) -> tuple[PeakEstimate, float]:
+    """Absolute peak through readback samples (az, el, level) and the RMS
+    of the fit residuals, in dB.
+
+    ``estimator`` is one of ``ESTIMATORS``; "rls" starts from the absolute
+    peak ``prior`` when given. The fit runs in offsets from ``centre``: at
+    absolute angles like [180.2, 72.05, 1] the recursion's gain matrix
+    collapses along a near-degenerate direction. A diverged recursion
+    returns a non-finite peak; other failures raise EstimationError.
+    """
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
+    _require_samples(len(az))
+    caz, cel = centre
+    x, y = regression_rows(az - caz, el - cel, level, k)
+    if estimator == "batch-ls":
+        beta = ls_solve(x, y)
+    else:
+        state = rls_init(forgetting, delta)
+        if prior is not None:
+            # The exact inverse of ``recover_peak``, in the centred frame.
+            daz, del_ = prior.azimuth - caz, prior.elevation - cel
+            coeffs = np.array([
+                -2.0 * k.k_az * daz,
+                -2.0 * k.k_el * del_,
+                prior.level + k.k_az * daz * daz + k.k_el * del_ * del_,
+            ])
+            state = RlsState(coeffs=coeffs, cov=state.cov, forgetting=forgetting)
+        beta = rls_run(state, x, y).coeffs
+    local = recover_peak(beta, k, coeff_floor)
+    rms = float(np.sqrt(np.mean((y - x @ beta) ** 2)))
+    return PeakEstimate(local.azimuth + caz, local.elevation + cel, local.level), rms
 
 
 def memory_horizon(forgetting: float) -> float:

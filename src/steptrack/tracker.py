@@ -39,16 +39,15 @@ from .beacon import (
 from .estimators import (
     DEFAULT_COEFF_FLOOR,
     DEFAULT_RLS_DELTA,
+    ESTIMATORS,
     EstimationError,
-    InsufficientDataError,
     PeakEstimate,
-    RlsState,
-    ls_fit,
-    recover_peak,
-    regression_row,
-    rls_init,
-    rls_recover,
-    rls_update,
+    fit_peak,
+)
+# Unused here since the cycle fits through ``fit_peak``, but bound as the
+# layer names through which perfbench/tracer.py traces this module.
+from .estimators import (  # noqa: F401
+    ls_fit, recover_peak, regression_row, rls_init, rls_recover, rls_update,
 )
 from .orbit import OrbitConfig, satellite_direction, satellite_direction_array
 from .telemetry import TelemetryLog, TelemetryRecord
@@ -56,7 +55,6 @@ from .telemetry import TelemetryLog, TelemetryRecord
 logger = logging.getLogger(__name__)
 
 SAMPLING_MODES = ("continuous", "corner-only")
-ESTIMATORS = ("batch-ls", "rls")
 
 
 class PatternInfeasibleError(Exception):
@@ -181,16 +179,13 @@ class StepTracker:
     ``step`` consumes the latest beacon sample and plant state and may
     return an (azimuth, elevation) command for the plant. Phase order is
     always acquire -> estimate -> move -> wait; a failed cycle (pattern
-    infeasible, too few samples, degenerate or rank-deficient fit) logs
-    the reason, re-commands the pattern center and falls through to
-    wait.
+    infeasible, too few samples, degenerate, rank-deficient or
+    non-finite fit) logs the reason, re-commands the pattern center and
+    falls through to wait.
 
-    The fit runs in pattern-center-relative coordinates: regressors like
-    [180.2, 72.05, 1] over a +/-0.2 deg pattern make the recursion's gain
-    matrix collapse along a near-degenerate direction, while offsets from
-    the center keep it well conditioned. The recovered peak is shifted
-    back to absolute angles, and a carried RLS solution is re-encoded
-    into each new cycle's frame.
+    The cycle's samples are buffered and fitted once, at estimate, by
+    ``fit_peak`` centred on the pattern center. With ``carry_rls_state``
+    the RLS fit starts from the previous cycle's peak.
     """
 
     def __init__(self, config: TrackerConfig):
@@ -204,10 +199,8 @@ class StepTracker:
         self._waypoint_idx = 0
         self._dwell_until: float | None = None
         self._move_target: tuple[float, float] | None = None
-        self._rows: list = []
-        self._rls: RlsState | None = None
+        self._samples: list[tuple[float, float, float]] = []
         self._k: QuadraticCoefficients | None = None
-        self._collected = 0
 
     def step(
         self, plant: AntennaState, sample: BeaconSample, now: float
@@ -256,17 +249,7 @@ class StepTracker:
             return None
         self._waypoint_idx = 0
         self._dwell_until = None
-        self._collected = 0
-        if self.config.estimator == "rls":
-            self._rls = rls_init(self.config.forgetting, self.config.rls_delta)
-            if self.config.carry_rls_state and self.last_estimate is not None:
-                self._rls = RlsState(
-                    coeffs=self._encode_local(self.last_estimate),
-                    cov=self._rls.cov,
-                    forgetting=self._rls.forgetting,
-                )
-        else:
-            self._rows = []
+        self._samples = []
         self.phase = TrackerPhase.ACQUIRE
         if self.config.sampling_mode == "continuous":
             self._collect(sample)
@@ -284,9 +267,7 @@ class StepTracker:
         if self.config.sampling_mode == "corner-only" and at_corner:
             if self._dwell_until is None:
                 self._dwell_until = now + self.config.dwell_time
-                self._collect(sample)
-            else:
-                self._collect(sample)
+            self._collect(sample)
             if now < self._dwell_until:
                 return None
         self._dwell_until = None
@@ -297,26 +278,23 @@ class StepTracker:
         return None
 
     def _estimate(self, plant: AntennaState) -> tuple[float, float] | None:
+        config = self.config
+        az, el, level = np.reshape(self._samples, (-1, 3)).T
         try:
-            if self._collected < 3:
-                raise InsufficientDataError(
-                    f"collected {self._collected} samples, need at least 3"
-                )
-            if self.config.estimator == "rls":
-                local = rls_recover(self._rls, self._k, self.config.coeff_floor)
-            else:
-                beta = ls_fit(self._rows)
-                local = recover_peak(beta, self._k, self.config.coeff_floor)
+            estimate, _ = fit_peak(
+                az, el, level, self.pattern_center, self._k, config.estimator,
+                config.forgetting, config.rls_delta, config.coeff_floor,
+                prior=self.last_estimate if config.carry_rls_state else None,
+            )
+            # A diverged recursion yields NaN or inf, which must not
+            # reach the plant.
+            values = (estimate.azimuth, estimate.elevation, estimate.level)
+            if not all(map(math.isfinite, values)):
+                raise EstimationError(f"non-finite estimate {estimate}")
         except EstimationError as exc:
             logger.warning("cycle %d aborted: %s", self.cycle_index, exc)
             self.phase = TrackerPhase.WAIT
             return self._clamp_to_limits(self.pattern_center, plant)
-        caz, cel = self.pattern_center
-        estimate = PeakEstimate(
-            azimuth=local.azimuth + caz,
-            elevation=local.elevation + cel,
-            level=local.level,
-        )
         self.last_estimate = estimate
         self._move_target = self._clamp_to_limits(
             (estimate.azimuth, estimate.elevation), plant
@@ -353,34 +331,7 @@ class StepTracker:
         )
 
     def _collect(self, sample: BeaconSample) -> None:
-        caz, cel = self.pattern_center
-        local = BeaconSample(
-            t=sample.t,
-            azimuth=sample.azimuth - caz,
-            elevation=sample.elevation - cel,
-            level=sample.level,
-        )
-        row = regression_row(local, self._k)
-        if self.config.estimator == "rls":
-            self._rls, _ = rls_update(self._rls, row)
-        else:
-            self._rows.append(row)
-        self._collected += 1
-
-    def _encode_local(self, estimate: PeakEstimate) -> np.ndarray:
-        # Previous absolute peak expressed as regression coefficients in
-        # the current pattern-center frame, with the current curvature.
-        caz, cel = self.pattern_center
-        daz = estimate.azimuth - caz
-        del_ = estimate.elevation - cel
-        k_az, k_el = self._k.k_az, self._k.k_el
-        return np.array(
-            [
-                -2.0 * k_az * daz,
-                -2.0 * k_el * del_,
-                estimate.level + k_az * daz * daz + k_el * del_ * del_,
-            ]
-        )
+        self._samples.append((sample.azimuth, sample.elevation, sample.level))
 
 
 def pattern_duration(config: TrackerConfig, plant: AntennaState) -> float:

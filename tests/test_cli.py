@@ -245,6 +245,14 @@ def test_fit_small_window_exits_two(static_log, capsys):
     assert "need at least 3" in capsys.readouterr().err
 
 
+def test_fit_empty_window_exits_two(static_log, capsys):
+    code = main(["fit", str(static_log), "--k-y", "-11.4", "--t0", "100.0", "--t1", "200.0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "no records in window [100.0, 200.0]" in err
+    assert "Warning" not in err
+
+
 def test_fit_missing_log_exits_one(tmp_path):
     assert main(["fit", str(tmp_path / "nope.csv"), "--k-y", "-11.4"]) == 1
 

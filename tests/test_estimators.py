@@ -18,12 +18,15 @@ from steptrack.antenna import BeaconSample
 from steptrack.beacon import QuadraticCoefficients, beacon_level, ParabolaParams
 from steptrack.estimators import (
     DegenerateCoefficientsError,
+    EstimationError,
     InsufficientDataError,
+    PeakEstimate,
     RankDeficientError,
     RegressionRow,
     RlsState,
     ls_fit,
     ls_solve,
+    fit_peak,
     memory_horizon,
     recover_peak,
     regression_row,
@@ -322,9 +325,8 @@ def test_memory_horizon_domain():
 
 
 # -- array forms -------------------------------------------------------------------
-# The CLI fits whole logged windows through the array forms, the tracker
-# one sample at a time through the scalar forms: both must agree bit for
-# bit, NaN included.
+# ``fit_peak`` runs through the array forms; the scalar forms, one sample
+# at a time, are the reference they must match bit for bit, NaN included.
 
 def _scalar_rows(az, el, level, k):
     return [
@@ -434,3 +436,97 @@ def test_ls_fit_matches_ls_solve(columns, k):
 def test_ls_solve_insufficient_data():
     with pytest.raises(InsufficientDataError):
         ls_solve(np.ones((2, 3)), np.ones(2))
+
+
+# -- fit_peak ----------------------------------------------------------------------
+
+def _scalar_fit(az, el, level, centre, k, estimator, forgetting, delta, prior):
+    """The fit composed sample by sample from the scalar forms: centre each
+    sample, map it to its row, run ``rls_update`` from the encoded prior (or
+    ``ls_fit`` the rows), recover the peak and shift it back."""
+    caz, cel = centre
+    rows = [
+        regression_row(BeaconSample(0.0, a - caz, e - cel, lv), k)
+        for a, e, lv in zip(az.tolist(), el.tolist(), level.tolist())
+    ]
+    if estimator == "batch-ls":
+        local = recover_peak(ls_fit(rows), k)
+    else:
+        state = rls_init(forgetting, delta)
+        if prior is not None:
+            daz = prior.azimuth - caz
+            del_ = prior.elevation - cel
+            coeffs = np.array([
+                -2.0 * k.k_az * daz,
+                -2.0 * k.k_el * del_,
+                prior.level + k.k_az * daz * daz + k.k_el * del_ * del_,
+            ])
+            state = RlsState(coeffs=coeffs, cov=state.cov, forgetting=forgetting)
+        local = rls_recover(_rls_loop(state, rows), k)
+    return PeakEstimate(local.azimuth + caz, local.elevation + cel, local.level)
+
+
+def _peak_bits(peak):
+    return np.array([peak.azimuth, peak.elevation, peak.level]).tobytes()
+
+
+@given(
+    columns=pattern_samples,
+    k=curvatures,
+    origin=st.tuples(st.floats(0.0, 360.0), st.floats(0.0, 90.0)),
+    offset=st.tuples(st.floats(-0.1, 0.1), st.floats(-0.1, 0.1)),
+    estimator=st.sampled_from(["batch-ls", "rls"]),
+    forgetting=st.sampled_from([1.0, 0.98]) | st.floats(0.5, 1.0),
+    delta=st.sampled_from([1e8, 1e4]),
+    prior=st.none() | st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(-10.0, 10.0)),
+)
+def test_fit_peak_matches_scalar_composition(
+    columns, k, origin, offset, estimator, forgetting, delta, prior
+):
+    az, el, level = columns
+    az, el = az + origin[0], el + origin[1]
+    centre = (origin[0] + offset[0], origin[1] + offset[1])
+    if prior is not None:
+        prior = PeakEstimate(origin[0] + prior[0], origin[1] + prior[1], prior[2])
+    with np.errstate(all="ignore"):
+        try:
+            want = _scalar_fit(az, el, level, centre, k, estimator, forgetting, delta, prior)
+        except EstimationError as exc:
+            with pytest.raises(type(exc)):
+                fit_peak(az, el, level, centre, k, estimator, forgetting, delta, prior=prior)
+            return
+        got, rms = fit_peak(az, el, level, centre, k, estimator, forgetting, delta, prior=prior)
+    assert _peak_bits(got) == _peak_bits(want)
+    assert math.isnan(rms) or rms >= 0.0
+
+
+def test_fit_peak_residual_rms_of_exact_and_offset_samples():
+    positions = np.array(RECT + [(1.0, 2.0)])
+    params = ParabolaParams(k_az=K12.k_az, k_el=K12.k_el, peak_az=1.0, peak_el=2.0, peak_level=3.0)
+    level = beacon_level(params, positions[:, 0], positions[:, 1])
+    for estimator in ("batch-ls", "rls"):
+        peak, rms = fit_peak(
+            positions[:, 0], positions[:, 1], level, (1.0, 2.0), K12, estimator, delta=1e8
+        )
+        assert peak.azimuth == pytest.approx(1.0, abs=1e-6)
+        assert peak.elevation == pytest.approx(2.0, abs=1e-6)
+        assert peak.level == pytest.approx(3.0, abs=1e-6)
+        assert rms < 1e-6
+    # One sample 0.5 dB high: the batch residuals are those of the fit.
+    level[-1] += 0.5
+    peak, rms = fit_peak(positions[:, 0], positions[:, 1], level, (1.0, 2.0), K12, "batch-ls")
+    x, y = regression_rows(positions[:, 0] - 1.0, positions[:, 1] - 2.0, level, K12)
+    beta = ls_solve(x, y)
+    assert rms == pytest.approx(math.sqrt(np.mean((y - x @ beta) ** 2)), rel=1e-12)
+    assert rms > 0.1
+
+
+@pytest.mark.parametrize("estimator", ["batch-ls", "rls"])
+def test_fit_peak_needs_three_samples(estimator):
+    with pytest.raises(InsufficientDataError, match="need at least 3"):
+        fit_peak(np.ones(2), np.ones(2), np.ones(2), (1.0, 1.0), K12, estimator)
+
+
+def test_fit_peak_rejects_unknown_estimator():
+    with pytest.raises(ValueError, match="estimator"):
+        fit_peak(np.ones(5), np.ones(5), np.ones(5), (1.0, 1.0), K12, "kalman")

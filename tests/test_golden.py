@@ -2,11 +2,13 @@
 
 The digests are sha256 of the CSV files written for the bundled scenarios
 (``default_figure8`` cut to its first two cycles and their WAIT spans),
-and of what the offline commands print or write for that cut CSV.
+of what the offline commands print or write for that cut CSV, and of the
+CSVs of tracker settings that no bundled scenario uses.
 A change that alters them on purpose re-records them and says why.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 
@@ -14,6 +16,9 @@ import numpy as np
 import pytest
 
 from steptrack.cli import main
+from steptrack.scenario import load_scenario, resolve_scenario_path
+from steptrack.telemetry import write_csv
+from steptrack.tracker import run_scenario
 
 GOLDEN = [
     ("desk_figure8", [], "a408c4445a1738889c3ec2695d33c43df802c7ad763c97562504f59e004b017c"),
@@ -81,3 +86,38 @@ def test_trajectory_bytes_match_golden(figure8_csv, tmp_path):
         assert main(["trajectory", figure8_csv, "--decimation", "50",
                      "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == TRAJECTORY_DIGEST
+
+
+# sha256 of the CSV of tracker paths no bundled scenario runs: the
+# desk_figure8 scenario with 0.2 dB noise, for 120 s, under each of these
+# tracker settings.
+TRACKER_GOLDEN = [
+    ("corner-only-batch-ls",
+     dict(sampling_mode="corner-only", dwell_time=0.2, estimator="batch-ls"),
+     "26f6d4f7329a4829783e95de3b193958ab8c7fcea96d02bf3bd6b7104de25a89"),
+    ("corner-only-rls",
+     dict(sampling_mode="corner-only", dwell_time=0.2, estimator="rls"),
+     "6efa63e7a54c9a3442df33bf1352d2c52265d005be2e218a1bec505221ab50e8"),
+    ("rls-no-carry", dict(estimator="rls", carry_rls_state=False),
+     "da93b865976b5bf9d5dd8aa7ddb1084c27e7b96bf72556c0a83c1e793eaa19cb"),
+    ("batch-ls-1.5s", dict(estimator="batch-ls", cycle_period=1.5),
+     "776490ab76530a8cec13930ac1f19cad29fdf5a5b652137a83f312f5e3c5510c"),
+]
+
+
+@pytest.mark.parametrize(
+    "tracker, digest", [g[1:] for g in TRACKER_GOLDEN], ids=[g[0] for g in TRACKER_GOLDEN]
+)
+def test_tracker_path_csv_bytes_match_golden(tmp_path, tracker, digest):
+    scenario = load_scenario(resolve_scenario_path("desk_figure8"))
+    log = run_scenario(
+        scenario.orbit,
+        scenario.antenna,
+        dataclasses.replace(scenario.receiver, noise_sigma=0.2),
+        dataclasses.replace(scenario.tracker, **tracker),
+        120.0,
+        peak_level_db=scenario.peak_level_db,
+    )
+    out = tmp_path / "telemetry.csv"
+    write_csv(log, str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

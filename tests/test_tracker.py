@@ -138,13 +138,33 @@ def test_zero_samples_forced_abort(caplog):
     assert tracker.phase is TrackerPhase.ACQUIRE
     # force the estimate phase with an empty buffer
     tracker.phase = TrackerPhase.ESTIMATE
-    tracker._rows = []
-    tracker._collected = 0
+    tracker._samples = []
     with caplog.at_level(logging.WARNING, logger="steptrack.tracker"):
         cmd = tracker.step(plant, first, 0.02)
     assert tracker.phase is TrackerPhase.WAIT
     assert cmd == tracker.pattern_center  # antenna sent back to center
     assert any("aborted" in r.message for r in caplog.records)
+
+
+def test_rls_divergence_aborts_only_that_cycle(caplog):
+    # A forgetting factor of 1e-9 with noise overflows the gain matrix, so
+    # the fit comes back NaN. Each such cycle aborts back to its center and
+    # the run goes on.
+    orbit = st.OrbitConfig(
+        180.0, 72.0, azimuth_amplitude=16.0, elevation_amplitude=1.2, period=600.0
+    )
+    plant = st.AntennaState(180.0, 72.0, 180.0, 72.0)
+    rx = st.ReceiverConfig(noise_sigma=0.2)
+    config = TrackerConfig(cycle_period=10.0, rect_half_width_el=0.03, forgetting=1e-9)
+    with caplog.at_level(logging.WARNING, logger="steptrack.tracker"), np.errstate(all="ignore"):
+        log = run_scenario(orbit, plant, rx, config, 60.0, peak_level_db=6.0)
+    assert len(log) == 3000
+    for name in ("t", "commanded_az", "commanded_el", "readback_az", "readback_el",
+                 "beacon_db", "receiver_volts"):
+        assert np.isfinite(log.column(name)).all(), name
+    aborted = [r.message for r in caplog.records if "aborted" in r.message]
+    assert len(aborted) == log.column("cycle_index").max() + 1
+    assert all("non-finite estimate" in m for m in aborted)
 
 
 def test_degenerate_curvature_skips_cycle(caplog):
@@ -285,8 +305,8 @@ def test_continuous_sample_count_matches_acquire_ticks():
         if cmd is not None:
             state = command(state, *cmd)
         state = tick(state, dt)
-    assert tracker._collected >= 3
-    assert abs(tracker._collected - acquire_ticks) <= 1
+    assert len(tracker._samples) >= 3
+    assert abs(len(tracker._samples) - acquire_ticks) <= 1
 
 
 def test_corner_only_dwell_zero_takes_four_samples():
@@ -313,7 +333,7 @@ def test_corner_only_dwell_zero_takes_four_samples():
         state = tick(state, dt)
         if tracker.phase is TrackerPhase.WAIT and tracker.cycle_index == 0 and tracker.last_estimate:
             break
-    assert tracker._collected == 4
+    assert len(tracker._samples) == 4
 
 
 def test_sawtooth_post_move_not_below_pre_cycle_level():
