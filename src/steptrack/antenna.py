@@ -13,8 +13,9 @@ is normally called with that dt or a multiple of it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,6 +93,9 @@ class ReceiverConfig:
             raise ValueError("noise_sigma must be non-negative")
         if self.drift_period <= 0:
             raise ValueError("drift_period must be positive")
+        seed = self.rng_seed
+        if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+            raise ValueError(f"rng_seed must be a non-negative integer, got {seed!r}")
 
 
 class BeaconSample(NamedTuple):
@@ -157,21 +161,12 @@ def read_resolvers(state: AntennaState) -> tuple[float, float]:
     )
 
 
-def _counter_noise(rx: ReceiverConfig, t: float) -> float:
-    # Counter-keyed draw: reproducible for a given (seed, t) regardless of
-    # call order. Millisecond granularity; samples are never closer than
-    # the 20 ms base step.
-    counter = int(round(t * 1000.0))
-    bitgen = np.random.Philox(key=rx.rng_seed, counter=[counter, 0, 0, 0])
-    return float(np.random.Generator(bitgen).normal(0.0, rx.noise_sigma))
-
-
 def measure(
     state: AntennaState,
     params: ParabolaParams,
     rx: ReceiverConfig,
     t: float,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> BeaconSample:
     """Measure the beacon through the receiver at time t.
 
@@ -180,18 +175,14 @@ def measure(
     drift and Gaussian noise are added and the floor clamp applied. The
     returned angles are the resolver readbacks.
 
-    Noise is drawn from ``rng`` when given (the simulation loop passes a
-    persistent generator seeded from ``rx.rng_seed``); otherwise from a
-    counter-keyed generator so standalone calls stay reproducible.
+    Noise is drawn from ``rng``; the simulation loop passes one persistent
+    generator seeded from ``rx.rng_seed``.
     """
     raw = beacon_level(params, state.true_azimuth, state.true_elevation)
     if rx.drift_amplitude != 0.0:
         raw += rx.drift_amplitude * math.sin(2.0 * math.pi * t / rx.drift_period)
     if rx.noise_sigma > 0.0:
-        if rng is not None:
-            raw += rng.normal(0.0, rx.noise_sigma)
-        else:
-            raw += _counter_noise(rx, t)
+        raw += rng.normal(0.0, rx.noise_sigma)
     level = raw if raw > rx.floor_db else rx.floor_db
     az, el = read_resolvers(state)
     return BeaconSample(t=t, azimuth=az, elevation=el, level=level)

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .beacon import QuadraticCoefficients, az_coeff_from_elevation
-from .estimators import ESTIMATORS, EstimationError, fit_peak
+from .estimators import DEFAULT_COEFF_FLOOR, ESTIMATORS, EstimationError, fit_peak
 # Unused here since ``fit`` runs through ``fit_peak``, but bound as the
 # layer names through which perfbench/tracer.py traces this module.
 from .estimators import (  # noqa: F401
@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument(
         "--k-floor",
         type=float,
-        default=0.01,
+        default=DEFAULT_COEFF_FLOOR,
         help="minimum usable curvature magnitude, dB/deg^2",
     )
 

@@ -1,21 +1,28 @@
 """Scenario file loading: one YAML file describes a whole simulation run.
 
 Keys carry explicit units in their names (``cycle_period_s``,
-``k_y_db_per_deg2``). Anything optional falls back to the library
-defaults; validation errors name the offending section and key.
+``k_y_db_per_deg2``). Each key sets one field of a config class, through
+the schema below. A key left out takes that field's default from its
+class, and a key the schema does not list is an error. Validation errors
+name the offending section and key.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+import sys
+from collections import defaultdict
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
-from .antenna import DEFAULT_RESOLVER_STEP, AntennaState, ReceiverConfig
-from .orbit import SIDEREAL_DAY_S, OrbitConfig
+from .antenna import AntennaState, ReceiverConfig
+from .beacon import ParabolaParams
+from .orbit import OrbitConfig
 from .tracker import TrackerConfig
 
 
@@ -30,49 +37,103 @@ class Scenario:
     receiver: ReceiverConfig
     tracker: TrackerConfig
     peak_level_db: float
-    duration: float
-    seed: int
-    output: str
+    duration: float  # s
+    output: str = "telemetry.csv"
+
+    def __post_init__(self) -> None:
+        if self.duration < 0:
+            raise ValueError(f"duration must be non-negative, got {self.duration}")
 
 
-def _section(doc: dict, name: str) -> dict:
-    value = doc.get(name, {})
-    if value is None:
-        value = {}
-    if not isinstance(value, dict):
-        raise ScenarioError(f"section '{name}' must be a mapping")
+# The scenario schema. A top-level key maps to the (class, field) it sets.
+# A section maps to (class, table): its table maps each key to a field of
+# that class, or to the (class, field) of another. A value must have the
+# type that its class annotates the field with.
+_SCHEMA = {
+    "duration_s": (Scenario, "duration"),
+    "seed": (ReceiverConfig, "rng_seed"),
+    "output": (Scenario, "output"),
+    "orbit": (OrbitConfig, {
+        "center_azimuth_deg": "center_azimuth",
+        "center_elevation_deg": "center_elevation",
+        "azimuth_amplitude_deg": "azimuth_amplitude",
+        "elevation_amplitude_deg": "elevation_amplitude",
+        "period_s": "period",
+        "phase_rad": "phase",
+        "axis_mode": "axis_mode",
+        "drift_deg_per_day": "drift_deg_per_day",
+    }),
+    "antenna": (AntennaState, {
+        "azimuth_deg": "true_azimuth",
+        "elevation_deg": "true_elevation",
+        "az_slew_rate_deg_s": "az_slew_rate",
+        "el_slew_rate_deg_s": "el_slew_rate",
+        "az_limits_deg": "az_limits",
+        "el_limits_deg": "el_limits",
+        "resolver_step_deg": "resolver_step",
+    }),
+    "receiver": (ReceiverConfig, {
+        "floor_db": "floor_db",
+        "max_db": "max_db",
+        "noise_sigma_db": "noise_sigma",
+        "drift_amplitude_db": "drift_amplitude",
+        "drift_period_s": "drift_period",
+    }),
+    # The true surface. Its curvature is the default of tracker.k_el, which
+    # run_scenario also takes for the truth; ParabolaParams only gives the
+    # key its type and makes it required, and none is built here.
+    "parabola": (Scenario, {
+        "k_y_db_per_deg2": (ParabolaParams, "k_el"),
+        "peak_level_db": "peak_level_db",
+    }),
+    "tracker": (TrackerConfig, {
+        "rect_half_width_az_deg": "rect_half_width_az",
+        "rect_half_width_el_deg": "rect_half_width_el",
+        "dwell_time_s": "dwell_time",
+        "sample_interval_s": "sample_interval",
+        "cycle_period_s": "cycle_period",
+        "sampling_mode": "sampling_mode",
+        "estimator": "estimator",
+        "forgetting": "forgetting",
+        "rls_delta": "rls_delta",
+        "k_y_db_per_deg2": "k_el",
+        "kx_floor_db_per_deg2": "coeff_floor",
+        "carry_rls_state": "carry_rls_state",
+    }),
+}
+
+# A field that no key sets takes the value of another field, where listed
+# here, or else its class default; a field with neither is required. The
+# antenna starts, at rest, on the orbit centre.
+_FALLBACKS = {
+    (AntennaState, "true_azimuth"): (OrbitConfig, "center_azimuth"),
+    (AntennaState, "true_elevation"): (OrbitConfig, "center_elevation"),
+    (AntennaState, "target_azimuth"): (AntennaState, "true_azimuth"),
+    (AntennaState, "target_elevation"): (AntennaState, "true_elevation"),
+    (TrackerConfig, "k_el"): (ParabolaParams, "k_el"),
+}
+
+_type_hints = functools.cache(get_type_hints)
+
+
+def _check(name: str, value, kind):
+    """``value`` as an instance of ``kind``, or ScenarioError naming ``name``.
+
+    An int is taken for a float, never a bool for a number; a float must be
+    finite, and a tuple is given as a list of its items.
+    """
+    if get_origin(kind) is tuple:
+        kinds = get_args(kind)
+        if not (isinstance(value, list) and len(value) == len(kinds)):
+            raise ScenarioError(f"field '{name}' must be a list of {len(kinds)} items")
+        return tuple(_check(name, item, k) for item, k in zip(value, kinds))
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ScenarioError(f"field '{name}' must be {kind.__name__}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ScenarioError(f"field '{name}' must be finite, got {value}")
     return value
-
-
-def _field_name(section_name: str, key: str) -> str:
-    return f"{section_name}.{key}" if section_name else key
-
-
-def _number(section: dict, section_name: str, key: str, default=None):
-    if key not in section:
-        if default is None:
-            raise ScenarioError(
-                f"missing required field '{_field_name(section_name, key)}'"
-            )
-        return default
-    value = section[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ScenarioError(f"field '{_field_name(section_name, key)}' must be a number")
-    if not math.isfinite(value):
-        raise ScenarioError(f"field '{_field_name(section_name, key)}' must be finite")
-    return float(value)
-
-
-def _pair(section: dict, section_name: str, key: str, default):
-    if key not in section:
-        return default
-    value = section[key]
-    if not (isinstance(value, (list, tuple)) and len(value) == 2):
-        raise ScenarioError(f"field '{section_name}.{key}' must be a [min, max] pair")
-    lo, hi = float(value[0]), float(value[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ScenarioError(f"field '{section_name}.{key}' must be finite")
-    return (lo, hi)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -82,107 +143,50 @@ def load_scenario(path: str | Path) -> Scenario:
             doc = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"cannot parse scenario file: {exc}") from exc
+    values = defaultdict(dict)
+    _read(doc, "", None, _SCHEMA, values)
+    for (cls, field), (source, source_field) in _FALLBACKS.items():
+        values[cls].setdefault(field, values[source][source_field])
+    configs = {
+        section: _build(section, cls, values[cls])
+        for section, (cls, table) in _SCHEMA.items()
+        if isinstance(table, dict) and cls is not Scenario
+    }
+    return _build("scenario", Scenario, {**values[Scenario], **configs})
+
+
+def _read(doc, prefix: str, owner, table: dict, values: dict) -> None:
+    """Check a mapping against ``table``, storing ``values[class][field]``.
+
+    The keys given are checked in file order, so an error names the first
+    bad one; then the keys left out, of which a required one is an error.
+    """
     if not isinstance(doc, dict):
-        raise ScenarioError("scenario file must contain a top-level mapping")
+        where = f"section '{prefix[:-1]}'" if prefix else "scenario file"
+        raise ScenarioError(f"{where} must be a mapping")
+    for key in [*doc, *(k for k in table if k not in doc)]:
+        if key not in table:
+            raise ScenarioError(f"unknown field '{prefix}{key}'")
+        cls, target = table[key] if isinstance(table[key], tuple) else (owner, table[key])
+        name = prefix + key
+        if isinstance(target, dict):
+            section = doc.get(key)
+            _read({} if section is None else section, name + ".", cls, target, values)
+        elif key in doc:
+            values[cls][target] = _check(name, doc[key], _type_hints(cls)[target])
+        elif (cls, target) not in _FALLBACKS and _default(cls, target) is MISSING:
+            raise ScenarioError(f"missing required field '{name}'")
 
-    parabola = _section(doc, "parabola")
-    k_el = _number(parabola, "parabola", "k_y_db_per_deg2")
-    peak_level = _number(parabola, "parabola", "peak_level_db")
 
-    orb = _section(doc, "orbit")
+def _default(cls, name: str):
+    return next(f.default for f in fields(cls) if f.name == name)
+
+
+def _build(section: str, cls, kwargs: dict):
     try:
-        orbit = OrbitConfig(
-            center_azimuth=_number(orb, "orbit", "center_azimuth_deg"),
-            center_elevation=_number(orb, "orbit", "center_elevation_deg"),
-            azimuth_amplitude=_number(orb, "orbit", "azimuth_amplitude_deg", 16.0),
-            elevation_amplitude=_number(orb, "orbit", "elevation_amplitude_deg", 1.0),
-            period=_number(orb, "orbit", "period_s", SIDEREAL_DAY_S),
-            phase=_number(orb, "orbit", "phase_rad", 0.0),
-            axis_mode=orb.get("axis_mode", "azimuth-major"),
-            drift_deg_per_day=_number(orb, "orbit", "drift_deg_per_day", 0.0),
-        )
+        return cls(**kwargs)
     except ValueError as exc:
-        raise ScenarioError(f"invalid orbit configuration: {exc}") from exc
-
-    ant = _section(doc, "antenna")
-    try:
-        start_az = _number(ant, "antenna", "azimuth_deg", orbit.center_azimuth)
-        start_el = _number(ant, "antenna", "elevation_deg", orbit.center_elevation)
-        antenna = AntennaState(
-            true_azimuth=start_az,
-            true_elevation=start_el,
-            target_azimuth=start_az,
-            target_elevation=start_el,
-            az_slew_rate=_number(ant, "antenna", "az_slew_rate_deg_s", 1.0),
-            el_slew_rate=_number(ant, "antenna", "el_slew_rate_deg_s", 1.0),
-            az_limits=_pair(ant, "antenna", "az_limits_deg", (0.0, 360.0)),
-            el_limits=_pair(ant, "antenna", "el_limits_deg", (5.0, 90.0)),
-            resolver_step=_number(
-                ant, "antenna", "resolver_step_deg", DEFAULT_RESOLVER_STEP
-            ),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"invalid antenna configuration: {exc}") from exc
-
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ScenarioError("field 'seed' must be an integer")
-
-    rx_sec = _section(doc, "receiver")
-    try:
-        receiver = ReceiverConfig(
-            floor_db=_number(rx_sec, "receiver", "floor_db", -24.0),
-            max_db=_number(rx_sec, "receiver", "max_db", 6.0),
-            noise_sigma=_number(rx_sec, "receiver", "noise_sigma_db", 0.0),
-            drift_amplitude=_number(rx_sec, "receiver", "drift_amplitude_db", 0.0),
-            drift_period=_number(rx_sec, "receiver", "drift_period_s", 86400.0),
-            rng_seed=seed,
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"invalid receiver configuration: {exc}") from exc
-
-    trk = _section(doc, "tracker")
-    mode = trk.get("sampling_mode", "continuous")
-    estimator = trk.get("estimator", "rls")
-    carry = trk.get("carry_rls_state", True)
-    if not isinstance(carry, bool):
-        raise ScenarioError("field 'tracker.carry_rls_state' must be a boolean")
-    try:
-        tracker = TrackerConfig(
-            rect_half_width_az=_number(trk, "tracker", "rect_half_width_az_deg", 0.2),
-            rect_half_width_el=_number(trk, "tracker", "rect_half_width_el_deg", 0.05),
-            dwell_time=_number(trk, "tracker", "dwell_time_s", 1.0),
-            sample_interval=_number(trk, "tracker", "sample_interval_s", 0.02),
-            cycle_period=_number(trk, "tracker", "cycle_period_s", 600.0),
-            sampling_mode=mode,
-            estimator=estimator,
-            forgetting=_number(trk, "tracker", "forgetting", 0.98),
-            rls_delta=_number(trk, "tracker", "rls_delta", 1e4),
-            k_el=_number(trk, "tracker", "k_y_db_per_deg2", k_el),
-            coeff_floor=_number(trk, "tracker", "kx_floor_db_per_deg2", 0.01),
-            carry_rls_state=carry,
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"invalid tracker configuration: {exc}") from exc
-
-    duration = _number(doc, "", "duration_s")
-    if duration < 0:
-        raise ScenarioError("field 'duration_s' must be non-negative")
-
-    output = doc.get("output", "telemetry.csv")
-    if not isinstance(output, str):
-        raise ScenarioError("field 'output' must be a string path")
-
-    return Scenario(
-        orbit=orbit,
-        antenna=antenna,
-        receiver=receiver,
-        tracker=tracker,
-        peak_level_db=peak_level,
-        duration=duration,
-        seed=seed,
-        output=output,
-    )
+        raise ScenarioError(f"invalid {section} configuration: {exc}") from exc
 
 
 def resolve_scenario_path(name_or_path: str) -> Path:

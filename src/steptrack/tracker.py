@@ -133,14 +133,11 @@ def plan_pattern(
     config: TrackerConfig,
     az_limits: tuple[float, float] | None = None,
     el_limits: tuple[float, float] | None = None,
-    position: tuple[float, float] | None = None,
 ) -> list[tuple[float, float]]:
     """Closed rectangular circuit around the center: 4 corners plus return.
 
     Corners sit at center +/- the configured half-widths and are visited
-    counter-clockwise starting from the corner nearest ``position``
-    (the center itself when not given; the tie then breaks to the
-    lower-left corner), ending back at the start corner.
+    counter-clockwise from the lower-left corner, ending back there.
 
     Raises PatternInfeasibleError when limits are supplied and a corner
     falls outside them.
@@ -163,14 +160,7 @@ def plan_pattern(
             raise PatternInfeasibleError(
                 f"corner elevation {el} outside limits {el_limits}"
             )
-    ref = center if position is None else position
-    start = min(
-        range(4),
-        key=lambda i: (corners[i][0] - ref[0]) ** 2 + (corners[i][1] - ref[1]) ** 2,
-    )
-    circuit = [corners[(start + i) % 4] for i in range(4)]
-    circuit.append(corners[start])
-    return circuit
+    return corners + corners[:1]
 
 
 class StepTracker:

@@ -283,7 +283,8 @@ def test_criterion_8_calibrated_statistics():
         peak_az=180.0, peak_el=72.0, peak_level=6.0,
     )
     forced = measure(
-        st.AntennaState(160.0, 72.0, 160.0, 72.0), field, rx, 0.0
+        st.AntennaState(160.0, 72.0, 160.0, 72.0), field, rx, 0.0,
+        rng=np.random.default_rng(0),
     )
     ok = (
         abs(6.0 - stats.mean) <= 3.0

@@ -1,7 +1,10 @@
 """Scenario loading and command-line interface tests."""
 
+import re
+
 import pytest
 
+from steptrack.antenna import AntennaState, ReceiverConfig
 from steptrack.beacon import az_coeff_from_elevation
 from steptrack.cli import main
 from steptrack.scenario import (
@@ -10,6 +13,8 @@ from steptrack.scenario import (
     load_scenario,
     resolve_scenario_path,
 )
+from steptrack.orbit import OrbitConfig
+from steptrack.tracker import TrackerConfig
 
 MINIMAL = """
 duration_s: 4.0
@@ -97,6 +102,8 @@ def test_invalid_section_value_reported(tmp_path):
         ("cycle_period_s: 3.0", "cycle_period_s: .inf", "tracker.cycle_period_s"),
         ("noise_sigma_db: 0.0", "noise_sigma_db: .nan", "receiver.noise_sigma_db"),
         ("duration_s: 4.0", "duration_s: .inf", "duration_s"),
+        pytest.param("duration_s: 4.0", "duration_s: " + "9" * 400, "duration_s",
+                     id="duration_s-beyond-float"),
         ("  elevation_deg: 70.0", "  elevation_deg: 70.0\n  az_limits_deg: [-.inf, .inf]",
          "antenna.az_limits_deg"),
     ],
@@ -106,6 +113,82 @@ def test_non_finite_value_names_field(tmp_path, old, new, field):
     path.write_text(MINIMAL.replace(old, new))
     with pytest.raises(ScenarioError, match=field):
         load_scenario(path)
+
+
+@pytest.mark.parametrize(
+    "old, new, field",
+    [
+        ("seed: 3", "sed: 3", "sed"),
+        ("receiver:", "recever:", "recever"),
+        ("azimuth_amplitude_deg:", "azimuth_amplitude:", "orbit.azimuth_amplitude"),
+        ("  azimuth_deg:", "  azimuth:", "antenna.azimuth"),
+        ("noise_sigma_db:", "noise_sigma:", "receiver.noise_sigma"),
+        ("peak_level_db:", "peak_level:", "parabola.peak_level"),
+        ("estimator:", "estimater:", "tracker.estimater"),
+    ],
+)
+def test_unknown_key_names_field(tmp_path, old, new, field):
+    path = tmp_path / "s.yaml"
+    path.write_text(MINIMAL.replace(old, new))
+    with pytest.raises(ScenarioError, match=re.escape(f"unknown field '{field}'")):
+        load_scenario(path)
+
+
+def test_misspelled_scenario_names_first_unknown_key(tmp_path):
+    # Each of these loaded before and ran on the defaults in its place.
+    text = (
+        MINIMAL.replace("azimuth_amplitude_deg:", "azimuth_amplitude:")
+        .replace("cycle_period_s:", "cycle_period:")
+        .replace("estimator:", "estimater:")
+        .replace("receiver:", "recever:")
+    )
+    path = tmp_path / "s.yaml"
+    path.write_text(text)
+    with pytest.raises(ScenarioError, match=re.escape("'orbit.azimuth_amplitude'")):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize(
+    "old, new, field",
+    [
+        ("  elevation_deg: 70.0", '  elevation_deg: 70.0\n  az_limits_deg: ["0", true]',
+         "antenna.az_limits_deg"),
+        ("  elevation_deg: 70.0", "  elevation_deg: 70.0\n  az_limits_deg: [0, 90, 180]",
+         "antenna.az_limits_deg"),
+        ("seed: 3", "seed: true", "seed"),
+        ("seed: 3", "seed:", "seed"),
+        ("duration_s: 4.0", "duration_s: '4.0'", "duration_s"),
+        ("estimator: batch-ls", "estimator: 3", "tracker.estimator"),
+        ("orbit:", "orbit: 3\nunused:", "orbit"),
+    ],
+)
+def test_mistyped_value_names_field(tmp_path, old, new, field):
+    path = tmp_path / "s.yaml"
+    path.write_text(MINIMAL.replace(old, new))
+    with pytest.raises(ScenarioError, match=re.escape(field)):
+        load_scenario(path)
+
+
+def test_negative_seed_names_field(tmp_path):
+    path = tmp_path / "s.yaml"
+    path.write_text(MINIMAL.replace("seed: 3", "seed: -1"))
+    with pytest.raises(ScenarioError, match="seed"):
+        load_scenario(path)
+
+
+def test_left_out_keys_take_class_defaults(tmp_path):
+    path = tmp_path / "s.yaml"
+    path.write_text(
+        "duration_s: 4.0\n"
+        "orbit: {center_azimuth_deg: 180.0, center_elevation_deg: 72.0}\n"
+        "parabola: {k_y_db_per_deg2: -11.4, peak_level_db: 6.0}\n"
+    )
+    sc = load_scenario(path)
+    assert sc.orbit == OrbitConfig(180.0, 72.0)
+    assert sc.antenna == AntennaState(180.0, 72.0, 180.0, 72.0)
+    assert sc.receiver == ReceiverConfig()
+    assert sc.tracker == TrackerConfig(k_el=-11.4)
+    assert sc.output == "telemetry.csv"
 
 
 def test_bundled_scenarios_load():

@@ -73,11 +73,11 @@ def test_pattern_infeasible_at_elevation_limit():
         plan_pattern((10.0, 89.99), config, el_limits=(5.0, 90.0))
 
 
-def test_pattern_starts_at_nearest_corner():
-    config = TrackerConfig(rect_half_width_az=0.2, rect_half_width_el=0.05)
-    circuit = plan_pattern((10.0, 70.0), config, position=(10.19, 70.04))
-    assert circuit[0] == (10.2, 70.05)
-    assert circuit[-1] == (10.2, 70.05)
+def test_pattern_starts_at_lower_left_corner():
+    # At this centre the four corners' distances differ by rounding, and
+    # the nearest one was the lower-right.
+    circuit = plan_pattern((8.0, 45.0), TrackerConfig())
+    assert circuit[0] == circuit[-1] == (8.0 - 0.2, 45.0 - 0.05)
     assert len(circuit) == 5
 
 
