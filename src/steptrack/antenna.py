@@ -5,9 +5,11 @@ readback; the receiver turns the ideal beacon surface into a noisy,
 floor-clamped dB reading and a 0-10 V telemetry voltage.
 
 State values are immutable; ``command`` and ``tick`` return updated
-copies. The simulation loop advances the plant with a fixed base step
-equal to the receiver sampling interval (20 ms by default), so ``tick``
-is normally called with that dt or a multiple of it.
+copies. ``tracker.run_scenario`` does not step these objects: it plans
+the run with the pose as plain floats, advanced by ``_approach`` (the
+arithmetic of ``tick``), with ``check_target`` (the check of ``command``)
+on every command and readbacks from ``quantize_angle``. It then measures
+the planned poses in one array pass with ``measure_array``.
 """
 
 from __future__ import annotations
@@ -72,6 +74,10 @@ class ReceiverConfig:
     lower; the 0-10 V telemetry output maps ``floor_db`` to 0 V and
     ``max_db`` to 10 V. Slow sinusoidal drift stands in for weather and
     time-of-day variation of the upper level.
+
+    Only the floor is a clamp on the level. A level above ``max_db`` (a
+    surface peak above it, drift or noise) is reported unclamped in dB;
+    only its voltage saturates at 10 V.
     """
 
     floor_db: float = -24.0
@@ -107,10 +113,10 @@ class BeaconSample(NamedTuple):
     level: float
 
 
-def command(
+def check_target(
     state: AntennaState, target_azimuth: float, target_elevation: float
-) -> AntennaState:
-    """Store a new slew target; true angles move only on tick."""
+) -> None:
+    """Raise AxisLimitError if a slew target lies outside the axis limits."""
     lo, hi = state.az_limits
     if not lo <= target_azimuth <= hi:
         raise AxisLimitError(
@@ -121,6 +127,13 @@ def command(
         raise AxisLimitError(
             f"target elevation {target_elevation} outside limits [{lo}, {hi}]"
         )
+
+
+def command(
+    state: AntennaState, target_azimuth: float, target_elevation: float
+) -> AntennaState:
+    """Store a new slew target; true angles move only on tick."""
+    check_target(state, target_azimuth, target_elevation)
     return replace(
         state, target_azimuth=target_azimuth, target_elevation=target_elevation
     )
@@ -189,21 +202,24 @@ def measure(
 
 
 def measure_array(
-    state: AntennaState,
+    azimuth: float | np.ndarray,
+    elevation: float | np.ndarray,
     params: ParabolaParams,
     rx: ReceiverConfig,
     t: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Array form of ``measure`` for a plant at rest: the level at each time.
+    """Array form of ``measure``: the level at each time.
 
-    ``params`` holds one surface per time (array ``k_az``, ``peak_az`` and
+    ``azimuth`` and ``elevation`` are the true pointing, one value per time
+    for a moving plant or a single value for a plant at rest. ``params``
+    holds one surface per time (array ``k_az``, ``peak_az`` and
     ``peak_el``). The noise is one batch from ``rng``, the same stream as
     one scalar draw per time, so each level is bit-equal to what
-    ``measure`` returns at that time. The readbacks are
-    ``read_resolvers(state)`` at every time.
+    ``measure`` returns at that time and pose. The readbacks are left to
+    the caller (``quantize_angle``).
     """
-    raw = beacon_level(params, state.true_azimuth, state.true_elevation)
+    raw = beacon_level(params, azimuth, elevation)
     if rx.drift_amplitude != 0.0:
         raw = raw + rx.drift_amplitude * np.sin(2.0 * math.pi * t / rx.drift_period)
     if rx.noise_sigma > 0.0:

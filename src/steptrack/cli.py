@@ -110,6 +110,7 @@ def _cmd_simulate(args) -> int:
             scenario.tracker,
             duration,
             peak_level_db=scenario.peak_level_db,
+            truth_k_el=scenario.truth_k_el,
         )
     except (ValueError, PatternInfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,6 @@ from typing import get_args, get_origin, get_type_hints
 import yaml
 
 from .antenna import AntennaState, ReceiverConfig
-from .beacon import ParabolaParams
 from .orbit import OrbitConfig
 from .tracker import TrackerConfig
 
@@ -36,6 +35,7 @@ class Scenario:
     antenna: AntennaState
     receiver: ReceiverConfig
     tracker: TrackerConfig
+    truth_k_el: float  # dB/deg^2, elevation curvature of the true surface
     peak_level_db: float
     duration: float  # s
     output: str = "telemetry.csv"
@@ -43,6 +43,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.duration < 0:
             raise ValueError(f"duration must be non-negative, got {self.duration}")
+        if not self.truth_k_el < 0:
+            raise ValueError(f"truth_k_el must be strictly negative, got {self.truth_k_el}")
 
 
 # The scenario schema. A top-level key maps to the (class, field) it sets.
@@ -79,11 +81,10 @@ _SCHEMA = {
         "drift_amplitude_db": "drift_amplitude",
         "drift_period_s": "drift_period",
     }),
-    # The true surface. Its curvature is the default of tracker.k_el, which
-    # run_scenario also takes for the truth; ParabolaParams only gives the
-    # key its type and makes it required, and none is built here.
+    # The true surface that run_scenario simulates. Its curvature is also
+    # the default of the tracker's a-priori tracker.k_el.
     "parabola": (Scenario, {
-        "k_y_db_per_deg2": (ParabolaParams, "k_el"),
+        "k_y_db_per_deg2": "truth_k_el",
         "peak_level_db": "peak_level_db",
     }),
     "tracker": (TrackerConfig, {
@@ -110,7 +111,7 @@ _FALLBACKS = {
     (AntennaState, "true_elevation"): (OrbitConfig, "center_elevation"),
     (AntennaState, "target_azimuth"): (AntennaState, "true_azimuth"),
     (AntennaState, "target_elevation"): (AntennaState, "true_elevation"),
-    (TrackerConfig, "k_el"): (ParabolaParams, "k_el"),
+    (TrackerConfig, "k_el"): (Scenario, "truth_k_el"),
 }
 
 _type_hints = functools.cache(get_type_hints)

@@ -6,6 +6,10 @@ peak, and then holds still until the next cycle is due. Holding between
 cycles limits mechanical wear; the beacon level decays while the
 satellite drifts and is restored by the next cycle, which produces the
 characteristic sawtooth level trace.
+
+``StepTracker`` takes one sample per tick. ``run_scenario`` drives it in
+a plan pass over plain floats, then measures the planned steps in array
+passes; see its docstring.
 """
 
 from __future__ import annotations
@@ -21,13 +25,11 @@ from .antenna import (
     AntennaState,
     BeaconSample,
     ReceiverConfig,
-    command,
-    measure,
+    _approach,
+    check_target,
     measure_array,
-    read_resolvers,
-    receiver_voltage,
+    quantize_angle,
     receiver_voltage_array,
-    tick,
 )
 from .beacon import (
     DEFAULT_K_EL,
@@ -44,13 +46,17 @@ from .estimators import (
     PeakEstimate,
     fit_peak,
 )
-# Unused here since the cycle fits through ``fit_peak``, but bound as the
-# layer names through which perfbench/tracer.py traces this module.
+from .orbit import OrbitConfig, satellite_direction_array
+from .telemetry import TelemetryLog
+
+# Unused here since the cycle fits through ``fit_peak`` and ``run_scenario``
+# measures and moves the plant in its own passes, but bound as the layer
+# names through which perfbench/tracer.py traces this module.
+from .antenna import command, measure, receiver_voltage, tick  # noqa: F401
 from .estimators import (  # noqa: F401
     ls_fit, recover_peak, regression_row, rls_init, rls_recover, rls_update,
 )
-from .orbit import OrbitConfig, satellite_direction, satellite_direction_array
-from .telemetry import TelemetryLog, TelemetryRecord
+from .orbit import satellite_direction  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -341,21 +347,16 @@ def pattern_duration(config: TrackerConfig, plant: AntennaState) -> float:
 
 
 def _wait_span_end(
-    tracker: StepTracker, plant: AntennaState, i: int, dt: float, n_steps: int
+    tracker: StepTracker, at_rest: bool, i: int, dt: float, n_steps: int
 ) -> int:
     """End (exclusive) of the WAIT span that starts at step ``i``.
 
     A span is the steps before the next cycle is due while the tracker
-    waits with the plant exactly at its target, so that ``tick`` leaves it
-    unchanged. Returns ``i`` or less when step ``i`` starts no span.
+    waits with the plant at rest, exactly at its target, so that no step
+    moves it. Returns ``i`` or less when step ``i`` starts no span.
     """
     due = tracker.next_cycle_time
-    if (
-        tracker.phase is not TrackerPhase.WAIT
-        or due is None
-        or plant.true_azimuth != plant.target_azimuth
-        or plant.true_elevation != plant.target_elevation
-    ):
+    if tracker.phase is not TrackerPhase.WAIT or due is None or not at_rest:
         return i
     # The first step j with j * dt >= due; the quotient may round either way.
     end = math.ceil(due / dt)
@@ -373,31 +374,41 @@ def run_scenario(
     config: TrackerConfig,
     duration: float,
     peak_level_db: float | None = None,
+    truth_k_el: float | None = None,
 ) -> TelemetryLog:
     """Run the closed loop for ``duration`` seconds of simulated time.
 
-    The clock advances in ``config.sample_interval`` steps; every step
-    measures the beacon, feeds the tracker, applies any resulting plant
-    command and integrates the plant motion, emitting one telemetry
-    record. The true beacon surface peaks at the satellite direction
-    with level ``peak_level_db`` (the receiver's max_db when omitted)
-    and an azimuth curvature re-derived from the satellite elevation.
+    The clock advances in ``config.sample_interval`` steps, one telemetry
+    record per step. The true beacon surface peaks at the satellite
+    direction with level ``peak_level_db`` (the receiver's max_db when
+    omitted), elevation curvature ``truth_k_el`` (the tracker's a-priori
+    ``config.k_el`` when omitted) and an azimuth curvature re-derived from
+    the satellite elevation.
 
-    A WAIT span is fast-forwarded: when the tracker waits, the plant
-    sits exactly at its target and the next cycle is not yet due, every
-    step up to the due time (or the end of the run) is evaluated in one
-    array pass. Nothing in the loop changes over such a span except the
-    satellite, the drift and the noise, and the array forms of those
-    formulas are bit-equal to the scalar ones, with the noise drawn as one
-    batch from the same generator. So the log is the same, byte for byte
-    once written, as stepping each of those steps.
+    The run has two passes. The plan pass takes every step in plain
+    floats: the true pose advances as ``tick`` would move it, the tracker
+    decides from the resolver readbacks and the time, and every command
+    gets ``command``'s limit check. The measure pass then evaluates the
+    level of the buffered steps in one array pass (satellite direction,
+    surface at the true pose, drift, noise drawn as one batch from the
+    same generator, floor clamp and volts) and logs them. It runs before
+    each ESTIMATE step, the one decision that reads levels, and at the
+    end. A WAIT span, where the plant rests at its target until the next
+    cycle is due, skips the plan pass and is measured as one block. The
+    array forms are bit-equal to the scalar ones, so the log is the same,
+    byte for byte once written, as stepping ``measure``, ``StepTracker.step``,
+    ``command`` and ``tick`` one step at a time.
 
     Deterministic for a fixed receiver seed. Raises ValueError before
-    starting if the cycle period cannot contain the pattern, and
-    PatternInfeasibleError if the initial pattern violates axis limits.
+    starting if the cycle period cannot contain the pattern or
+    ``truth_k_el`` is not negative, and PatternInfeasibleError if the
+    initial pattern violates axis limits.
     """
     if duration < 0:
         raise ValueError(f"duration must be non-negative, got {duration}")
+    k_el = config.k_el if truth_k_el is None else truth_k_el
+    if not (math.isfinite(k_el) and k_el < 0):
+        raise ValueError(f"truth_k_el must be finite and negative, got {k_el}")
     min_cycle = pattern_duration(config, plant)
     if config.cycle_period <= min_cycle:
         raise ValueError(
@@ -411,66 +422,78 @@ def run_scenario(
         el_limits=plant.el_limits,
     )
     peak = rx.max_db if peak_level_db is None else peak_level_db
-    k_el = config.k_el
     tracker = StepTracker(config)
     rng = np.random.default_rng(rx.rng_seed)
     dt = config.sample_interval
     n_steps = round(duration / dt)
     log = TelemetryLog(capacity=n_steps)
-    i = 0
-    while i < n_steps:
-        end = _wait_span_end(tracker, plant, i, dt, n_steps)
-        if end > i:
-            t = np.arange(i, end) * dt
-            sat_az, sat_el = satellite_direction_array(orbit, t)
-            field = ParabolaParams(
-                k_az=az_coeff_from_elevation_array(k_el, sat_el),
-                k_el=k_el,
-                peak_az=sat_az,
-                peak_el=sat_el,
-                peak_level=peak,
-            )
-            level = measure_array(plant, field, rx, t, rng)
-            readback_az, readback_el = read_resolvers(plant)
-            log.extend(
-                t,
-                plant.target_azimuth,
-                plant.target_elevation,
-                readback_az,
-                readback_el,
-                level,
-                receiver_voltage_array(level, rx),
-                TrackerPhase.WAIT.value,
-                tracker.cycle_index,
-            )
-            i = end
-            continue
-        t = i * dt
-        sat_az, sat_el = satellite_direction(orbit, t)
+
+    def measure_rows(first, count, az, el, cmd_az, cmd_el, rb_az, rb_el, phase, cycle):
+        # The measure pass over steps [first, first + count) at true pose
+        # (az, el). Each column is an array or one value for every row.
+        t = np.arange(first, first + count) * dt
+        sat_az, sat_el = satellite_direction_array(orbit, t)
         field = ParabolaParams(
-            k_az=az_coeff_from_elevation(k_el, sat_el),
+            k_az=az_coeff_from_elevation_array(k_el, sat_el),
             k_el=k_el,
             peak_az=sat_az,
             peak_el=sat_el,
             peak_level=peak,
         )
-        sample = measure(plant, field, rx, t, rng=rng)
-        cmd = tracker.step(plant, sample, t)
-        if cmd is not None:
-            plant = command(plant, cmd[0], cmd[1])
-        log.append(
-            TelemetryRecord(
-                t=t,
-                commanded_az=plant.target_azimuth,
-                commanded_el=plant.target_elevation,
-                readback_az=sample.azimuth,
-                readback_el=sample.elevation,
-                beacon_db=sample.level,
-                receiver_volts=receiver_voltage(sample.level, rx),
-                phase=tracker.phase.value,
-                cycle_index=tracker.cycle_index,
-            )
+        level = measure_array(az, el, field, rx, t, rng)
+        log.extend(
+            t, cmd_az, cmd_el, rb_az, rb_el, level,
+            receiver_voltage_array(level, rx), phase, cycle,
         )
-        plant = tick(plant, dt)
+
+    # Plan-pass rows not yet measured: (az, el, commanded az, commanded el,
+    # readback az, readback el, phase, cycle), ending before step i.
+    rows: list[tuple] = []
+
+    def flush(i):
+        if rows:
+            measure_rows(i - len(rows), len(rows), *map(np.array, zip(*rows)))
+            rows.clear()
+
+    # The plant's pose as plain floats. The tracker reads only the limits
+    # and the resolver step of the ``plant`` it is given, never its pose.
+    az, el = plant.true_azimuth, plant.true_elevation
+    target_az, target_el = plant.target_azimuth, plant.target_elevation
+    az_step, el_step = plant.az_slew_rate * dt, plant.el_slew_rate * dt
+    resolver = plant.resolver_step
+    i = 0
+    while i < n_steps:
+        at_rest = az == target_az and el == target_el
+        end = _wait_span_end(tracker, at_rest, i, dt, n_steps)
+        if end > i:
+            flush(i)
+            measure_rows(
+                i, end - i, az, el, target_az, target_el,
+                quantize_angle(az, resolver), quantize_angle(el, resolver),
+                TrackerPhase.WAIT.value, tracker.cycle_index,
+            )
+            i = end
+            continue
+        if tracker.phase is TrackerPhase.ESTIMATE:
+            # The fit reads the levels collected this cycle: measure the
+            # steps so far and put each level in place of its step index.
+            flush(i)
+            db = log.column("beacon_db")
+            tracker._samples = [(a, e, float(db[j])) for a, e, j in tracker._samples]
+        t = i * dt
+        rb_az, rb_el = quantize_angle(az, resolver), quantize_angle(el, resolver)
+        # The level is not measured yet, so the sample carries its step
+        # index in its place; only ESTIMATE reads levels.
+        cmd = tracker.step(plant, BeaconSample(t, rb_az, rb_el, i), t)
+        if cmd is not None:
+            check_target(plant, cmd[0], cmd[1])
+            target_az, target_el = cmd
+        rows.append((
+            az, el, target_az, target_el, rb_az, rb_el,
+            tracker.phase.value, tracker.cycle_index,
+        ))
+        az = _approach(az, target_az, az_step)
+        el = _approach(el, target_el, el_step)
         i += 1
+    flush(n_steps)
     return log

@@ -14,6 +14,7 @@ from steptrack.scenario import (
     resolve_scenario_path,
 )
 from steptrack.orbit import OrbitConfig
+from steptrack.telemetry import read_csv
 from steptrack.tracker import TrackerConfig
 
 MINIMAL = """
@@ -254,6 +255,31 @@ def test_simulate_byte_identical_runs(tmp_path):
     assert main(["simulate", str(path), "--output", str(out1)]) == 0
     assert main(["simulate", str(path), "--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_simulate_truth_curvature_comes_from_parabola(tmp_path):
+    # A tracker a-priori curvature of -5.0 must leave the simulated surface
+    # at the parabola's -11.4: step 10 of the noiseless, driftless desk run
+    # logs the -11.4 level (it logged 5.968 when the tracker's set it).
+    path = tmp_path / "s.yaml"
+    text = resolve_scenario_path("desk_figure8").read_text()
+    path.write_text(text + "  k_y_db_per_deg2: -5.0\n")
+    scenario = load_scenario(path)
+    assert (scenario.tracker.k_el, scenario.truth_k_el) == (-5.0, -11.4)
+    assert scenario.receiver.noise_sigma == scenario.receiver.drift_amplitude == 0.0
+    out = tmp_path / "run.csv"
+    assert main(["simulate", str(path), "--output", str(out), "--duration-s", "1"]) == 0
+    assert read_csv(str(out)).column("beacon_db")[10] == 5.927778437290485
+
+
+def test_non_negative_truth_curvature_rejected(tmp_path):
+    path = tmp_path / "s.yaml"
+    path.write_text(
+        MINIMAL.replace("  k_y_db_per_deg2: -11.4\n", "  k_y_db_per_deg2: 0.0\n")
+        + "  k_y_db_per_deg2: -11.4\n"
+    )
+    with pytest.raises(ScenarioError, match="truth_k_el"):
+        load_scenario(path)
 
 
 # -- fit ----------------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""WAIT fast-forward: ``run_scenario`` must log what plain stepping logs.
+"""Plan and measure passes: ``run_scenario`` must log what plain stepping logs.
 
-``_stepped`` below is the per-step loop with no fast-forward, kept here
-as the reference. The properties compare the two bit for bit on the
-configurations the golden digests do not cover, and check that each
-array form of a physics formula equals its scalar form bit for bit.
+``_stepped`` below is the per-step loop, kept here as the reference. The
+properties compare the two bit for bit on the configurations the golden
+digests do not cover, and check that each array form of a physics
+formula equals its scalar form bit for bit.
 """
 
 import dataclasses
@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steptrack.antenna import (
+    DEFAULT_RESOLVER_STEP,
     AntennaState,
     ReceiverConfig,
     command,
@@ -90,6 +91,14 @@ def _assert_same_log(got: TelemetryLog, want: TelemetryLog) -> None:
 
 
 BASE_CASE = dict(
+    az_rate=1.0,
+    el_rate=1.0,
+    resolver=DEFAULT_RESOLVER_STEP,
+    half_az=0.2,
+    half_el=0.05,
+    az_margin=None,
+    el_margin=None,
+    carry=True,
     axis_mode="azimuth-major",
     orbit_drift=0.0,
     az_amp=3.0,
@@ -112,8 +121,22 @@ def _case(**kw):
     return {**BASE_CASE, **kw}
 
 
+# A margin is how far an axis limit lies beyond the pattern of the first
+# cycle; None keeps the default limits. A small margin lets the fitted peak
+# fall outside the limits, so the tracker clamps its move target, and later
+# patterns become infeasible.
+margins = st.one_of(st.none(), st.floats(0.0, 0.3))
+
 cases = st.fixed_dictionaries(
     {
+        "az_rate": st.floats(0.1, 3.0),
+        "el_rate": st.floats(0.1, 3.0),
+        "resolver": st.one_of(st.just(DEFAULT_RESOLVER_STEP), st.floats(1e-4, 0.02)),
+        "half_az": st.floats(0.02, 0.4),
+        "half_el": st.floats(0.01, 0.2),
+        "az_margin": margins,
+        "el_margin": margins,
+        "carry": st.booleans(),
         "axis_mode": st.sampled_from(["azimuth-major", "elevation-major"]),
         "orbit_drift": st.one_of(st.just(0.0), st.floats(-500.0, 500.0)),
         "az_amp": st.floats(0.0, 5.0),
@@ -141,6 +164,13 @@ cases = st.fixed_dictionaries(
 @example(case=_case(estimator="batch-ls", sampling="corner-only", noise=0.1))
 @example(case=_case(cycle=7.33, noise=0.2))
 @example(case=_case(duration=16.5, noise=0.2))  # ends inside a WAIT span
+@example(case=_case(duration=6.5, noise=0.2))  # ends inside ACQUIRE
+@example(case=_case(duration=7.4, noise=0.2))  # ends inside MOVE
+# Slewing 2 mdeg a step, the readback arrives before the plant does, so
+# WAIT begins while the plant still settles within one resolver step.
+@example(case=_case(az_rate=0.1, el_rate=0.1, cycle=16.0, noise=0.2))
+# Limits 0.01 deg beyond the first pattern: the move target is clamped.
+@example(case=_case(az_margin=0.01, el_margin=0.01, carry=False, noise=0.2))
 def test_run_scenario_matches_stepping(case):
     orbit = OrbitConfig(
         center_azimuth=180.0,
@@ -151,7 +181,21 @@ def test_run_scenario_matches_stepping(case):
         axis_mode=case["axis_mode"],
         drift_deg_per_day=case["orbit_drift"],
     )
-    plant = AntennaState(180.0, 60.0, 180.0, 60.0)
+    limits = {
+        f"{axis}_limits": (centre - half - margin, centre + half + margin)
+        for axis, centre, half, margin in (
+            ("az", 180.0, case["half_az"], case["az_margin"]),
+            ("el", 60.0, case["half_el"], case["el_margin"]),
+        )
+        if margin is not None
+    }
+    plant = AntennaState(
+        180.0, 60.0, 180.0, 60.0,
+        az_slew_rate=case["az_rate"],
+        el_slew_rate=case["el_rate"],
+        resolver_step=case["resolver"],
+        **limits,
+    )
     rx = ReceiverConfig(
         noise_sigma=case["noise"],
         drift_amplitude=case["drift_amp"],
@@ -164,6 +208,9 @@ def test_run_scenario_matches_stepping(case):
         sampling_mode=case["sampling"],
         dwell_time=case["dwell"],
         estimator=case["estimator"],
+        rect_half_width_az=case["half_az"],
+        rect_half_width_el=case["half_el"],
+        carry_rls_state=case["carry"],
     )
     min_cycle = pattern_duration(config, plant)
     if config.cycle_period <= min_cycle + 0.5:
@@ -261,7 +308,7 @@ def test_measure_array_is_bit_equal(rows, az, el, noise, drift_amp, drift_period
         noise_sigma=noise, drift_amplitude=drift_amp, drift_period=drift_period
     )
     t = t0 + np.arange(len(rows)) * 0.02
-    got = measure_array(plant, _surface(rows), rx, t, np.random.default_rng(seed))
+    got = measure_array(az, el, _surface(rows), rx, t, np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
     want = [
         measure(plant, ParabolaParams(k, -11.4, pa, pe, 6.0), rx, ti, rng=rng).level

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import steptrack as st
-from steptrack.antenna import command, measure, tick
+from steptrack.antenna import AxisLimitError, command, measure, tick
 from steptrack.beacon import ParabolaParams, az_coeff_from_elevation
 from steptrack.orbit import satellite_direction
 from steptrack.tracker import (
@@ -246,6 +246,22 @@ def test_run_scenario_rejects_cycle_shorter_than_pattern():
     assert pattern_duration(config, plant) > 1.0
     with pytest.raises(ValueError):
         run_scenario(orbit, plant, rx, config, 10.0, peak_level_db=6.0)
+
+
+@pytest.mark.parametrize("k", [0.0, 1.0, float("nan"), float("-inf")])
+def test_run_scenario_rejects_invalid_truth_curvature(k):
+    orbit, plant, rx, config = _small_scenario()
+    with pytest.raises(ValueError, match="truth_k_el"):
+        run_scenario(orbit, plant, rx, config, 10.0, truth_k_el=k)
+
+
+def test_run_scenario_checks_each_command_against_limits(monkeypatch):
+    # No tracker decision leaves the limits; a command that did must stop
+    # the run with the error ``command`` raises.
+    orbit, plant, rx, config = _small_scenario()
+    monkeypatch.setattr(StepTracker, "step", lambda self, plant, sample, now: (400.0, 72.0))
+    with pytest.raises(AxisLimitError, match=r"target azimuth 400.0 outside limits \[0.0, 360.0\]"):
+        run_scenario(orbit, plant, rx, config, 1.0)
 
 
 def test_run_scenario_rejects_infeasible_initial_pattern():
