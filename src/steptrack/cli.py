@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .beacon import QuadraticCoefficients, az_coeff_from_elevation
-from .estimators import DEFAULT_COEFF_FLOOR, ESTIMATORS, EstimationError, fit_peak
+from .estimators import ESTIMATORS, EstimationError, fit_peak
 # Unused here since ``fit`` runs through ``fit_peak``, but bound as the
 # layer names through which perfbench/tracer.py traces this module.
 from .estimators import (  # noqa: F401
@@ -38,6 +38,11 @@ from .tracker import PatternInfeasibleError, run_scenario
 
 USAGE_ERROR = 1
 ESTIMATION_ERROR = 2
+
+# The RLS initial gain scale of ``fit``. It is not the tracker's
+# DEFAULT_RLS_DELTA (1e4) because ``fit``'s output at 1e8 is pinned in
+# perfbench/goldens.json.
+FIT_RLS_DELTA = 1e8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,15 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--mode", choices=ESTIMATORS, default="batch-ls")
     fit.add_argument(
         "--forgetting", type=float, default=1.0, help="RLS forgetting factor"
-    )
-    fit.add_argument(
-        "--delta", type=float, default=1e8, help="RLS initial gain scale"
-    )
-    fit.add_argument(
-        "--k-floor",
-        type=float,
-        default=DEFAULT_COEFF_FLOOR,
-        help="minimum usable curvature magnitude, dB/deg^2",
     )
 
     st = sub.add_parser("stats", help="beacon statistics over a window")
@@ -152,7 +148,7 @@ def _cmd_fit(args) -> int:
         )
         peak, rms = fit_peak(
             az, el, log.column("beacon_db")[window], centre, k, args.mode,
-            args.forgetting, args.delta, args.k_floor,
+            args.forgetting, FIT_RLS_DELTA,
         )
     except (EstimationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

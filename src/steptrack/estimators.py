@@ -238,7 +238,6 @@ def fit_peak(
     estimator: str,
     forgetting: float = 1.0,
     delta: float = DEFAULT_RLS_DELTA,
-    coeff_floor: float = DEFAULT_COEFF_FLOOR,
     prior: PeakEstimate | None = None,
 ) -> tuple[PeakEstimate, float]:
     """Absolute peak through readback samples (az, el, level) and the RMS
@@ -248,7 +247,8 @@ def fit_peak(
     peak ``prior`` when given. The fit runs in offsets from ``centre``: at
     absolute angles like [180.2, 72.05, 1] the recursion's gain matrix
     collapses along a near-degenerate direction. A diverged recursion
-    returns a non-finite peak; other failures raise EstimationError.
+    returns a non-finite peak; other failures, such as a curvature below
+    ``DEFAULT_COEFF_FLOOR``, raise EstimationError.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
@@ -269,7 +269,7 @@ def fit_peak(
             ])
             state = RlsState(coeffs=coeffs, cov=state.cov, forgetting=forgetting)
         beta = rls_run(state, x, y).coeffs
-    local = recover_peak(beta, k, coeff_floor)
+    local = recover_peak(beta, k)
     rms = float(np.sqrt(np.mean((y - x @ beta) ** 2)))
     return PeakEstimate(local.azimuth + caz, local.elevation + cel, local.level), rms
 

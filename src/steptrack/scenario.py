@@ -96,10 +96,7 @@ _SCHEMA = {
         "sampling_mode": "sampling_mode",
         "estimator": "estimator",
         "forgetting": "forgetting",
-        "rls_delta": "rls_delta",
         "k_y_db_per_deg2": "k_el",
-        "kx_floor_db_per_deg2": "coeff_floor",
-        "carry_rls_state": "carry_rls_state",
     }),
 }
 

@@ -40,7 +40,6 @@ from .beacon import (
 )
 from .estimators import (
     DEFAULT_COEFF_FLOOR,
-    DEFAULT_RLS_DELTA,
     ESTIMATORS,
     EstimationError,
     PeakEstimate,
@@ -83,7 +82,9 @@ class TrackerConfig:
     while dwelling ``dwell_time`` at each corner, the classic scheme;
     dwell 0 takes exactly one sample per corner). ``k_el`` is the
     a-priori elevation curvature; the azimuth curvature is re-derived
-    from the pattern-center elevation at each cycle start.
+    from the pattern-center elevation at each cycle start. The RLS
+    initial gain scale and the curvature floor are the estimators'
+    ``DEFAULT_RLS_DELTA`` and ``DEFAULT_COEFF_FLOOR``.
     """
 
     rect_half_width_az: float = 0.2  # deg
@@ -94,16 +95,12 @@ class TrackerConfig:
     sampling_mode: str = "continuous"
     estimator: str = "rls"
     forgetting: float = 0.98
-    rls_delta: float = DEFAULT_RLS_DELTA
     k_el: float = DEFAULT_K_EL
-    coeff_floor: float = DEFAULT_COEFF_FLOOR
-    carry_rls_state: bool = True
 
     def __post_init__(self) -> None:
         for name in (
             "rect_half_width_az", "rect_half_width_el", "dwell_time",
-            "sample_interval", "cycle_period", "forgetting", "rls_delta",
-            "k_el", "coeff_floor",
+            "sample_interval", "cycle_period", "forgetting", "k_el",
         ):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -126,12 +123,8 @@ class TrackerConfig:
             )
         if not 0.0 < self.forgetting <= 1.0:
             raise ValueError(f"forgetting must be in (0, 1], got {self.forgetting}")
-        if self.rls_delta <= 0:
-            raise ValueError("rls_delta must be positive")
         if self.k_el >= 0:
             raise ValueError("k_el must be strictly negative")
-        if self.coeff_floor <= 0:
-            raise ValueError("coeff_floor must be positive")
 
 
 def plan_pattern(
@@ -180,8 +173,8 @@ class StepTracker:
     falls through to wait.
 
     The cycle's samples are buffered and fitted once, at estimate, by
-    ``fit_peak`` centred on the pattern center. With ``carry_rls_state``
-    the RLS fit starts from the previous cycle's peak.
+    ``fit_peak`` centred on the pattern center. The RLS fit starts from
+    the previous cycle's peak.
     """
 
     def __init__(self, config: TrackerConfig):
@@ -222,12 +215,12 @@ class StepTracker:
         self.next_cycle_time = now + self.config.cycle_period
         self.pattern_center = (sample.azimuth, sample.elevation)
         k_az = az_coeff_from_elevation(self.config.k_el, self.pattern_center[1])
-        if abs(k_az) < self.config.coeff_floor:
+        if abs(k_az) < DEFAULT_COEFF_FLOOR:
             logger.warning(
                 "cycle %d skipped: azimuth curvature %.3g below floor %.3g",
                 self.cycle_index,
                 k_az,
-                self.config.coeff_floor,
+                DEFAULT_COEFF_FLOOR,
             )
             self.phase = TrackerPhase.WAIT
             return None
@@ -279,8 +272,7 @@ class StepTracker:
         try:
             estimate, _ = fit_peak(
                 az, el, level, self.pattern_center, self._k, config.estimator,
-                config.forgetting, config.rls_delta, config.coeff_floor,
-                prior=self.last_estimate if config.carry_rls_state else None,
+                config.forgetting, prior=self.last_estimate,
             )
             # A diverged recursion yields NaN or inf, which must not
             # reach the plant.
@@ -400,12 +392,13 @@ def run_scenario(
     ``command`` and ``tick`` one step at a time.
 
     Deterministic for a fixed receiver seed. Raises ValueError before
-    starting if the cycle period cannot contain the pattern or
-    ``truth_k_el`` is not negative, and PatternInfeasibleError if the
-    initial pattern violates axis limits.
+    starting if ``duration`` is not finite and non-negative, the cycle
+    period cannot contain the pattern or ``truth_k_el`` is not negative,
+    and PatternInfeasibleError if the first cycle's pattern, centred on
+    the resolver readback of the initial pose, violates axis limits.
     """
-    if duration < 0:
-        raise ValueError(f"duration must be non-negative, got {duration}")
+    if not (math.isfinite(duration) and duration >= 0):
+        raise ValueError(f"duration must be finite and non-negative, got {duration}")
     k_el = config.k_el if truth_k_el is None else truth_k_el
     if not (math.isfinite(k_el) and k_el < 0):
         raise ValueError(f"truth_k_el must be finite and negative, got {k_el}")
@@ -416,7 +409,8 @@ def run_scenario(
             f"displacement pattern ({min_cycle:.1f}s)"
         )
     plan_pattern(
-        (plant.true_azimuth, plant.true_elevation),
+        (quantize_angle(plant.true_azimuth, plant.resolver_step),
+         quantize_angle(plant.true_elevation, plant.resolver_step)),
         config,
         az_limits=plant.az_limits,
         el_limits=plant.el_limits,

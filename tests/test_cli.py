@@ -1,5 +1,6 @@
 """Scenario loading and command-line interface tests."""
 
+import dataclasses
 import re
 
 import pytest
@@ -8,6 +9,9 @@ from steptrack.antenna import AntennaState, ReceiverConfig
 from steptrack.beacon import az_coeff_from_elevation
 from steptrack.cli import main
 from steptrack.scenario import (
+    _FALLBACKS,
+    _SCHEMA,
+    Scenario,
     ScenarioError,
     bundled_scenarios,
     load_scenario,
@@ -126,6 +130,11 @@ def test_non_finite_value_names_field(tmp_path, old, new, field):
         ("noise_sigma_db:", "noise_sigma:", "receiver.noise_sigma"),
         ("peak_level_db:", "peak_level:", "parabola.peak_level"),
         ("estimator:", "estimater:", "tracker.estimater"),
+        # Keys of removed tracker settings.
+        ("  estimator:", "  carry_rls_state: false\n  estimator:", "tracker.carry_rls_state"),
+        ("  estimator:", "  rls_delta: 1.0e+4\n  estimator:", "tracker.rls_delta"),
+        ("  estimator:", "  kx_floor_db_per_deg2: 0.5\n  estimator:",
+         "tracker.kx_floor_db_per_deg2"),
     ],
 )
 def test_unknown_key_names_field(tmp_path, old, new, field):
@@ -133,6 +142,30 @@ def test_unknown_key_names_field(tmp_path, old, new, field):
     path.write_text(MINIMAL.replace(old, new))
     with pytest.raises(ScenarioError, match=re.escape(f"unknown field '{field}'")):
         load_scenario(path)
+
+
+def test_schema_matches_config_classes():
+    # A key whose field is gone breaks every load, and a field no key
+    # sets can never be configured.
+    keys = []  # the (class, field) each key sets
+    for cls, target in _SCHEMA.values():
+        if isinstance(target, dict):
+            keys += [t if isinstance(t, tuple) else (cls, t) for t in target.values()]
+        else:
+            keys.append((cls, target))
+    sections = {
+        (Scenario, name) for name, (cls, target) in _SCHEMA.items()
+        if isinstance(target, dict) and cls is not Scenario
+    }
+    classes = (OrbitConfig, AntennaState, ReceiverConfig, TrackerConfig, Scenario)
+    names = {cls: {f.name for f in dataclasses.fields(cls)} for cls in classes}
+    for cls, field in [*keys, *sections, *_FALLBACKS, *_FALLBACKS.values()]:
+        assert field in names[cls], (cls, field)
+    for cls in classes:
+        for field in names[cls]:
+            n = keys.count((cls, field))
+            assert n <= 1, (cls, field)
+            assert n or (cls, field) in _FALLBACKS or (cls, field) in sections, (cls, field)
 
 
 def test_misspelled_scenario_names_first_unknown_key(tmp_path):
@@ -231,6 +264,16 @@ def test_simulate_duration_zero(minimal_scenario, tmp_path, capsys):
     code = main(["simulate", str(minimal_scenario), "--output", str(out), "--duration-s", "0"])
     assert code == 0
     assert "wrote 0 records" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("duration", ["inf", "nan"])
+def test_simulate_non_finite_duration_exits_one(minimal_scenario, tmp_path, capsys, duration):
+    out = tmp_path / "run.csv"
+    code = main(["simulate", str(minimal_scenario), "--output", str(out),
+                 "--duration-s", duration])
+    assert code == 1
+    assert "duration" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_missing_field_exits_one(tmp_path, capsys):
@@ -360,6 +403,12 @@ def test_fit_empty_window_exits_two(static_log, capsys):
     err = capsys.readouterr().err
     assert "no records in window [100.0, 200.0]" in err
     assert "Warning" not in err
+
+
+@pytest.mark.parametrize("option", [["--delta", "1e4"], ["--k-floor", "0.5"]])
+def test_fit_removed_option_is_usage_error(static_log, capsys, option):
+    assert main(["fit", str(static_log), "--k-y", "-11.4", *option]) == 1
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_fit_missing_log_exits_one(tmp_path):

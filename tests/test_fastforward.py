@@ -21,6 +21,7 @@ from steptrack.antenna import (
     command,
     measure,
     measure_array,
+    quantize_angle,
     receiver_voltage,
     receiver_voltage_array,
     tick,
@@ -33,7 +34,14 @@ from steptrack.beacon import (
 )
 from steptrack.orbit import OrbitConfig, satellite_direction, satellite_direction_array
 from steptrack.telemetry import FIELDS, TelemetryLog, TelemetryRecord
-from steptrack.tracker import StepTracker, TrackerConfig, pattern_duration, run_scenario
+from steptrack.tracker import (
+    PatternInfeasibleError,
+    StepTracker,
+    TrackerConfig,
+    pattern_duration,
+    plan_pattern,
+    run_scenario,
+)
 
 
 def _stepped(orbit, plant, rx, config, duration, peak_level_db=None):
@@ -98,7 +106,6 @@ BASE_CASE = dict(
     half_el=0.05,
     az_margin=None,
     el_margin=None,
-    carry=True,
     axis_mode="azimuth-major",
     orbit_drift=0.0,
     az_amp=3.0,
@@ -122,9 +129,11 @@ def _case(**kw):
 
 
 # A margin is how far an axis limit lies beyond the pattern of the first
-# cycle; None keeps the default limits. A small margin lets the fitted peak
-# fall outside the limits, so the tracker clamps its move target, and later
-# patterns become infeasible.
+# cycle around the start pose; None keeps the default limits. A small margin
+# lets the fitted peak fall outside the limits, so the tracker clamps its
+# move target, and later patterns become infeasible. A margin smaller than
+# the readback's offset from the start pose cuts the first cycle's pattern,
+# which is centred on the readback, so the run is rejected before it starts.
 margins = st.one_of(st.none(), st.floats(0.0, 0.3))
 
 cases = st.fixed_dictionaries(
@@ -136,7 +145,6 @@ cases = st.fixed_dictionaries(
         "half_el": st.floats(0.01, 0.2),
         "az_margin": margins,
         "el_margin": margins,
-        "carry": st.booleans(),
         "axis_mode": st.sampled_from(["azimuth-major", "elevation-major"]),
         "orbit_drift": st.one_of(st.just(0.0), st.floats(-500.0, 500.0)),
         "az_amp": st.floats(0.0, 5.0),
@@ -170,7 +178,10 @@ cases = st.fixed_dictionaries(
 # WAIT begins while the plant still settles within one resolver step.
 @example(case=_case(az_rate=0.1, el_rate=0.1, cycle=16.0, noise=0.2))
 # Limits 0.01 deg beyond the first pattern: the move target is clamped.
-@example(case=_case(az_margin=0.01, el_margin=0.01, carry=False, noise=0.2))
+@example(case=_case(az_margin=0.01, el_margin=0.01, noise=0.2))
+# The readback's 1.8 mdeg elevation offset puts the first pattern's top
+# corners beyond a limit set at the start pose's pattern: rejected.
+@example(case=_case(el_margin=0.0))
 def test_run_scenario_matches_stepping(case):
     orbit = OrbitConfig(
         center_azimuth=180.0,
@@ -210,11 +221,18 @@ def test_run_scenario_matches_stepping(case):
         estimator=case["estimator"],
         rect_half_width_az=case["half_az"],
         rect_half_width_el=case["half_el"],
-        carry_rls_state=case["carry"],
     )
     min_cycle = pattern_duration(config, plant)
     if config.cycle_period <= min_cycle + 0.5:
         config = dataclasses.replace(config, cycle_period=min_cycle + 2.0)
+    readback = (quantize_angle(180.0, plant.resolver_step),
+                quantize_angle(60.0, plant.resolver_step))
+    try:
+        plan_pattern(readback, config, plant.az_limits, plant.el_limits)
+    except PatternInfeasibleError:
+        with pytest.raises(PatternInfeasibleError):
+            run_scenario(orbit, plant, rx, config, case["duration"])
+        return
     want = _stepped(orbit, plant, rx, config, case["duration"])
     got = run_scenario(orbit, plant, rx, config, case["duration"])
     _assert_same_log(got, want)

@@ -98,8 +98,6 @@ TRACKER_GOLDEN = [
     ("corner-only-rls",
      dict(sampling_mode="corner-only", dwell_time=0.2, estimator="rls"),
      "6efa63e7a54c9a3442df33bf1352d2c52265d005be2e218a1bec505221ab50e8"),
-    ("rls-no-carry", dict(estimator="rls", carry_rls_state=False),
-     "da93b865976b5bf9d5dd8aa7ddb1084c27e7b96bf72556c0a83c1e793eaa19cb"),
     ("batch-ls-1.5s", dict(estimator="batch-ls", cycle_period=1.5),
      "776490ab76530a8cec13930ac1f19cad29fdf5a5b652137a83f312f5e3c5510c"),
 ]

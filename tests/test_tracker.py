@@ -99,7 +99,7 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "field",
     ["rect_half_width_az", "rect_half_width_el", "dwell_time", "sample_interval",
-     "cycle_period", "forgetting", "rls_delta", "k_el", "coeff_floor"],
+     "cycle_period", "forgetting", "k_el"],
 )
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_config_rejects_non_finite(field, value):
@@ -271,6 +271,25 @@ def test_run_scenario_rejects_infeasible_initial_pattern():
     config = TrackerConfig(cycle_period=15.0)
     with pytest.raises(PatternInfeasibleError):
         run_scenario(orbit, plant, rx, config, 10.0, peak_level_db=6.0)
+
+
+def test_run_scenario_checks_first_pattern_around_readback():
+    # The pattern around the start pose fits these limits, but the first
+    # cycle centres it on the readback, whose elevation 60.00183 puts the
+    # top corners at 60.0518: every cycle would be skipped.
+    orbit = st.OrbitConfig(180.0, 60.0, azimuth_amplitude=0.0, elevation_amplitude=0.0)
+    plant = st.AntennaState(
+        180, 60, 180, 60, az_limits=(179.8, 180.2), el_limits=(59.95, 60.05)
+    )
+    with pytest.raises(PatternInfeasibleError, match="corner elevation 60.0518"):
+        run_scenario(orbit, plant, st.ReceiverConfig(), TrackerConfig(), 60.0)
+
+
+@pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+def test_run_scenario_rejects_non_finite_duration(duration):
+    orbit, plant, rx, config = _small_scenario()
+    with pytest.raises(ValueError, match="duration"):
+        run_scenario(orbit, plant, rx, config, duration)
 
 
 def test_phase_order_never_violated():
