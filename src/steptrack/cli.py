@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 
 import numpy as np
@@ -50,7 +51,21 @@ class _Parser(argparse.ArgumentParser):
     # 2 for estimation failures.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _forgetting(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
+    return value
+
+
+def _curvature(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value < 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and negative, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,13 +82,14 @@ def _build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="offline peak fit on a telemetry log")
     fit.add_argument("log", help="telemetry CSV path")
     fit.add_argument(
-        "--k-y", type=float, required=True, help="elevation curvature, dB/deg^2"
+        "--k-y", type=_curvature, required=True, help="elevation curvature, dB/deg^2"
     )
     fit.add_argument("--t0", type=float, default=None, help="window start, s")
     fit.add_argument("--t1", type=float, default=None, help="window end, s")
     fit.add_argument("--mode", choices=ESTIMATORS, default="batch-ls")
     fit.add_argument(
-        "--forgetting", type=float, default=1.0, help="RLS forgetting factor"
+        "--forgetting", type=_forgetting, default=1.0,
+        help="RLS forgetting factor, in (0, 1]",
     )
 
     st = sub.add_parser("stats", help="beacon statistics over a window")
@@ -179,20 +195,19 @@ def _cmd_stats(args) -> int:
 def _cmd_trajectory(args) -> int:
     try:
         log = read_csv(args.log)
-        points = extract_trajectory(log, args.decimation)
+        az, el = extract_trajectory(log, args.decimation)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
         with open(args.output, "w", newline="") as fh:
             fh.write("readback_az_deg,readback_el_deg\n")
-            az = format_floats([point[0] for point in points])
-            el = format_floats([point[1] for point in points])
-            fh.writelines(f"{a},{e}\n" for a, e in zip(az, el))
+            texts = zip(format_floats(az.tolist()), format_floats(el.tolist()))
+            fh.writelines(f"{a},{e}\n" for a, e in texts)
     except OSError as exc:
         print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    print(f"wrote {len(points)} points to {args.output}")
+    print(f"wrote {len(az)} points to {args.output}")
     return 0
 
 

@@ -161,16 +161,16 @@ def ls_solve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     )
 
 
-def recover_peak(
-    beta: np.ndarray,
-    k: QuadraticCoefficients,
-    coeff_floor: float = DEFAULT_COEFF_FLOOR,
-) -> PeakEstimate:
-    """Invert the coefficient vector back to (peak_az, peak_el, peak_level)."""
-    if abs(k.k_az) < coeff_floor or abs(k.k_el) < coeff_floor:
+def recover_peak(beta: np.ndarray, k: QuadraticCoefficients) -> PeakEstimate:
+    """Invert the coefficient vector back to (peak_az, peak_el, peak_level).
+
+    Raises DegenerateCoefficientsError if either curvature's magnitude is
+    below ``DEFAULT_COEFF_FLOOR``.
+    """
+    if abs(k.k_az) < DEFAULT_COEFF_FLOOR or abs(k.k_el) < DEFAULT_COEFF_FLOOR:
         raise DegenerateCoefficientsError(
             f"|k_az|={abs(k.k_az):.3g}, |k_el|={abs(k.k_el):.3g} "
-            f"below floor {coeff_floor}"
+            f"below floor {DEFAULT_COEFF_FLOOR}"
         )
     az = -beta[0] / (2.0 * k.k_az)
     el = -beta[1] / (2.0 * k.k_el)
@@ -287,10 +287,6 @@ def memory_horizon(forgetting: float) -> float:
     return float(Decimal(1) / (Decimal(1) - Decimal(repr(forgetting))))
 
 
-def rls_recover(
-    state: RlsState,
-    k: QuadraticCoefficients,
-    coeff_floor: float = DEFAULT_COEFF_FLOOR,
-) -> PeakEstimate:
+def rls_recover(state: RlsState, k: QuadraticCoefficients) -> PeakEstimate:
     """Peak implied by the current filter coefficients."""
-    return recover_peak(state.coeffs, k, coeff_floor)
+    return recover_peak(state.coeffs, k)

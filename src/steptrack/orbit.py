@@ -84,19 +84,3 @@ def satellite_direction_array(
     """Array form of ``satellite_direction``: bit-equal at each time in ``t``."""
     return _direction(config, t, np.sin)
 
-
-def orbit_trace(
-    config: OrbitConfig, t0: float, t1: float, step: float
-) -> list[tuple[float, float, float]]:
-    """Uniformly sampled (t, azimuth, elevation) from t0 up to t1 inclusive.
-
-    The first sample is at t0 and the last does not exceed t1.
-    """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    if t1 <= t0:
-        raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
-    n = int(math.floor((t1 - t0) / step + 1e-9)) + 1
-    t = t0 + np.arange(n) * step
-    az, el = satellite_direction_array(config, t)
-    return list(zip(t.tolist(), az.tolist(), el.tolist()))

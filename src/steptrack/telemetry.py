@@ -1,11 +1,12 @@
 """Append-only columnar telemetry log with offline statistics and CSV persistence.
 
-One row per simulation step, stored as numpy columns: seven float64
-columns, the phase as a small-int code (an index into ``PHASES``) and the
-cycle index. Rows go in one at a time with ``append`` or as column
-blocks with ``extend``; both require strictly increasing time. Iterating
-or indexing still yields ``TelemetryRecord`` rows with the phase name,
-and ``column`` gives read-only column views for vectorised analysis.
+One row per simulation step, stored as nine numpy columns named in
+``FIELDS``: seven float64 columns (time in s, angles in deg, beacon level
+in dB, receiver volts), the phase as a small-int code (an index into
+``PHASES``) and the cycle index. Rows go in as column blocks with
+``extend`` (``append`` is a block of one), and time must strictly
+increase. Data comes out only as columns: ``column`` gives a read-only
+view of one, and ``len`` the row count.
 
 The CSV encoding writes floats at full round-trip precision (padded to at
 least six decimal places), so a written log reads back bit-exact and
@@ -18,23 +19,10 @@ with one ``np.loadtxt`` call.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-
-
-class TelemetryRecord(NamedTuple):
-    t: float  # s
-    commanded_az: float  # deg
-    commanded_el: float  # deg
-    readback_az: float  # deg
-    readback_el: float  # deg
-    beacon_db: float
-    receiver_volts: float
-    phase: str
-    cycle_index: int
 
 
 CSV_HEADER = (
@@ -42,11 +30,12 @@ CSV_HEADER = (
     "beacon_db,receiver_volts,phase,cycle_index"
 )
 
-FIELDS = TelemetryRecord._fields
+FIELDS = (
+    "t", "commanded_az", "commanded_el", "readback_az", "readback_el",
+    "beacon_db", "receiver_volts", "phase", "cycle_index",
+)
 PHASES = ("acquire", "estimate", "move", "wait")
-_PHASE_CODES = {name: code for code, name in enumerate(PHASES)}
 _DTYPES = (np.float64,) * 7 + (np.int8, np.int64)
-_PHASE = FIELDS.index("phase")
 # One parsed CSV row. A phase field longer than the longest name is cut
 # to one character more, so it can never be cut down to a valid name.
 _CSV_ROW = np.dtype(
@@ -64,64 +53,46 @@ class BeaconStats(NamedTuple):
     maximum: float
 
 
-def _phase_code(name: str) -> int:
-    try:
-        return _PHASE_CODES[name]
-    except KeyError:
-        raise ValueError(f"unknown phase {name!r}, expected one of {PHASES}") from None
-
-
 def _phase_codes(names) -> np.ndarray:
-    """``_phase_code`` of each name in a sequence, compared as one array."""
+    """Index into ``PHASES`` of one phase name, or of each in a sequence."""
     names = np.asarray(names, dtype=str)
     codes = np.full(names.shape, -1, dtype=np.int8)
     for code, name in enumerate(PHASES):
         codes[names == name] = code
     unknown = names[codes < 0]
-    if len(unknown):
-        _phase_code(str(unknown[0]))  # raises, naming the first unknown name
+    if unknown.size:
+        raise ValueError(f"unknown phase {str(unknown[0])!r}, expected one of {PHASES}")
     return codes
 
 
 class TelemetryLog:
-    """Ordered row store; appends must carry strictly increasing time.
+    """Columnar row store; each row must carry a later time than the last.
 
     ``capacity`` preallocates that many rows, so a log of known length
     (one row per simulation step) is never copied while it grows.
     """
 
-    def __init__(
-        self,
-        records: Optional[Iterable[TelemetryRecord]] = None,
-        *,
-        capacity: int = 0,
-    ):
+    def __init__(self, *, capacity: int = 0):
         self._cols = [np.empty(capacity, dtype) for dtype in _DTYPES]
         self._n = 0
-        if records is not None:
-            for record in records:
-                self.append(record)
 
-    def append(self, record: TelemetryRecord) -> None:
-        n = self._n
-        if n and not record.t > self._cols[0][n - 1]:
-            raise ValueError(
-                f"non-monotonic time: {record.t} after {self._cols[0][n - 1]}"
-            )
-        phase = _phase_code(record.phase)
-        if n == len(self._cols[0]):
-            self._reserve(n + 1)
-        t, caz, cel, raz, rel, db, volts, phases, cycles = self._cols
-        t[n] = record.t
-        caz[n] = record.commanded_az
-        cel[n] = record.commanded_el
-        raz[n] = record.readback_az
-        rel[n] = record.readback_el
-        db[n] = record.beacon_db
-        volts[n] = record.receiver_volts
-        phases[n] = phase
-        cycles[n] = record.cycle_index
-        self._n = n + 1
+    def append(
+        self,
+        t,
+        commanded_az,
+        commanded_el,
+        readback_az,
+        readback_el,
+        beacon_db,
+        receiver_volts,
+        phase,
+        cycle_index,
+    ) -> None:
+        """Append one row, one argument per field: ``extend`` with one row."""
+        self.extend(
+            [t], commanded_az, commanded_el, readback_az, readback_el,
+            beacon_db, receiver_volts, phase, cycle_index,
+        )
 
     def extend(
         self,
@@ -139,7 +110,7 @@ class TelemetryLog:
 
         ``t`` is a sequence of times; every other column is a sequence of
         the same length or a single value repeated on every row. ``phase``
-        holds phase names, as in ``TelemetryRecord``.
+        holds phase names from ``PHASES``.
         """
         t = np.asarray(t, dtype=np.float64)
         k = len(t)
@@ -149,10 +120,9 @@ class TelemetryLog:
         if not (np.diff(t) > 0).all() or (n and not t[0] > self._cols[0][n - 1]):
             last = self._cols[0][n - 1] if n else None
             raise ValueError(f"non-monotonic time in block starting {t[0]} after {last}")
-        phase = _phase_code(phase) if isinstance(phase, str) else _phase_codes(phase)
         columns = (
             t, commanded_az, commanded_el, readback_az, readback_el,
-            beacon_db, receiver_volts, phase, cycle_index,
+            beacon_db, receiver_volts, _phase_codes(phase), cycle_index,
         )
         self._reserve(n + k)
         for col, values in zip(self._cols, columns):
@@ -167,28 +137,6 @@ class TelemetryLog:
 
     def __len__(self) -> int:
         return self._n
-
-    def __iter__(self) -> Iterator[TelemetryRecord]:
-        for start in range(0, self._n, _BLOCK_ROWS):
-            yield from self._records(start, min(start + _BLOCK_ROWS, self._n))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            out = TelemetryLog()
-            out._cols = [col[: self._n][index].copy() for col in self._cols]
-            out._n = len(out._cols[0])
-            return out
-        i = operator.index(index)
-        if i < 0:
-            i += self._n
-        if not 0 <= i < self._n:
-            raise IndexError("telemetry index out of range")
-        return next(self._records(i, i + 1))
-
-    def _records(self, start: int, stop: int) -> Iterator[TelemetryRecord]:
-        cols = [col[start:stop].tolist() for col in self._cols]
-        cols[_PHASE] = _phase_names(cols[_PHASE])
-        return map(TelemetryRecord._make, zip(*cols))
 
     def _reserve(self, rows: int) -> None:
         capacity = len(self._cols[0])
@@ -237,13 +185,14 @@ def beacon_stats(
 
 def extract_trajectory(
     log: TelemetryLog, decimation: int = 1
-) -> list[tuple[float, float]]:
-    """Every decimation-th (readback_az, readback_el) pair, order preserved."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every decimation-th row's readback azimuth and elevation, as two columns."""
     if decimation < 1:
         raise ValueError(f"decimation must be >= 1, got {decimation}")
-    az = log.column("readback_az")[::decimation].tolist()
-    el = log.column("readback_el")[::decimation].tolist()
-    return list(zip(az, el))
+    return (
+        log.column("readback_az")[::decimation],
+        log.column("readback_el")[::decimation],
+    )
 
 
 def format_floats(values: list[float]) -> list[str]:
@@ -258,11 +207,6 @@ def format_floats(values: list[float]) -> list[str]:
         else s + "0" * (7 - len(s) + s.find("."))
         for s in texts
     ]
-
-
-def format_float(value: float) -> str:
-    """Shortest exact decimal form, padded to >= 6 decimal places."""
-    return format_floats([float(value)])[0]
 
 
 def _column_texts(

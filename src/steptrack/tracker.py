@@ -392,8 +392,9 @@ def run_scenario(
     ``command`` and ``tick`` one step at a time.
 
     Deterministic for a fixed receiver seed. Raises ValueError before
-    starting if ``duration`` is not finite and non-negative, the cycle
-    period cannot contain the pattern or ``truth_k_el`` is not negative,
+    starting if ``duration`` is not finite and non-negative or needs more
+    rows than can be allocated, the cycle period cannot contain the
+    pattern or ``truth_k_el`` is not negative,
     and PatternInfeasibleError if the first cycle's pattern, centred on
     the resolver readback of the initial pose, violates axis limits.
     """
@@ -420,7 +421,13 @@ def run_scenario(
     rng = np.random.default_rng(rx.rng_seed)
     dt = config.sample_interval
     n_steps = round(duration / dt)
-    log = TelemetryLog(capacity=n_steps)
+    try:
+        log = TelemetryLog(capacity=n_steps)
+    except (ValueError, MemoryError) as exc:
+        raise ValueError(
+            f"duration {duration} s needs {n_steps:.4g} telemetry rows, "
+            f"which cannot be allocated: {exc}"
+        ) from None
 
     def measure_rows(first, count, az, el, cmd_az, cmd_el, rb_az, rb_el, phase, cycle):
         # The measure pass over steps [first, first + count) at true pose

@@ -32,6 +32,7 @@ from steptrack.beacon import ParabolaParams, az_coeff_from_elevation, beacon_lev
 from steptrack.cli import main
 from steptrack.estimators import ls_fit, memory_horizon, recover_peak, regression_row, rls_init, rls_recover, rls_update
 from steptrack.orbit import satellite_direction
+from steptrack.telemetry import PHASES
 from steptrack.tracker import StepTracker, TrackerConfig, run_scenario
 
 RESOLVER_STEP = 360.0 / 65536.0
@@ -189,8 +190,8 @@ def test_criterion_6_figure8_reproduction():
     sat = [satellite_direction(orbit, i * 0.02) for i in range(len(log))]
     orbit_az_pp = max(p for p, _ in sat) - min(p for p, _ in sat)
     orbit_el_pp = max(q for _, q in sat) - min(q for _, q in sat)
-    cmd_az = [r.commanded_az for r in log]
-    cmd_el = [r.commanded_el for r in log]
+    cmd_az = log.column("commanded_az").tolist()
+    cmd_el = log.column("commanded_el").tolist()
     az_pp = max(cmd_az) - min(cmd_az)
     el_pp = max(cmd_el) - min(cmd_el)
 
@@ -231,9 +232,13 @@ def test_criterion_7_sawtooth_beacon():
     config = TrackerConfig(cycle_period=60.0)
     log = run_scenario(orbit, plant, rx, config, 360.0, peak_level_db=6.0)
 
-    waits = []
-    for key, group in itertools.groupby(log, key=lambda r: (r.phase, r.cycle_index)):
-        if key[0] == "wait":
+    phase, cycle, db, rb_az, rb_el = (
+        log.column(name).tolist()
+        for name in ("phase", "cycle_index", "beacon_db", "readback_az", "readback_el")
+    )
+    waits = []  # the row indices of each wait
+    for key, group in itertools.groupby(range(len(log)), key=lambda i: (phase[i], cycle[i])):
+        if key[0] == PHASES.index("wait"):
             waits.append(list(group))
     assert len(waits) >= 5
 
@@ -244,16 +249,13 @@ def test_criterion_7_sawtooth_beacon():
     # sawtooth tooth size.
     max_rise = 0.0
     for w in waits:
-        rest_az, rest_el = w[-1].readback_az, w[-1].readback_el
-        tail = [
-            r.beacon_db for r in w
-            if r.readback_az == rest_az and r.readback_el == rest_el
-        ]
+        rest_az, rest_el = rb_az[w[-1]], rb_el[w[-1]]
+        tail = [db[i] for i in w if rb_az[i] == rest_az and rb_el[i] == rest_el]
         for a, b in zip(tail, tail[1:]):
             max_rise = max(max_rise, b - a)
-    teeth = [w[0].beacon_db - w[-1].beacon_db for w in waits[1:]]
+    teeth = [db[w[0]] - db[w[-1]] for w in waits[1:]]
     restored = [
-        after[0].beacon_db - min(r.beacon_db for r in before)
+        db[after[0]] - min(db[i] for i in before)
         for before, after in zip(waits, waits[1:])
     ]
     ok = max_rise <= 1e-4 and min(teeth) > 0.05 and min(restored) > 0.05
@@ -275,7 +277,7 @@ def test_criterion_8_calibrated_statistics():
     config = TrackerConfig(cycle_period=600.0)
     log = run_scenario(orbit, plant, rx, config, 1800.0, peak_level_db=6.0)
     stats = st.beacon_stats(log)
-    clamped = sum(1 for r in log if r.beacon_db <= rx.floor_db)
+    clamped = int(np.count_nonzero(log.column("beacon_db") <= rx.floor_db))
 
     # the clamp must still be reachable under forced far-off-peak pointing
     field = ParabolaParams(

@@ -266,7 +266,8 @@ def test_simulate_duration_zero(minimal_scenario, tmp_path, capsys):
     assert "wrote 0 records" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("duration", ["inf", "nan"])
+# 1e300 s is finite, but its rows cannot be allocated.
+@pytest.mark.parametrize("duration", ["inf", "nan", "1e300"])
 def test_simulate_non_finite_duration_exits_one(minimal_scenario, tmp_path, capsys, duration):
     out = tmp_path / "run.csv"
     code = main(["simulate", str(minimal_scenario), "--output", str(out),
@@ -350,7 +351,7 @@ def test_fit_recovers_generator_peak(static_log, capsys):
 def test_fit_synthetic_noiseless_log_to_1e6(tmp_path, capsys):
     # log written directly from the parabola (positions unquantized)
     from steptrack.beacon import ParabolaParams, beacon_level
-    from steptrack.telemetry import TelemetryLog, TelemetryRecord, write_csv
+    from steptrack.telemetry import TelemetryLog, write_csv
 
     params = ParabolaParams(
         k_az=az_coeff_from_elevation(-11.4, 70.02), k_el=-11.4,
@@ -364,7 +365,7 @@ def test_fit_synthetic_noiseless_log_to_1e6(tmp_path, capsys):
     log = TelemetryLog()
     for i, (az, el) in enumerate(rng_positions):
         level = beacon_level(params, az, el)
-        log.append(TelemetryRecord(i * 0.02, az, el, az, el, level, 5.0, "acquire", 0))
+        log.append(i * 0.02, az, el, az, el, level, 5.0, "acquire", 0)
     path = tmp_path / "synthetic.csv"
     write_csv(log, str(path))
     assert main(["fit", str(path), "--k-y", "-11.4"]) == 0
@@ -411,6 +412,24 @@ def test_fit_removed_option_is_usage_error(static_log, capsys, option):
     assert "usage:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "option",
+    [
+        ["--forgetting", "0"],
+        ["--forgetting", "1.5"],
+        ["--forgetting", "nan"],
+        ["--forgetting", "5", "--mode", "batch-ls"],
+        ["--k-y", "0"],
+        ["--k-y", "nan"],
+    ],
+    ids=" ".join,
+)
+def test_fit_invalid_option_value_is_usage_error(static_log, capsys, option):
+    code = main(["fit", str(static_log), "--k-y", "-11.4", "--mode", "rls", *option])
+    assert code == 1
+    assert f"argument {option[0]}:" in capsys.readouterr().err
+
+
 def test_fit_missing_log_exits_one(tmp_path):
     assert main(["fit", str(tmp_path / "nope.csv"), "--k-y", "-11.4"]) == 1
 
@@ -418,11 +437,10 @@ def test_fit_missing_log_exits_one(tmp_path):
 # -- stats and trajectory --------------------------------------------------------------
 
 def test_stats_constant_synthetic(tmp_path, capsys):
-    from steptrack.telemetry import TelemetryLog, TelemetryRecord, write_csv
+    from steptrack.telemetry import TelemetryLog, write_csv
 
-    log = TelemetryLog(
-        TelemetryRecord(i * 1.0, 0, 0, 0, 0, 2.5, 5.0, "wait", 0) for i in range(10)
-    )
+    log = TelemetryLog()
+    log.extend(range(10), 0, 0, 0, 0, 2.5, 5.0, "wait", 0)
     path = tmp_path / "const.csv"
     write_csv(log, str(path))
     assert main(["stats", str(path)]) == 0

@@ -145,7 +145,7 @@ def test_recover_peak_at_origin():
 
 def test_recover_peak_degenerate_coefficient():
     with pytest.raises(DegenerateCoefficientsError):
-        recover_peak(np.array([1.0, 1.0, 1.0]), QuadraticCoefficients(-1e-6, -2.0), 0.01)
+        recover_peak(np.array([1.0, 1.0, 1.0]), QuadraticCoefficients(-1e-6, -2.0))
 
 
 def test_noiseless_exactness_randomized():
@@ -300,7 +300,7 @@ def test_rls_recover_fresh_state_is_origin():
 
 def test_rls_recover_degenerate_k():
     with pytest.raises(DegenerateCoefficientsError):
-        rls_recover(rls_init(0.98), QuadraticCoefficients(-0.001, -2.0), 0.01)
+        rls_recover(rls_init(0.98), QuadraticCoefficients(-0.001, -2.0))
 
 
 # -- memory horizon ----------------------------------------------------------------

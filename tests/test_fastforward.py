@@ -33,7 +33,7 @@ from steptrack.beacon import (
     beacon_level,
 )
 from steptrack.orbit import OrbitConfig, satellite_direction, satellite_direction_array
-from steptrack.telemetry import FIELDS, TelemetryLog, TelemetryRecord
+from steptrack.telemetry import FIELDS, TelemetryLog
 from steptrack.tracker import (
     PatternInfeasibleError,
     StepTracker,
@@ -66,17 +66,15 @@ def _stepped(orbit, plant, rx, config, duration, peak_level_db=None):
         if cmd is not None:
             plant = command(plant, cmd[0], cmd[1])
         log.append(
-            TelemetryRecord(
-                t=t,
-                commanded_az=plant.target_azimuth,
-                commanded_el=plant.target_elevation,
-                readback_az=sample.azimuth,
-                readback_el=sample.elevation,
-                beacon_db=sample.level,
-                receiver_volts=receiver_voltage(sample.level, rx),
-                phase=tracker.phase.value,
-                cycle_index=tracker.cycle_index,
-            )
+            t,
+            plant.target_azimuth,
+            plant.target_elevation,
+            sample.azimuth,
+            sample.elevation,
+            sample.level,
+            receiver_voltage(sample.level, rx),
+            tracker.phase.value,
+            tracker.cycle_index,
         )
         plant = tick(plant, dt)
     return log

@@ -1,9 +1,10 @@
 """Figure-8 orbit generator tests: parametrization, periodicity, topology."""
 
 
+import numpy as np
 import pytest
 
-from steptrack.orbit import OrbitConfig, orbit_trace, satellite_direction
+from steptrack.orbit import OrbitConfig, satellite_direction, satellite_direction_array
 
 
 def _default(**kw):
@@ -64,39 +65,29 @@ def test_drift_moves_major_axis():
     assert el == 72.0
 
 
-def test_trace_sample_count_and_endpoints():
-    config = _default()
-    trace = orbit_trace(config, 0.0, 10.0, 5.0)
-    assert [t for t, _, _ in trace] == [0.0, 5.0, 10.0]
+def _trace(config, step):
+    """Satellite azimuth and elevation sampled every ``step`` over one period."""
+    t = np.arange(round(config.period / step) + 1) * step
+    return satellite_direction_array(config, t)
 
 
 def test_trace_stationary_config():
     config = _default(azimuth_amplitude=0.0, elevation_amplitude=0.0)
-    trace = orbit_trace(config, 0.0, 50.0, 2.5)
-    assert all((az, el) == (180.0, 72.0) for _, az, el in trace)
+    az, el = _trace(config, 2.5)
+    assert (az == 180.0).all() and (el == 72.0).all()
 
 
 def test_trace_extrema_span_twice_amplitude():
     config = _default()
-    trace = orbit_trace(config, 0.0, config.period, config.period / 4096.0)
-    azs = [az for _, az, _ in trace]
-    assert max(azs) - min(azs) == pytest.approx(30.0, abs=1e-6)
+    az, _ = _trace(config, config.period / 4096.0)
+    assert az.max() - az.min() == pytest.approx(30.0, abs=1e-6)
 
 
 def test_trace_crosses_center_azimuth_twice_per_period():
     config = _default(phase=0.3)
-    trace = orbit_trace(config, 0.0, config.period, 0.25)
-    signs = [1 if az > 180.0 else -1 for _, az, _ in trace if az != 180.0]
-    crossings = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    assert crossings == 2
-
-
-def test_trace_rejects_bad_step():
-    config = _default()
-    with pytest.raises(ValueError):
-        orbit_trace(config, 0.0, 10.0, 0.0)
-    with pytest.raises(ValueError):
-        orbit_trace(config, 10.0, 10.0, 1.0)
+    az, _ = _trace(config, 0.25)
+    signs = np.sign(az[az != 180.0] - 180.0)
+    assert np.count_nonzero(signs[1:] != signs[:-1]) == 2
 
 
 def test_config_validation():

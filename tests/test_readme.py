@@ -28,3 +28,11 @@ def test_readme_library_names_are_exported():
     assert names and names <= set(steptrack.__all__)
     for name in names:
         assert hasattr(steptrack, name)
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the example writes run.csv to the working directory
+    exec(_block("python"), {})
+    assert capsys.readouterr().out.startswith("BeaconStats(mean=")
+    with open(tmp_path / "run.csv") as fh:
+        assert sum(1 for _ in fh) == 1 + 180_000  # header, one row per 20 ms of 1 h

@@ -1,6 +1,7 @@
 """Telemetry log tests: ordering, statistics, trajectory, CSV round trip."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,10 +14,8 @@ from steptrack.telemetry import (
     FIELDS,
     PHASES,
     TelemetryLog,
-    TelemetryRecord,
     beacon_stats,
     extract_trajectory,
-    format_float,
     format_floats,
     read_csv,
     time_window,
@@ -24,52 +23,66 @@ from steptrack.telemetry import (
 )
 
 
-def _record(t, level=0.0, az=180.0, el=72.0):
-    return TelemetryRecord(
-        t=t,
-        commanded_az=az,
-        commanded_el=el,
-        readback_az=az,
-        readback_el=el,
-        beacon_db=level,
-        receiver_volts=5.0,
-        phase="wait",
-        cycle_index=0,
-    )
+def _log(t, level=0.0, az=180.0, el=72.0):
+    """A log of "wait" rows at times ``t``; the other columns are one value
+    or one per row."""
+    log = TelemetryLog()
+    log.extend(t, az, el, az, el, level, 5.0, "wait", 0)
+    return log
+
+
+def _columns(log):
+    return {name: log.column(name).tolist() for name in FIELDS}
+
+
+WAIT = PHASES.index("wait")
+# Every field of one row after the time.
+REST = (180.0, 72.0, 180.0, 72.0, 0.0, 5.0, "wait", 0)
 
 
 def test_append_grows_log():
     log = TelemetryLog()
-    log.append(_record(0.0))
+    log.append(0.0, *REST)
     assert len(log) == 1
 
 
 def test_append_rejects_equal_time():
-    log = TelemetryLog([_record(1.0)])
+    log = _log([1.0])
     with pytest.raises(ValueError):
-        log.append(_record(1.0))
+        log.append(1.0, *REST)
 
 
 def test_append_rejects_backward_time():
-    log = TelemetryLog([_record(2.0)])
+    log = _log([2.0])
     with pytest.raises(ValueError):
-        log.append(_record(1.5))
+        log.append(1.5, *REST)
 
 
 def test_append_preserves_order():
-    records = [_record(i * 0.02) for i in range(100)]
-    log = TelemetryLog(records)
-    assert list(log) == records
+    log = TelemetryLog()
+    for i in range(100):
+        log.append(i * 0.02, 180.0 + i, 72.0, 180.0 - i, 72.5, i / 3, 5.0, PHASES[i % 4], i)
+    assert _columns(log) == {
+        "t": [i * 0.02 for i in range(100)],
+        "commanded_az": [180.0 + i for i in range(100)],
+        "commanded_el": [72.0] * 100,
+        "readback_az": [180.0 - i for i in range(100)],
+        "readback_el": [72.5] * 100,
+        "beacon_db": [i / 3 for i in range(100)],
+        "receiver_volts": [5.0] * 100,
+        "phase": [i % 4 for i in range(100)],
+        "cycle_index": list(range(100)),
+    }
 
 
 def test_stats_constant_level():
-    log = TelemetryLog([_record(i, level=2.5) for i in range(10)])
+    log = _log(range(10), level=2.5)
     stats = beacon_stats(log)
     assert stats == (2.5, 0.0, 2.5, 2.5)
 
 
 def test_stats_two_levels():
-    log = TelemetryLog([_record(0.0, level=1.0), _record(1.0, level=3.0)])
+    log = _log([0.0, 1.0], level=[1.0, 3.0])
     stats = beacon_stats(log)
     assert stats.mean == 2.0
     assert stats.stddev == 1.0  # population, divide by N
@@ -78,12 +91,12 @@ def test_stats_two_levels():
 
 def test_stats_full_window_equals_whole_log():
     rng = np.random.default_rng(2)
-    log = TelemetryLog([_record(i, level=rng.normal()) for i in range(50)])
+    log = _log(range(50), level=rng.normal(size=50))
     assert beacon_stats(log) == beacon_stats(log, 0.0, 49.0)
 
 
 def test_stats_empty_window_rejected():
-    log = TelemetryLog([_record(0.0)])
+    log = _log([0.0])
     with pytest.raises(ValueError):
         beacon_stats(log, 10.0, 20.0)
 
@@ -91,7 +104,7 @@ def test_stats_empty_window_rejected():
 def test_stats_pooled_windows_match_oracle():
     rng = np.random.default_rng(8)
     levels = rng.normal(2.0, 1.3, 60)
-    log = TelemetryLog([_record(i, level=lv) for i, lv in enumerate(levels)])
+    log = _log(range(60), level=levels)
     a = beacon_stats(log, 0, 29)
     b = beacon_stats(log, 30, 59)
     whole = beacon_stats(log)
@@ -111,7 +124,7 @@ BOUNDS = [None, -1.0, 0.0, 2.5, 3.0, 9.0, 12.0, math.nan, math.inf, -math.inf]
 @pytest.mark.parametrize("t0", BOUNDS)
 @pytest.mark.parametrize("t1", BOUNDS)
 def test_time_window_selects_inclusive_range(t0, t1):
-    log = TelemetryLog([_record(float(i)) for i in range(10)])
+    log = _log(range(10))
     inside = [
         i for i in range(10) if (t0 is None or i >= t0) and (t1 is None or i <= t1)
     ]
@@ -119,64 +132,60 @@ def test_time_window_selects_inclusive_range(t0, t1):
 
 
 def test_trajectory_decimation_one_keeps_all():
-    log = TelemetryLog([_record(i, az=float(i)) for i in range(10)])
-    assert len(extract_trajectory(log, 1)) == 10
+    az, el = extract_trajectory(_log(range(10), az=np.arange(10.0)), 1)
+    assert (len(az), len(el)) == (10, 10)
 
 
 def test_trajectory_decimation_equal_length_single_point():
-    log = TelemetryLog([_record(i, az=float(i)) for i in range(10)])
-    points = extract_trajectory(log, 10)
-    assert points == [(0.0, 72.0)]
+    az, el = extract_trajectory(_log(range(10), az=np.arange(10.0)), 10)
+    assert (az.tolist(), el.tolist()) == ([0.0], [72.0])
 
 
 def test_trajectory_stride():
-    log = TelemetryLog([_record(i, az=float(i)) for i in range(10)])
-    points = extract_trajectory(log, 3)
-    assert [p[0] for p in points] == [0.0, 3.0, 6.0, 9.0]
+    az, _ = extract_trajectory(_log(range(10), az=np.arange(10.0)), 3)
+    assert az.tolist() == [0.0, 3.0, 6.0, 9.0]
 
 
 def test_trajectory_rejects_zero_decimation():
-    log = TelemetryLog([_record(0.0)])
     with pytest.raises(ValueError):
-        extract_trajectory(log, 0)
+        extract_trajectory(_log([0.0]), 0)
 
 
 def test_format_float_pads_to_six_decimals():
-    assert format_float(0.02) == "0.020000"
-    assert format_float(5.0) == "5.000000"
+    assert format_floats([0.02, 5.0]) == ["0.020000", "5.000000"]
 
 
 def test_format_float_keeps_full_precision():
     value = 0.1 + 0.2  # 0.30000000000000004
-    assert float(format_float(value)) == value
+    assert float(format_floats([value])[0]) == value
 
 
 def test_csv_round_trip_bit_exact(tmp_path):
     # deliberately awkward values: accumulated 0.02 steps, thirds, negatives
-    records = []
-    t = 0.0
-    for i in range(200):
-        records.append(
-            TelemetryRecord(
-                t=t,
-                commanded_az=180.0 + i / 3.0,
-                commanded_el=72.0 - i / 7.0,
-                readback_az=(i * 360.0 / 65536.0),
-                readback_el=5.0 + i * 0.013,
-                beacon_db=-24.0 + i * 0.1500001,
-                receiver_volts=min(10.0, i * 0.05),
-                phase="acquire" if i % 3 else "wait",
-                cycle_index=i // 50,
-            )
-        )
-        t += 0.02
-    log = TelemetryLog(records)
+    t = []
+    acc = 0.0
+    for _ in range(200):
+        t.append(acc)
+        acc += 0.02
+    i = np.arange(200)
+    log = TelemetryLog()
+    log.extend(
+        t,
+        180.0 + i / 3.0,
+        72.0 - i / 7.0,
+        i * 360.0 / 65536.0,
+        5.0 + i * 0.013,
+        -24.0 + i * 0.1500001,
+        np.minimum(10.0, i * 0.05),
+        np.where(i % 3, "acquire", "wait"),
+        i // 50,
+    )
     path = tmp_path / "log.csv"
     write_csv(log, str(path))
     back = read_csv(str(path))
     assert len(back) == len(log)
-    for orig, loaded in zip(log, back):
-        assert orig == loaded  # bit-exact floats, exact strings/ints
+    for name in FIELDS:  # bit-exact floats, exact phases and ints
+        assert back.column(name).tobytes() == log.column(name).tobytes(), name
 
 
 def test_read_csv_rejects_foreign_header(tmp_path):
@@ -197,9 +206,8 @@ def _read_text(tmp_path, text):
 
 def test_read_csv_accepts_crlf_line_endings(tmp_path):
     log = _read_text(tmp_path, CSV_HEADER + "\r\n" + ROW + "\r\n")
-    assert list(log) == [
-        TelemetryRecord(0.5, 180.25, 72.0, 180.0, -72.5, 5.5, 6.0, "wait", 3)
-    ]
+    values = [0.5, 180.25, 72.0, 180.0, -72.5, 5.5, 6.0, WAIT, 3]
+    assert _columns(log) == {name: [v] for name, v in zip(FIELDS, values)}
 
 
 def test_read_csv_skips_blank_lines(tmp_path):
@@ -251,7 +259,7 @@ def test_read_csv_rejects_unknown_phase(tmp_path, phase):
 
 
 def test_read_csv_rejects_non_monotonic_time(tmp_path):
-    log = TelemetryLog([_record(1.0), _record(2.0)])
+    log = _log([1.0, 2.0])
     path = tmp_path / "log.csv"
     write_csv(log, str(path))
     lines = path.read_text().splitlines()
@@ -267,10 +275,11 @@ def test_read_csv_rejects_repeated_time(tmp_path):
 
 def test_read_csv_reads_nan_and_inf_tokens(tmp_path):
     line = "0.5,nan,72.0,inf,-inf,NaN,Infinity,wait,3"
-    record = _read_text(tmp_path, f"{CSV_HEADER}\n{line}\n")[0]
-    assert math.isnan(record.commanded_az) and math.isnan(record.beacon_db)
-    assert record.readback_az == math.inf and record.readback_el == -math.inf
-    assert record.receiver_volts == math.inf
+    log = _read_text(tmp_path, f"{CSV_HEADER}\n{line}\n")
+    row = {name: value for name, (value,) in _columns(log).items()}
+    assert math.isnan(row["commanded_az"]) and math.isnan(row["beacon_db"])
+    assert row["readback_az"] == math.inf and row["readback_el"] == -math.inf
+    assert row["receiver_volts"] == math.inf
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
@@ -302,22 +311,30 @@ def test_csv_round_trip_bit_exact_property(tmp_path_factory, log):
 
 
 def test_unknown_phase_rejected():
-    with pytest.raises(ValueError, match="phase"):
-        TelemetryLog([_record(0.0)._replace(phase="idle")])
+    # One name and a sequence of names fail alike, naming the first unknown.
+    message = re.escape(f"unknown phase 'idle', expected one of {PHASES}")
+    with pytest.raises(ValueError, match=message):
+        TelemetryLog().append(0.0, *REST[:-2], "idle", 0)
+    with pytest.raises(ValueError, match=message):
+        _log([0.0, 1.0, 2.0]).extend([3.0, 4.0], *REST[:-2], ["wait", "idle"], 0)
 
 
 def test_extend_equals_appends():
-    rows = [_record(i * 0.5, level=float(i), az=180.0 + i) for i in range(5)]
-    log = TelemetryLog([rows[0]])
-    t = [r.t for r in rows[1:]]
-    az = [r.commanded_az for r in rows[1:]]
-    db = np.array([r.beacon_db for r in rows[1:]])
-    log.extend(t, az, 72.0, az, 72.0, db, 5.0, "wait", 0)
-    assert list(log) == rows
+    rows = [(i * 0.5, 180.0 + i, 72.0, 180.0 + i, 72.0, float(i), 5.0, "wait", 0)
+            for i in range(5)]
+    appended = TelemetryLog()
+    for row in rows:
+        appended.append(*row)
+    log = TelemetryLog()
+    log.append(*rows[0])
+    t, az, _, _, _, db, _, _, _ = zip(*rows[1:])
+    log.extend(t, az, 72.0, az, 72.0, np.array(db), 5.0, "wait", 0)
+    assert _columns(log) == _columns(appended)
+    assert log.column("t").tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
 
 
 def test_extend_rejects_non_monotonic_time():
-    log = TelemetryLog([_record(1.0)])
+    log = _log([1.0])
     with pytest.raises(ValueError):
         log.extend([1.0, 2.0], 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, "wait", 0)
     with pytest.raises(ValueError):
@@ -325,18 +342,8 @@ def test_extend_rejects_non_monotonic_time():
     assert len(log) == 1
 
 
-def test_indexing_and_slicing():
-    records = [_record(float(i), level=float(i)) for i in range(10)]
-    log = TelemetryLog(records)
-    assert log[0] == records[0]
-    assert log[-1] == records[-1]
-    assert list(log[2:8:3]) == records[2:8:3]
-    with pytest.raises(IndexError):
-        log[10]
-
-
 def test_column_is_a_read_only_view():
-    log = TelemetryLog([_record(0.0, level=1.5), _record(1.0, level=2.5)])
+    log = _log([0.0, 1.0], level=[1.5, 2.5])
     levels = log.column("beacon_db")
     assert levels.tolist() == [1.5, 2.5]
     with pytest.raises(ValueError):
@@ -363,25 +370,25 @@ def test_write_csv_matches_row_wise_reference(tmp_path):
     n = 10_000
     hold = np.repeat(rng.normal(size=n // 100), 100)
     zeros = np.where(np.arange(n) % 3 == 0, -0.0, 0.0)
-    phases = ["acquire", "estimate", "move", "wait"]
-    records = [
-        TelemetryRecord(
-            t=i * 0.02,
-            commanded_az=float(hold[i]),
-            commanded_el=float(zeros[i]),
-            readback_az=float(hold[i]) + 1e-7,
-            readback_el=72.0,
-            beacon_db=float(rng.normal()),
-            receiver_volts=float(rng.uniform(0.0, 10.0)),
-            phase=phases[(i // 700) % 4],
-            cycle_index=i // 2800 - 1,
+    rows = [
+        (
+            i * 0.02,
+            float(hold[i]),
+            float(zeros[i]),
+            float(hold[i]) + 1e-7,
+            72.0,
+            float(rng.normal()),
+            float(rng.uniform(0.0, 10.0)),
+            PHASES[(i // 700) % 4],
+            i // 2800 - 1,
         )
         for i in range(n)
     ]
+    log = TelemetryLog()
+    log.extend(*zip(*rows))
     path = tmp_path / "log.csv"
-    write_csv(TelemetryLog(records), str(path))
+    write_csv(log, str(path))
     want = [CSV_HEADER] + [
-        ",".join([_reference_format(v) for v in r[:7]] + [r.phase, str(r.cycle_index)])
-        for r in records
+        ",".join([_reference_format(v) for v in r[:7]] + [r[7], str(r[8])]) for r in rows
     ]
     assert path.read_text() == "\n".join(want) + "\n"

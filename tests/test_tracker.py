@@ -10,6 +10,7 @@ import steptrack as st
 from steptrack.antenna import AxisLimitError, command, measure, tick
 from steptrack.beacon import ParabolaParams, az_coeff_from_elevation
 from steptrack.orbit import satellite_direction
+from steptrack.telemetry import FIELDS, PHASES
 from steptrack.tracker import (
     PatternInfeasibleError,
     StepTracker,
@@ -203,9 +204,10 @@ def test_wait_phase_issues_no_commands():
     rx = st.ReceiverConfig(noise_sigma=0.0)
     config = TrackerConfig(cycle_period=60.0)
     log = run_scenario(orbit, plant, rx, config, 60.0, peak_level_db=6.0)
-    waiting = [r for r in log if r.phase == "wait" and r.t > 10.0]
-    assert len(waiting) > 100
-    assert len({(r.commanded_az, r.commanded_el) for r in waiting}) == 1
+    waiting = (log.column("phase") == PHASES.index("wait")) & (log.column("t") > 10.0)
+    assert np.count_nonzero(waiting) > 100
+    commands = zip(log.column("commanded_az")[waiting], log.column("commanded_el")[waiting])
+    assert len(set(commands)) == 1
 
 
 # -- scenario runs ---------------------------------------------------------------
@@ -237,7 +239,9 @@ def test_run_scenario_deterministic():
     config = TrackerConfig(cycle_period=15.0)
     a = run_scenario(orbit, plant, rx, config, 40.0, peak_level_db=6.0)
     b = run_scenario(orbit, plant, rx, config, 40.0, peak_level_db=6.0)
-    assert list(a) == list(b)
+    assert len(a) == len(b)
+    for name in FIELDS:
+        assert a.column(name).tobytes() == b.column(name).tobytes(), name
 
 
 def test_run_scenario_rejects_cycle_shorter_than_pattern():
@@ -285,11 +289,22 @@ def test_run_scenario_checks_first_pattern_around_readback():
         run_scenario(orbit, plant, st.ReceiverConfig(), TrackerConfig(), 60.0)
 
 
-@pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+# 1e300 s is finite, but numpy refuses its row count before allocating.
+@pytest.mark.parametrize("duration", [float("nan"), float("inf"), 1e300])
 def test_run_scenario_rejects_non_finite_duration(duration):
     orbit, plant, rx, config = _small_scenario()
     with pytest.raises(ValueError, match="duration"):
         run_scenario(orbit, plant, rx, config, duration)
+
+
+def test_run_scenario_reports_rows_it_cannot_allocate(monkeypatch):
+    def no_memory(*, capacity):
+        raise MemoryError(f"cannot allocate {capacity} rows")
+
+    monkeypatch.setattr("steptrack.tracker.TelemetryLog", no_memory)
+    orbit, plant, rx, config = _small_scenario()
+    with pytest.raises(ValueError, match="duration 60.0 s needs 3000 telemetry rows"):
+        run_scenario(orbit, plant, rx, config, 60.0)
 
 
 def test_phase_order_never_violated():
@@ -306,14 +321,14 @@ def test_phase_order_never_violated():
         ("move", "wait"),
         ("wait", "acquire"),
     }
-    transitions = [
-        (a.phase, b.phase) for a, b in zip(log, log[1:]) if a.phase != b.phase
-    ]
+    names = [PHASES[code] for code in log.column("phase").tolist()]
+    transitions = [(a, b) for a, b in zip(names, names[1:]) if a != b]
     assert transitions, "expected at least one transition"
     assert set(transitions) <= allowed
     # exactly one estimate phase per completed cycle
-    for cycle, group in itertools.groupby(log, key=lambda r: r.cycle_index):
-        phases = [r.phase for r in group]
+    rows = zip(log.column("cycle_index").tolist(), names)
+    for cycle, group in itertools.groupby(rows, key=lambda row: row[0]):
+        phases = [phase for _, phase in group]
         blocks = [p for p, _ in itertools.groupby(phases)]
         if blocks[-1] == "wait" and "acquire" in blocks:  # completed cycle
             assert blocks.count("estimate") == 1
@@ -380,13 +395,16 @@ def test_sawtooth_post_move_not_below_pre_cycle_level():
     rx = st.ReceiverConfig(noise_sigma=0.0)
     config = TrackerConfig(cycle_period=60.0)
     log = run_scenario(orbit, plant, rx, config, 360.0, peak_level_db=6.0)
-    waits = []
-    for key, group in itertools.groupby(log, key=lambda r: (r.phase, r.cycle_index)):
-        if key[0] == "wait":
+    phase, cycle, db = (
+        log.column(name).tolist() for name in ("phase", "cycle_index", "beacon_db")
+    )
+    waits = []  # the row indices of each wait
+    for key, group in itertools.groupby(range(len(log)), key=lambda i: (phase[i], cycle[i])):
+        if key[0] == PHASES.index("wait"):
             waits.append(list(group))
     assert len(waits) >= 4
     for before, after in zip(waits, waits[1:]):
-        assert after[0].beacon_db >= before[-1].beacon_db - 1e-9
+        assert db[after[0]] >= db[before[-1]] - 1e-9
 
 
 def test_figure8_commanded_trace(caplog):
@@ -397,10 +415,11 @@ def test_figure8_commanded_trace(caplog):
     rx = st.ReceiverConfig(noise_sigma=0.0)
     config = TrackerConfig(cycle_period=10.0, rect_half_width_el=0.03)
     log = run_scenario(orbit, plant, rx, config, 600.0, peak_level_db=6.0)
-    cmd_az = [r.commanded_az for r in log]
-    cmd_el = [r.commanded_el for r in log]
+    cmd_az = log.column("commanded_az").tolist()
+    cmd_el = log.column("commanded_el").tolist()
     az_pp = max(cmd_az) - min(cmd_az)
     el_pp = max(cmd_el) - min(cmd_el)
     assert abs(az_pp - 32.0) / 32.0 < 0.10
     assert abs(el_pp - 1.2) / 1.2 < 0.10
-    assert all(0.0 <= r.receiver_volts <= 10.0 for r in log)
+    volts = log.column("receiver_volts")
+    assert ((0.0 <= volts) & (volts <= 10.0)).all()
