@@ -202,7 +202,7 @@ def _cmd_trajectory(args) -> int:
     try:
         with open(args.output, "w", newline="") as fh:
             fh.write("readback_az_deg,readback_el_deg\n")
-            texts = zip(format_floats(az.tolist()), format_floats(el.tolist()))
+            texts = zip(format_floats(az), format_floats(el))
             fh.writelines(f"{a},{e}\n" for a, e in texts)
     except OSError as exc:
         print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)

@@ -7,6 +7,7 @@ import pytest
 
 from steptrack.antenna import AntennaState, ReceiverConfig
 from steptrack.beacon import az_coeff_from_elevation
+from steptrack import telemetry
 from steptrack.cli import main
 from steptrack.scenario import (
     _FALLBACKS,
@@ -275,6 +276,24 @@ def test_simulate_non_finite_duration_exits_one(minimal_scenario, tmp_path, caps
     assert code == 1
     assert "duration" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_simulate_failing_csv_writer_exits_one(tmp_path, monkeypatch, capsys):
+    # Three write blocks, forced onto two writer processes; the forked one fails.
+    monkeypatch.setattr(telemetry, "_MIN_FORK_ROWS", 1)
+    monkeypatch.setattr(telemetry, "_available_cpus", lambda: 2)
+    real = telemetry._write_rows
+
+    def write_rows(cols, lo, hi, out):
+        if lo:
+            raise RuntimeError("writer failed")
+        real(cols, lo, hi, out)
+
+    monkeypatch.setattr(telemetry, "_write_rows", write_rows)
+    out = tmp_path / "run.csv"
+    code = main(["simulate", "desk_figure8", "--duration-s", "200", "--output", str(out)])
+    assert code == 1
+    assert "error: cannot write" in capsys.readouterr().err
 
 
 def test_simulate_missing_field_exits_one(tmp_path, capsys):

@@ -1,14 +1,16 @@
 """Telemetry log tests: ordering, statistics, trajectory, CSV round trip."""
 
 import math
+import os
 import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from steptrack import telemetry
 from steptrack.telemetry import (
     CSV_HEADER,
     FIELDS,
@@ -359,7 +361,32 @@ def _reference_format(value):
     return s
 
 
-@given(values=st.lists(st.floats() | st.sampled_from([0.0, -0.0, 1e-5, 1e16, 0.02])))
+# Values with few decimals, which take the '%.6f' path when under 1e9:
+# rounded to 0-8 decimals at magnitudes from 1e-5 to 1e18, and the 24 h
+# run's time grid.
+few_decimals = st.builds(
+    lambda mantissa, exponent, decimals: float(np.round(mantissa * 10.0**exponent, decimals)),
+    st.floats(-10.0, 10.0),
+    st.integers(-5, 17),
+    st.integers(0, 8),
+) | st.builds(lambda i: i * 0.02, st.integers(0, 4_320_000))
+# The bounds of the '%.6f' path and their neighbours.
+EDGES = [
+    1e-4, float(np.nextafter(1e-4, 0)), float(np.nextafter(1e-4, 1)), 0.000123, 0.0001234,
+    float(np.nextafter(1e9, 0)), 1e9, float(np.nextafter(1e9, 2e9)), 999999999.5,
+    1000000000.5, 1e16, float(np.nextafter(1e16, 0)), 0.0, -0.0, math.nan,
+    math.inf, -math.inf,
+]
+
+
+@given(
+    values=st.lists(st.floats() | st.sampled_from([0.0, -0.0, 1e-5, 1e16, 0.02]))
+    | st.lists(few_decimals)
+)
+@example(values=EDGES)
+@example(values=[-v for v in EDGES])
+@example(values=[0.02, 5.0, -0.0])
+@example(values=[0.1 + 0.2, math.nan])
 def test_format_floats_matches_one_at_a_time(values):
     assert format_floats(values) == [_reference_format(v) for v in values]
 
@@ -392,3 +419,112 @@ def test_write_csv_matches_row_wise_reference(tmp_path):
         ",".join([_reference_format(v) for v in r[:7]] + [r[7], str(r[8])]) for r in rows
     ]
     assert path.read_text() == "\n".join(want) + "\n"
+
+
+def _blocks_log(n=3 * 4096 + 100):
+    """A log over several write blocks, with runs, -0.0 and a part-filled last block."""
+    rng = np.random.default_rng(9)
+    i = np.arange(n)
+    log = TelemetryLog()
+    log.extend(
+        i * 0.02,
+        np.repeat(rng.normal(180.0, 1.0, n // 500 + 1), 500)[:n],
+        np.where(i % 5 == 0, -0.0, 0.0),
+        np.round(rng.uniform(170.0, 190.0, n) / 0.005) * 0.005,
+        72.0,
+        rng.normal(5.0, 0.3, n),
+        np.minimum(10.0, rng.uniform(8.0, 12.0, n)),
+        np.array(PHASES)[(i // 700) % 4],
+        i // 2800,
+    )
+    return log
+
+
+def _cols(log):
+    return [log.column(name) for name in FIELDS]
+
+
+def _force_writers(monkeypatch, cpus):
+    monkeypatch.setattr(telemetry, "_MIN_FORK_ROWS", 1)
+    monkeypatch.setattr(telemetry, "_available_cpus", lambda: cpus)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_forked_writers_match_one_process(tmp_path, monkeypatch, cpus):
+    log = _blocks_log()
+    one = tmp_path / "one.csv"
+    assert len(telemetry._row_ranges(_cols(log))) == 1  # below the fork threshold
+    write_csv(log, str(one))
+    _force_writers(monkeypatch, cpus)
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    many = tmp_path / "many.csv"
+    write_csv(log, str(many))
+    assert len(forks) == cpus - 1
+    assert many.read_bytes() == one.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["many.csv", "one.csv"]
+
+
+def test_row_ranges_share_out_the_values_to_format(monkeypatch):
+    _force_writers(monkeypatch, 3)
+    # The level holds for the first half and varies row by row after it,
+    # so a row there costs two values to format (time and level), not one.
+    n = 12 * 4096 + 7
+    i = np.arange(n)
+    log = _log(i * 0.02, level=np.where(i < n // 2, 5.0, i * 0.001))
+    assert telemetry._row_ranges(_cols(log)) == [
+        (0, 7 * 4096), (7 * 4096, 10 * 4096), (10 * 4096, n)
+    ]
+    assert telemetry._row_ranges(_cols(TelemetryLog())) == [(0, 0)]
+    monkeypatch.delattr(os, "fork")
+    assert telemetry._row_ranges(_cols(log)) == [(0, n)]
+
+
+def test_no_writers_without_temp_space(tmp_path, monkeypatch):
+    log = _blocks_log()
+    one = tmp_path / "one.csv"
+    write_csv(log, str(one))
+    _force_writers(monkeypatch, 3)
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked without temp space"))
+    path = tmp_path / "log.csv"
+    write_csv(log, str(path))
+    assert path.read_bytes() == one.read_bytes()
+
+
+def _fail_rows(monkeypatch, failing):
+    """Make ``_write_rows`` raise for the ranges whose start ``failing`` picks."""
+    real = telemetry._write_rows
+
+    def write_rows(cols, lo, hi, out):
+        if failing(lo):
+            raise RuntimeError(f"cannot format rows from {lo}")
+        real(cols, lo, hi, out)
+
+    monkeypatch.setattr(telemetry, "_write_rows", write_rows)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_failing_writer_raises_and_leaves_nothing(tmp_path, monkeypatch, capfd):
+    _force_writers(monkeypatch, 3)
+    _fail_rows(monkeypatch, lambda lo: lo > 0)
+    path = tmp_path / "log.csv"
+    with pytest.raises(OSError, match="exited with code 1"):
+        write_csv(_blocks_log(), str(path))
+    _assert_no_child_left()
+    assert os.listdir(tmp_path) == ["log.csv"]
+    assert "RuntimeError: cannot format rows from" in capfd.readouterr().err
+
+
+def test_failing_parent_kills_and_reaps_writers(tmp_path, monkeypatch):
+    _force_writers(monkeypatch, 3)
+    _fail_rows(monkeypatch, lambda lo: lo == 0)
+    with pytest.raises(RuntimeError, match="rows from 0"):
+        write_csv(_blocks_log(), str(tmp_path / "log.csv"))
+    _assert_no_child_left()
+    assert os.listdir(tmp_path) == ["log.csv"]
