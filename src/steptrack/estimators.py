@@ -22,7 +22,11 @@ follow a slowly moving peak.
 
 The per-sample forms ``regression_row``, ``ls_fit`` and ``rls_update``
 are the references the array forms match bit for bit; ``rls_update`` and
-``rls_run`` share the one RLS recursion, ``_rls_step``.
+``rls_run`` share the one RLS recursion, ``_rls_step``. A filter that
+diverges (a gain matrix wound up by a long stationary window) ends with
+every entry NaN; once a step gives such a state back bit for bit,
+``rls_run`` returns it without running the remaining rows, which would
+give the same bits again.
 """
 
 from __future__ import annotations
@@ -217,7 +221,12 @@ def rls_update(state: RlsState, row: RegressionRow) -> tuple[RlsState, float]:
 
 
 def rls_run(state: RlsState, x: np.ndarray, y: np.ndarray) -> RlsState:
-    """``rls_update`` over each row of regressors x (n, 3) and responses y, in order."""
+    """``rls_update`` over each row of regressors x (n, 3) and responses y, in order.
+
+    Returns early, with the same bits, once the state is an all-NaN fixed
+    point (see ``_nan_fixed_point``). Only a NaN residual triggers that
+    check, so a healthy run pays one float compare a row.
+    """
     finite = np.isfinite(x).all(axis=1) & np.isfinite(y)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -225,8 +234,23 @@ def rls_run(state: RlsState, x: np.ndarray, y: np.ndarray) -> RlsState:
         raise ValueError(f"non-finite regression row: {row}")
     coeffs, cov, lam = state.coeffs, state.cov, state.forgetting
     for xi, yi in zip(x, y.tolist()):
-        coeffs, cov, _ = _rls_step(coeffs, cov, lam, xi, yi)
+        new_coeffs, new_cov, residual = _rls_step(coeffs, cov, lam, xi, yi)
+        if residual != residual and _nan_fixed_point(coeffs, cov, new_coeffs, new_cov):  # NaN
+            break
+        coeffs, cov = new_coeffs, new_cov
     return RlsState(coeffs=coeffs, cov=cov, forgetting=lam)
+
+
+def _nan_fixed_point(*arrays: np.ndarray) -> bool:
+    """Whether every entry of the arrays holds one and the same NaN bit pattern.
+
+    Given the state before and after a step, this means the step gave the
+    state back bit for bit, all NaN. Every operation of any later step then
+    has a NaN operand (its rows are finite), so it returns the same bits
+    again, and the rest of the run can be skipped.
+    """
+    bits = np.concatenate([a.ravel() for a in arrays]).view(np.uint64)
+    return math.isnan(arrays[0].flat[0]) and bool((bits == bits[0]).all())
 
 
 def fit_peak(

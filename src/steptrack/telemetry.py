@@ -11,25 +11,32 @@ view of one, and ``len`` the row count.
 The CSV encoding writes floats at full round-trip precision (padded to at
 least six decimal places), so a written log reads back bit-exact and
 still drops straight into any plotting tool. ``write_csv`` and
-``read_csv`` work in fixed-size row blocks, so their memory does not
-grow with the log: ``read_csv`` parses each block of lines into columns
-with one ``np.loadtxt`` call. For a long log, ``write_csv`` forks up to
-one writer process per available CPU, each formatting a contiguous range
-of rows. While writing with W writers it holds up to (W-1)/W of the
-CSV's size in anonymous temp files in the output's directory.
+``read_csv`` work in fixed-size blocks (of rows, and of bytes on a grid
+fixed by the file), so their working memory does not grow with the log:
+``read_csv`` counts the lines first to size the columns once, then parses
+each block of lines with one ``np.loadtxt`` call. For a long log in a
+regular file, both fork up to one process per available CPU, each
+working on a contiguous range of blocks; one helper, ``_fork_each``,
+forks, reaps and kills them for both. Readers fill the columns in place
+through a shared anonymous mapping and need no temp file. While writing
+with W writers, ``write_csv`` holds up to (W-1)/W of the CSV's size in
+anonymous temp files in the output's directory.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
 import math
+import mmap
 import os
 import shutil
+import stat
 import sys
 import tempfile
 import traceback
 import warnings
-from typing import BinaryIO, Callable, NamedTuple, NoReturn, Optional
+from typing import BinaryIO, Callable, Iterator, NamedTuple, NoReturn, Optional
 
 import numpy as np
 
@@ -50,11 +57,14 @@ _DTYPES = (np.float64,) * 7 + (np.int8, np.int64)
 _CSV_ROW = np.dtype(
     list(zip(FIELDS, ("f8",) * 7 + (f"U{max(map(len, PHASES)) + 1}", "i8")))
 )
-# Rows per block when converting between columns and text: bounds the
-# Python objects alive at once to a few MB however long the log is.
+# Rows per block when converting between columns and text, and bytes
+# per block when reading text (about 128 bytes a row): bounds the Python
+# objects alive at once to a few MB however long the log is.
 _BLOCK_ROWS = 1 << 12
-# write_csv uses at most one writer per _MIN_FORK_ROWS rows of the log
-# (the ranges then share out the values to format). After a fork, each
+_BLOCK_BYTES = _BLOCK_ROWS * 128
+# write_csv and read_csv use at most one process per _MIN_FORK_ROWS rows
+# (the ranges then share out the values to format, or the bytes to
+# parse). Measured for the writers: after a fork, each
 # page the parent or a writer first writes is copied, which cost the
 # parent about 30 ms on a 15 k-row range. On a 2-core host, forking for
 # rapid_cycle's 30 k-row log (15 k rows a writer) made that workload 3-9 %
@@ -135,7 +145,7 @@ class TelemetryLog:
         if k == 0:
             return
         n = self._n
-        if not (np.diff(t) > 0).all() or (n and not t[0] > self._cols[0][n - 1]):
+        if not (t[1:] > t[:-1]).all() or (n and not t[0] > self._cols[0][n - 1]):
             last = self._cols[0][n - 1] if n else None
             raise ValueError(f"non-monotonic time in block starting {t[0]} after {last}")
         columns = (
@@ -300,19 +310,35 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _processes(rows: int, blocks: int) -> int:
+    """Processes for a job of ``rows`` rows in ``blocks`` blocks.
+
+    One per available CPU, but no more than one per ``_MIN_FORK_ROWS``
+    rows or per block, and a single one where ``os.fork`` is missing.
+    """
+    cpus = _available_cpus() if hasattr(os, "fork") else 1
+    return max(1, min(cpus, rows // _MIN_FORK_ROWS, blocks))
+
+
+def _split(costs: np.ndarray, parts: int) -> list[int]:
+    """Edges cutting the blocks into ``parts`` contiguous runs of about equal cost."""
+    if parts == 1:
+        return [0, len(costs)]
+    done = np.cumsum(costs)
+    cuts = np.searchsorted(done, done[-1] * np.arange(1, parts) / parts) + 1
+    return [0, *cuts.tolist(), len(costs)]
+
+
 def _row_ranges(cols: list[np.ndarray]) -> list[tuple[int, int]]:
     """Contiguous row ranges on block boundaries, one per writer process.
 
-    One range per available CPU, but no more than one per
-    ``_MIN_FORK_ROWS`` rows, and a single range where ``os.fork`` is
-    missing. The ranges share out the values to format, not the rows: a
-    run of bit-identical values is formatted once, so a block where the
-    level and volts vary row by row costs more than one where they hold.
+    The ranges share out the values to format, not the rows: a run of
+    bit-identical values is formatted once, so a block where the level
+    and volts vary row by row costs more than one where they hold.
     """
     rows = len(cols[0])
-    writers = _available_cpus() if hasattr(os, "fork") else 1
     blocks = -(-rows // _BLOCK_ROWS)
-    writers = max(1, min(writers, rows // _MIN_FORK_ROWS, blocks))
+    writers = _processes(rows, blocks)
     if writers == 1:
         return [(0, rows)]
     # Runs of equal values in each block's float columns (what the block
@@ -322,20 +348,15 @@ def _row_ranges(cols: list[np.ndarray]) -> list[tuple[int, int]]:
         for col in cols[:7]:
             bits = col[start : start + _BLOCK_ROWS].view(np.uint64)
             values[i] += np.count_nonzero(bits[1:] != bits[:-1])
-    done = np.cumsum(values)
-    cuts = np.searchsorted(done, done[-1] * np.arange(1, writers) / writers) + 1
-    edges = [0, *np.minimum(cuts * _BLOCK_ROWS, rows).tolist(), rows]
+    edges = np.minimum(np.array(_split(values, writers)) * _BLOCK_ROWS, rows).tolist()
     return list(zip(edges, edges[1:]))
 
 
-def _write_rows_and_exit(
-    cols: list[np.ndarray], lo: int, hi: int, part: BinaryIO
-) -> NoReturn:
-    """Body of a forked writer: never returns into the caller's stack."""
+def _run_and_exit(work: Callable[[int], None], i: int) -> NoReturn:
+    """Body of a forked child: never returns into the caller's stack."""
     code = 1
     try:
-        _write_rows(cols, lo, hi, part)
-        part.flush()
+        work(i)
         code = 0
     except BaseException:
         traceback.print_exc()
@@ -344,51 +365,156 @@ def _write_rows_and_exit(
         os._exit(code)
 
 
+def _fork_each(work: Callable[[int], None], count: int, what: str) -> None:
+    """Run ``work(i)`` for each i below ``count``: 0 here, the others in forked children.
+
+    Raises OSError if a child exits non-zero (it prints its traceback to
+    stderr). Every child is reaped, and killed first if this process
+    fails, before this returns or raises. Children are forked, not
+    spawned, so they see the caller's arrays in place.
+    """
+    children = []  # pids not yet reaped
+    try:
+        for i in range(1, count):
+            pid = os.fork()
+            if pid == 0:
+                _run_and_exit(work, i)
+            children.append(pid)
+        work(0)
+        while children:
+            status = os.waitpid(children[0], 0)[1]
+            pid = children.pop(0)  # only once reaped, so the finally reaps the rest
+            code = os.waitstatus_to_exitcode(status)
+            if code:
+                raise OSError(f"CSV {what} process {pid} exited with code {code}")
+    except BaseException:
+        for pid in children:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, 9)  # SIGKILL; importing signal would add 0.7 MB of RSS
+        raise
+    finally:
+        for pid in children:
+            os.waitpid(pid, 0)
+
+
+def _is_regular(fh: BinaryIO) -> bool:
+    return stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+
+
 def write_csv(log: TelemetryLog, path: str) -> None:
     """Write the log as CSV, formatting row ranges on every available CPU.
 
     The parent writes the header and the first range straight to ``path``.
     Each other range is formatted by a forked writer into an anonymous
     temp file in ``path``'s directory, which the parent then appends in
-    row order. Raises OSError if a writer fails; every writer is reaped
-    (and killed, if the parent fails) before this returns or raises.
-    Writers are forked, not spawned, so they read the caller's columns
-    in place instead of receiving a pickled copy.
+    row order. Raises OSError if a writer fails. Only a regular file in a
+    writable directory gets writers: ``/dev/null`` or a pipe is written
+    in one process.
     """
     cols = [log.column(name) for name in FIELDS]
     folder = os.path.dirname(os.path.abspath(path))
-    # Where no temp file can go next to the output (say, /dev/null for a
-    # user), the parent writes every row.
-    ranges = _row_ranges(cols) if os.access(folder, os.W_OK) else [(0, len(log))]
-    (lo, hi), *forked = ranges
     with open(path, "wb") as out, contextlib.ExitStack() as parts:
+        forking = _is_regular(out) and os.access(folder, os.W_OK)
+        ranges = _row_ranges(cols) if forking else [(0, len(log))]
+        outs = [out] + [
+            parts.enter_context(tempfile.TemporaryFile(dir=folder)) for _ in ranges[1:]
+        ]
         out.write(CSV_HEADER.encode() + b"\n")
-        writers = []  # (pid, temp file) of each range not yet appended
+
+        def write(i: int) -> None:
+            _write_rows(cols, *ranges[i], outs[i])
+            outs[i].flush()
+
+        _fork_each(write, len(ranges), "writer")
+        for part in outs[1:]:
+            part.seek(0)
+            shutil.copyfileobj(part, out)
+
+
+def _skip_header(fh: BinaryIO) -> int:
+    """Check the header line and return the byte offset of the line after it.
+
+    The header ends at the first ``\\n``, ``\\r\\n`` or bare ``\\r``, as text
+    files split lines with ``newline=""``.
+    """
+    line = fh.readline()
+    cr = line.find(b"\r")
+    if cr >= 0 and line[cr + 1 : cr + 2] != b"\n":
+        line = line[: cr + 1]
+    header = line.decode().strip()
+    if header != CSV_HEADER:
+        raise ValueError(f"unrecognized telemetry header: {header!r}")
+    return len(line)
+
+
+def _blocks(fh: BinaryIO, pos: int, stop: float) -> Iterator[bytes]:
+    """The bytes of each block from the block edge ``pos`` to ``stop`` (an edge or EOF).
+
+    A block ends at the first line start (just after a ``\\n``) at or
+    after the next multiple of ``_BLOCK_BYTES``. So the edges depend on
+    the file alone, and reading from any edge gives the same blocks.
+    """
+    fh.seek(pos)
+    while pos < stop:
+        text = fh.read(min(pos - pos % _BLOCK_BYTES + _BLOCK_BYTES, stop) - pos)
+        if not text:
+            return
+        if not text.endswith(b"\n") and pos + len(text) < stop:
+            text += fh.readline()
+        pos += len(text)
+        yield text
+
+
+def _line_count(text: bytes) -> int:
+    """Lines in ``text``, split at ``\\n``, ``\\r\\n`` and bare ``\\r`` as
+    ``_read_blocks`` splits them."""
+    codes = np.frombuffer(text, np.uint8)  # counts several times faster than bytes.count
+    lines = int(np.count_nonzero(codes == ord("\n")))
+    if b"\r" in text:
+        lines += int(np.count_nonzero(codes == ord("\r"))) - text.count(b"\r\n")
+    return lines + (bool(text) and not text.endswith((b"\n", b"\r")))
+
+
+def _read_blocks(fh: BinaryIO, lo: int, hi: int, line_no: int, log: TelemetryLog) -> None:
+    """Parse the blocks from byte ``lo`` to ``hi`` into ``log``.
+
+    ``line_no`` is the number of the first line in the file. Raises the
+    ValueError of ``read_csv`` at the first bad block.
+    """
+    for text in _blocks(fh, lo, hi):
+        lines = io.StringIO(text.decode(), newline="").readlines()
         try:
-            for start, stop in forked:
-                part = parts.enter_context(tempfile.TemporaryFile(dir=folder))
-                pid = os.fork()
-                if pid == 0:
-                    _write_rows_and_exit(cols, start, stop, part)
-                writers.append((pid, part))
-            _write_rows(cols, lo, hi, out)
-            while writers:
-                pid, part = writers[0]
-                status = os.waitpid(pid, 0)[1]
-                writers.pop(0)  # only once reaped, so the finally reaps the rest
-                code = os.waitstatus_to_exitcode(status)
-                if code:
-                    raise OSError(f"CSV writer process {pid} exited with code {code}")
-                part.seek(0)
-                shutil.copyfileobj(part, out)
-        except BaseException:
-            for pid, _ in writers:
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(pid, 9)  # SIGKILL; importing signal would add 0.7 MB of RSS
-            raise
-        finally:
-            for pid, _ in writers:
-                os.waitpid(pid, 0)
+            with warnings.catch_warnings():
+                # A block of blank lines holds no data, which is fine.
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(
+                    lines, delimiter=",", comments=None, ndmin=1, dtype=_CSV_ROW
+                )
+        except ValueError as exc:
+            raise ValueError(
+                f"malformed telemetry line in the block from line {line_no}: {exc}"
+            ) from None
+        log.extend(*(rows[name] for name in FIELDS))
+        line_no += len(lines)
+
+
+def _shared_arrays(shapes: list[tuple[type, int]]) -> list[np.ndarray]:
+    """Arrays of the given dtypes and lengths in one anonymous shared mapping,
+    so forked children write into the caller's memory."""
+    sizes = [-(-np.dtype(dtype).itemsize * n // 8) * 8 for dtype, n in shapes]
+    buf = mmap.mmap(-1, max(1, sum(sizes)))
+    offsets = np.cumsum([0, *sizes[:-1]]).tolist()
+    return [
+        np.frombuffer(buf, dtype, n, offset)
+        for (dtype, n), offset in zip(shapes, offsets)
+    ]
+
+
+def _log_over(cols: list[np.ndarray], rows: int = 0) -> TelemetryLog:
+    """A log whose columns are ``cols`` themselves, holding their first ``rows`` rows."""
+    log = TelemetryLog()
+    log._cols, log._n = cols, rows
+    return log
 
 
 def read_csv(path: str) -> TelemetryLog:
@@ -396,29 +522,58 @@ def read_csv(path: str) -> TelemetryLog:
 
     Raises ValueError on a foreign header, a line that does not parse
     into the nine fields (``#`` starts no comment), an unknown phase or
-    time that does not strictly increase.
+    time that does not strictly increase: the first of these in the file,
+    however many readers share the work.
+
+    A first pass counts the lines of each block, so the columns are sized
+    once. A long regular file is then parsed in contiguous ranges of
+    blocks, one per available CPU: the parent parses the first and forked
+    readers the others, into columns in a shared mapping. Raises OSError
+    if a reader fails. Any other input, such as a pipe, is read whole
+    into memory and parsed in one process.
     """
-    log = TelemetryLog()
-    with open(path, "r", newline="") as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ValueError(f"unrecognized telemetry header: {header!r}")
-        line_no = 2
-        while True:
-            lines = fh.readlines(_BLOCK_ROWS * 128)  # about 128 bytes a row
-            if not lines:
-                break
-            try:
-                with warnings.catch_warnings():
-                    # A block of blank lines holds no data, which is fine.
-                    warnings.simplefilter("ignore", UserWarning)
-                    rows = np.loadtxt(
-                        lines, delimiter=",", comments=None, ndmin=1, dtype=_CSV_ROW
-                    )
-            except ValueError as exc:
-                raise ValueError(
-                    f"malformed telemetry line in the block from line {line_no}: {exc}"
-                ) from None
-            log.extend(*(rows[name] for name in FIELDS))
-            line_no += len(lines)
-    return log
+    with open(path, "rb") as fh:
+        regular = _is_regular(fh)
+        src = fh if regular else io.BytesIO(fh.read())
+        start = _skip_header(src)
+        edges, lines = [start], [0]  # of each block, and lines before it
+        for text in _blocks(src, start, math.inf):
+            edges.append(edges[-1] + len(text))
+            lines.append(lines[-1] + _line_count(text))
+        readers = _processes(lines[-1], len(edges) - 1) if regular else 1
+        bounds = _split(np.diff(edges), readers)
+        *cols, counts = _shared_arrays(
+            [(dtype, lines[-1]) for dtype in _DTYPES] + [(np.int64, readers)]
+        )
+
+        def read(i: int) -> None:
+            lo, hi = bounds[i], bounds[i + 1]
+            part = _log_over([col[lines[lo] : lines[hi]] for col in cols])
+            with open(path, "rb") if i else contextlib.nullcontext(src) as own:
+                try:
+                    _read_blocks(own, edges[lo], edges[hi], 2 + lines[lo], part)
+                except ValueError:
+                    if i == 0:
+                        raise  # the first range: the first error in the file
+                    counts[i] = -1
+                    return
+            counts[i] = len(part)
+
+        _fork_each(read, readers, "reader")
+        n = 0
+        if (counts >= 0).all():
+            # Each range starts at its first line's row: close the gaps
+            # that blank lines left.
+            for lo, got in zip(bounds, counts.tolist()):
+                if lines[lo] > n:
+                    for col in cols:
+                        col[n : n + got] = col[lines[lo] : lines[lo] + got]
+                n += got
+            t = cols[0][:n]
+            if (t[1:] > t[:-1]).all():
+                return _log_over(cols, n)
+        # A later range failed, or its times do not follow the range before
+        # it: reading the file in order raises the first error.
+        log = _log_over(cols)
+        _read_blocks(src, start, edges[-1], 2, log)
+        return log

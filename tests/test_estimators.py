@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from steptrack import estimators
 from steptrack.antenna import BeaconSample
 from steptrack.beacon import QuadraticCoefficients, beacon_level, ParabolaParams
 from steptrack.estimators import (
@@ -419,6 +420,60 @@ def test_rls_run_rejects_non_finite_row_like_rls_update(bad):
         rls_run(state, x, y)
     assert str(from_run.value) == str(from_update.value)
     assert "non-finite regression row" in str(from_run.value)
+
+
+def test_rls_run_stops_once_the_state_is_a_nan_fixed_point(monkeypatch):
+    # The windup data above: the recursion goes all-NaN well before its
+    # last row, and every later step would give the same bits back.
+    rng = np.random.default_rng(12)
+    corners = np.repeat([(-0.2, -0.05), (0.2, -0.05), (0.2, 0.05), (-0.2, 0.05)], 50, 0)
+    pos = np.vstack([corners, np.tile([(0.01, -0.02)], (36_000, 1))])
+    level = 6.0 + 0.2 * rng.standard_normal(len(pos))
+    state = rls_init(0.98, 1e8)
+    x, y = regression_rows(pos[:, 0], pos[:, 1], level, K12)
+    with np.errstate(all="ignore"):
+        loop = _rls_loop(state, _scalar_rows(pos[:, 0], pos[:, 1], level, K12))
+        steps = []
+        real_step = estimators._rls_step
+        monkeypatch.setattr(
+            estimators, "_rls_step", lambda *args: steps.append(1) or real_step(*args)
+        )
+        run = rls_run(state, x, y)
+    assert len(steps) < len(x)
+    assert np.isnan(run.coeffs).all() and np.isnan(run.cov).all()
+    assert _same_bits(run.coeffs, loop.coeffs)
+    assert _same_bits(run.cov, loop.cov)
+
+
+nan_signs = st.sampled_from([math.nan, -math.nan])
+
+
+@given(
+    columns=pattern_samples,
+    k=curvatures,
+    forgetting=st.sampled_from([1.0, 0.98]) | st.floats(0.5, 1.0),
+    nan_in=st.sampled_from(["coeffs", "cov", "both"]),
+    coeffs_nan=nan_signs,
+    cov_nan=nan_signs,
+)
+def test_rls_run_matches_rls_update_loop_from_nan_states(
+    columns, k, forgetting, nan_in, coeffs_nan, cov_nan
+):
+    # A state with NaN in only part of it is not a fixed point: with NaN
+    # coefficients the residual is NaN while the gain matrix stays finite
+    # and keeps changing, so stopping at the first NaN residual fails here.
+    fresh = rls_init(forgetting)
+    state = RlsState(
+        coeffs=np.full(3, coeffs_nan) if nan_in != "cov" else fresh.coeffs,
+        cov=np.full((3, 3), cov_nan) if nan_in != "coeffs" else fresh.cov,
+        forgetting=forgetting,
+    )
+    x, y = regression_rows(*columns, k)
+    with np.errstate(all="ignore"):
+        run = rls_run(state, x, y)
+        loop = _rls_loop(state, _scalar_rows(*columns, k))
+    assert _same_bits(run.coeffs, loop.coeffs)
+    assert _same_bits(run.cov, loop.cov)
 
 
 @given(columns=pattern_samples, k=curvatures)

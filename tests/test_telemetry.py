@@ -1,8 +1,10 @@
 """Telemetry log tests: ordering, statistics, trajectory, CSV round trip."""
 
+import io
 import math
 import os
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -449,6 +451,13 @@ def _force_writers(monkeypatch, cpus):
     monkeypatch.setattr(telemetry, "_available_cpus", lambda: cpus)
 
 
+def _count_forks(monkeypatch):
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    return forks
+
+
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_forked_writers_match_one_process(tmp_path, monkeypatch, cpus):
     log = _blocks_log()
@@ -456,9 +465,7 @@ def test_forked_writers_match_one_process(tmp_path, monkeypatch, cpus):
     assert len(telemetry._row_ranges(_cols(log))) == 1  # below the fork threshold
     write_csv(log, str(one))
     _force_writers(monkeypatch, cpus)
-    forks = []
-    real_fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    forks = _count_forks(monkeypatch)
     many = tmp_path / "many.csv"
     write_csv(log, str(many))
     assert len(forks) == cpus - 1
@@ -528,3 +535,193 @@ def test_failing_parent_kills_and_reaps_writers(tmp_path, monkeypatch):
         write_csv(_blocks_log(), str(tmp_path / "log.csv"))
     _assert_no_child_left()
     assert os.listdir(tmp_path) == ["log.csv"]
+
+
+def test_write_csv_to_a_device_forks_no_writer(monkeypatch):
+    # /dev/null sits in a writable directory when run as root, but a temp
+    # file there would take RAM, so only a regular output gets writers.
+    _force_writers(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for a device"))
+    monkeypatch.setattr(
+        telemetry.tempfile, "TemporaryFile", lambda **kw: pytest.fail("made a temp file")
+    )
+    write_csv(_blocks_log(), os.devnull)
+
+
+def test_extend_checks_order_without_overflow_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log = _log([-1.7e308, 1.7e308])
+        with pytest.raises(ValueError, match="non-monotonic"):
+            _log([1.7e308, -1.7e308])
+    assert log.column("t").tolist() == [-1.7e308, 1.7e308]
+
+
+# -- forked readers ------------------------------------------------------------------
+# Small blocks make a short file span many blocks, and so many readers.
+
+def _force_readers(monkeypatch, cpus, block_bytes=256):
+    _force_writers(monkeypatch, cpus)
+    monkeypatch.setattr(telemetry, "_BLOCK_BYTES", block_bytes)
+
+
+def _spy_in_order_reads(monkeypatch):
+    """Count this process's reads from the first line: one for its range,
+    and one more if it had to read the whole file again in order."""
+    starts = []
+    real = telemetry._read_blocks
+
+    def read_blocks(fh, lo, hi, line_no, log):
+        starts.extend([line_no] * (line_no == 2))
+        real(fh, lo, hi, line_no, log)
+
+    monkeypatch.setattr(telemetry, "_read_blocks", read_blocks)
+    return starts
+
+
+def _same_columns(a, b):
+    return all(a.column(name).tobytes() == b.column(name).tobytes() for name in FIELDS)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_forked_readers_match_one_process(tmp_path, monkeypatch, cpus):
+    path = tmp_path / "log.csv"
+    log = _blocks_log()
+    write_csv(log, str(path))
+    _force_readers(monkeypatch, cpus, block_bytes=1 << 14)
+    forks = _count_forks(monkeypatch)
+    starts = _spy_in_order_reads(monkeypatch)
+    back = read_csv(str(path))
+    assert len(forks) == cpus - 1
+    assert len(starts) == 1
+    assert len(back) == len(log)
+    assert _same_columns(back, log)
+    _assert_no_child_left()
+
+
+def _rows_text(n):
+    return [
+        f"{i * 0.02:.6f},180.0,72.{i:06d},180.0,72.0,{5 + i / 7!r},6.0,{PHASES[i % 4]},{i // 9}"
+        for i in range(n)
+    ]
+
+
+def _read_outcome(path):
+    """What ``read_csv`` gives: its columns, or the type and text of its error."""
+    try:
+        return _columns(read_csv(str(path)))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _time_repeated(rows, at):
+    """The row at ``at`` with the time of the row before it: out of order
+    only against that row, so across a range boundary no reader sees it."""
+    return rows[at - 1].split(",", 1)[0] + rows[at][rows[at].index(","):]
+
+
+FAULTS = {
+    "malformed": lambda rows, at: rows[at].replace(",", ";", 1),
+    "phase": lambda rows, at: rows[at].replace(f",{PHASES[at % 4]},", ",idle,"),
+    "time": _time_repeated,
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_read_errors_do_not_depend_on_the_readers(tmp_path, monkeypatch, fault):
+    # The fault on each line in turn: so in the last range, and on both
+    # sides of every range boundary, for one, two and three readers.
+    n = 30
+    path = tmp_path / "log.csv"
+    for at in range(1, n):
+        rows = _rows_text(n)
+        rows[at] = FAULTS[fault](rows, at)
+        path.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+        outcomes = []
+        for cpus in (1, 2, 3):
+            with monkeypatch.context() as patch:
+                _force_readers(patch, cpus, block_bytes=128)
+                outcomes.append(_read_outcome(path))
+            _assert_no_child_left()
+        assert outcomes[0][0] is ValueError, (at, outcomes[0])
+        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0], at
+
+
+def test_first_error_wins_over_a_later_range(tmp_path, monkeypatch):
+    rows = _rows_text(30)
+    rows[3] = FAULTS["phase"](rows, 3)
+    rows[27] = FAULTS["malformed"](rows, 27)
+    path = tmp_path / "log.csv"
+    path.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+    _force_readers(monkeypatch, 3, block_bytes=128)
+    with pytest.raises(ValueError, match="unknown phase 'idle'"):
+        read_csv(str(path))
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("block_bytes", [64, 100, 129, 200])
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_blank_lines_and_crlf_at_block_edges(tmp_path, monkeypatch, block_bytes, cpus):
+    rows = _rows_text(40)
+    plain = tmp_path / "plain.csv"
+    plain.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+    want = _columns(read_csv(str(plain)))
+    lines = [CSV_HEADER]
+    for i, row in enumerate(rows):
+        lines += [row] + [""] * (i % 3)
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes("\r\n".join(lines).encode() + b"\r\n\r\n")
+    _force_readers(monkeypatch, cpus, block_bytes)
+    starts = _spy_in_order_reads(monkeypatch)
+    assert _columns(read_csv(str(crlf))) == want
+    assert len(starts) == 1  # the blank lines' gaps were closed, not read again
+
+
+def test_bare_cr_lines_read_like_lf(tmp_path, monkeypatch):
+    rows = _rows_text(40)
+    plain = tmp_path / "plain.csv"
+    plain.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+    cr = tmp_path / "cr.csv"
+    cr.write_bytes("\r".join([CSV_HEADER, *rows, ""]).encode())
+    _force_readers(monkeypatch, 3, block_bytes=128)
+    assert _columns(read_csv(str(cr))) == _columns(read_csv(str(plain)))
+
+
+def test_fifo_is_read_in_one_process(tmp_path, monkeypatch):
+    text = "\n".join([CSV_HEADER, *_rows_text(40)]) + "\n"
+    plain = tmp_path / "plain.csv"
+    plain.write_text(text)
+    want = _columns(read_csv(str(plain)))
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_text(text), daemon=True)
+    writer.start()
+    _force_readers(monkeypatch, 3, block_bytes=128)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for a pipe"))
+    assert _columns(read_csv(str(fifo))) == want
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+def test_failing_reader_raises_and_leaves_no_child(tmp_path, monkeypatch, capfd):
+    path = tmp_path / "log.csv"
+    write_csv(_blocks_log(), str(path))
+    _force_readers(monkeypatch, 3, block_bytes=1 << 14)
+    real = telemetry._read_blocks
+
+    def read_blocks(fh, lo, hi, line_no, log):
+        if line_no > 2:
+            raise RuntimeError(f"cannot parse from line {line_no}")
+        real(fh, lo, hi, line_no, log)
+
+    monkeypatch.setattr(telemetry, "_read_blocks", read_blocks)
+    with pytest.raises(OSError, match="CSV reader process .* exited with code 1"):
+        read_csv(str(path))
+    _assert_no_child_left()
+    assert "RuntimeError: cannot parse from line" in capfd.readouterr().err
+
+
+@given(text=st.text(alphabet="a,\r\n", max_size=40))
+def test_line_count_splits_like_text_files(text):
+    lines = io.StringIO(text, newline="").readlines()
+    assert telemetry._line_count(text.encode()) == len(lines)
