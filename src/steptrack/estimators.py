@@ -22,28 +22,42 @@ follow a slowly moving peak.
 
 The per-sample forms ``regression_row``, ``ls_fit`` and ``rls_update``
 are the references the array forms match bit for bit; ``rls_update`` and
-``rls_run`` share the one RLS recursion, ``_rls_step``. A filter that
-diverges (a gain matrix wound up by a long stationary window) ends with
-every entry NaN; once a step gives such a state back bit for bit,
+``rls_run`` share the one RLS recursion, ``_rls``. A filter that
+diverges (a gain matrix wound up by a long stationary window) may end
+with every entry NaN; once a step gives such a state back bit for bit,
 ``rls_run`` returns it without running the remaining rows, which would
 give the same bits again.
+
+Both solvers do their arithmetic in Python floats, in a fixed order, with
+no BLAS or LAPACK call, so their bits do not depend on the kernel that
+numpy's BLAS picks for the CPU. The recursion keeps the 3 coefficients
+and the 6 distinct entries of the symmetric gain matrix as floats across
+the rows. The batch fit forms the normal equations with ``math.fsum``,
+which rounds each sum correctly and so independently of order, and
+solves them in closed form; the reciprocal 1-norm condition of those
+equations, computed from the same sums, is what ``RCOND_LIMIT`` bounds.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .antenna import BeaconSample
 from .beacon import QuadraticCoefficients
 
-# Reciprocal-condition threshold below which the regressor matrix is
-# treated as rank deficient. Rectangle patterns sit far above this, so
-# any trip indicates a broken displacement pattern.
+# Reciprocal 1-norm condition of the centred normal equations (the Gram
+# matrix of the regressors) below which the positions are treated as
+# rank deficient. The Gram matrix's condition is the square of the
+# regressors', but the limit is not squared: rounding while the sums are
+# formed floors the computed figure near 1e-16, so 1e-24 would never
+# trip. So 1e-12 here stands for about 1e-6 on the regressors. Rectangle
+# patterns sit near 1e-3, so any trip indicates a broken pattern.
 RCOND_LIMIT = 1e-12
 
 # Smallest usable quadratic-coefficient magnitude, dB/deg^2. Below it
@@ -54,8 +68,6 @@ DEFAULT_RLS_DELTA = 1e4
 
 # The solvers ``fit_peak`` selects between, by name.
 ESTIMATORS = ("batch-ls", "rls")
-
-_EYE3 = np.eye(3)
 
 
 class EstimationError(Exception):
@@ -93,8 +105,10 @@ class PeakEstimate:
 class RlsState:
     """Recursive filter memory: coefficients, gain matrix, forgetting factor.
 
-    ``cov`` stays symmetric positive-definite; updates re-symmetrize it
-    to keep finite-precision drift out.
+    ``cov`` is the symmetric gain matrix. The recursion reads its upper
+    triangle, updates the 6 distinct entries as floats and writes them
+    back to both triangles, so it is symmetric bit for bit and never
+    needs re-symmetrizing.
     """
 
     coeffs: np.ndarray  # shape (3,)
@@ -132,37 +146,61 @@ def ls_fit(rows: Sequence[RegressionRow]) -> np.ndarray:
     )
 
 
+def _fsum(values: np.ndarray) -> float:
+    """Correctly rounded sum of a 1-D array; NaN where it meets inf - inf or
+    overflows. The floats are read through a memoryview, with no list."""
+    try:
+        return math.fsum(memoryview(values))
+    except (OverflowError, ValueError):
+        return math.nan
+
+
 def ls_solve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least-squares coefficient vector for regressors x (n, 3) and responses y.
 
-    Solved through an orthogonal factorization with the angle columns
-    shifted to their means, which is the same minimizer as the normal
-    equations but keeps the solve well conditioned at large absolute
-    pointing angles.
+    The angle columns are shifted to their means, which keeps the solve
+    well conditioned at large absolute pointing angles, and the 3x3
+    normal equations of the shifted rows are solved in closed form
+    (adjugate over determinant). Every sum is a ``math.fsum``.
 
     Raises InsufficientDataError for fewer than 3 rows and
-    RankDeficientError when the positions are collinear (reciprocal
-    condition estimate below RCOND_LIMIT).
+    RankDeficientError when the positions are collinear: the determinant
+    of the normal equations is not positive, or their reciprocal
+    condition is below RCOND_LIMIT.
     """
     n = len(x)
     _require_samples(n)
-    mean_az = x[:, 0].mean()
-    mean_el = x[:, 1].mean()
-    shifted = np.column_stack([x[:, 0] - mean_az, x[:, 1] - mean_el, np.ones(n)])
-    solution, _, rank, sv = np.linalg.lstsq(shifted, y, rcond=None)
-    rcond = sv[-1] / sv[0] if sv[0] > 0 else 0.0
-    if rank < 3 or rcond < RCOND_LIMIT:
+    mean_az = _fsum(x[:, 0]) / n
+    mean_el = _fsum(x[:, 1]) / n
+    a = x[:, 0] - mean_az
+    e = x[:, 1] - mean_el
+    saa, sae, see, sa, se = map(_fsum, (a * a, a * e, e * e, a, e))
+    say, sey, sy = map(_fsum, (a * y, e * y, y))
+    # The adjugate of the symmetric Gram matrix [[saa, sae, sa],
+    # [sae, see, se], [sa, se, n]], by its 6 distinct cofactors.
+    c00 = see * n - se * se
+    c01 = se * sa - sae * n
+    c02 = sae * se - see * sa
+    c11 = saa * n - sa * sa
+    c12 = sae * sa - saa * se
+    c22 = saa * see - sae * sae
+    det = saa * c00 + sae * c01 + sa * c02
+    rcond = 0.0
+    if det > 0.0:
+        gram_norm = max(abs(saa) + abs(sae) + abs(sa), abs(sae) + abs(see) + abs(se),
+                        abs(sa) + abs(se) + n)
+        adj_norm = max(abs(c00) + abs(c01) + abs(c02), abs(c01) + abs(c11) + abs(c12),
+                       abs(c02) + abs(c12) + abs(c22))
+        rcond = det / (gram_norm * adj_norm)
+    if not rcond >= RCOND_LIMIT:
         raise RankDeficientError(
             f"sample positions are rank deficient "
-            f"(rank {rank}, reciprocal condition {rcond:.3e})"
+            f"(reciprocal condition {rcond:.3e} of the normal equations)"
         )
-    return np.array(
-        [
-            solution[0],
-            solution[1],
-            solution[2] - solution[0] * mean_az - solution[1] * mean_el,
-        ]
-    )
+    b0 = (c00 * say + c01 * sey + c02 * sy) / det
+    b1 = (c01 * say + c11 * sey + c12 * sy) / det
+    b2 = (c02 * say + c12 * sey + c22 * sy) / det
+    return np.array([b0, b1, b2 - b0 * mean_az - b1 * mean_el])
 
 
 def recover_peak(beta: np.ndarray, k: QuadraticCoefficients) -> PeakEstimate:
@@ -193,64 +231,85 @@ def rls_init(forgetting: float, delta: float = DEFAULT_RLS_DELTA) -> RlsState:
     )
 
 
-def _rls_step(
-    coeffs: np.ndarray, p: np.ndarray, lam: float, x: np.ndarray, y: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """The RLS recursion: new coefficients, new gain matrix and the residual.
+def _rls(
+    state: RlsState, rows: Iterable[tuple[float, float, float, float]]
+) -> tuple[RlsState, float]:
+    """The RLS recursion over rows (x0, x1, x2, y) of regressors and response,
+    in order: the final state and the last prediction residual (NaN for no rows).
 
-    Applies, in order: normalized gain matrix, gain vector, prediction,
-    residual, coefficient correction, and the forgetting-scaled
-    downdate of the gain matrix, which is then re-symmetrized.
+    Per row, in this order: gain-matrix product px = P x, denominator
+    lam + x.px, gain vector px / denominator, residual, coefficient
+    correction, and the forgetting-scaled downdate (P - g px^T) / lam of
+    the 6 distinct entries of P. Stops once the state is an all-NaN fixed
+    point (see ``_nan_fixed_point``); only a NaN residual triggers that
+    check, so a healthy run pays one float compare a row.
     """
-    px = p @ x
-    q = p / (lam + float(x @ px))
-    gain = q @ x
-    residual = y - float(x @ coeffs)
-    new_p = (_EYE3 - gain[:, None] * x) @ p / lam
-    return coeffs + gain * residual, 0.5 * (new_p + new_p.T), residual
+    c0, c1, c2 = state.coeffs.tolist()
+    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.cov.tolist()
+    lam = state.forgetting
+    r = math.nan
+    for x0, x1, x2, y in rows:
+        px0 = p00 * x0 + p01 * x1 + p02 * x2
+        px1 = p01 * x0 + p11 * x1 + p12 * x2
+        px2 = p02 * x0 + p12 * x1 + p22 * x2
+        d = lam + (x0 * px0 + x1 * px1 + x2 * px2)
+        try:
+            g0 = px0 / d
+            g1 = px1 / d
+            g2 = px2 / d
+        except ZeroDivisionError:
+            with np.errstate(all="ignore"):
+                g0, g1, g2 = (np.array([px0, px1, px2]) / d).tolist()
+        r = y - (x0 * c0 + x1 * c1 + x2 * c2)
+        if r != r:  # NaN
+            before = (c0, c1, c2, p00, p01, p02, p11, p12, p22)
+        c0 += g0 * r
+        c1 += g1 * r
+        c2 += g2 * r
+        p00 = (p00 - g0 * px0) / lam
+        p01 = (p01 - g0 * px1) / lam
+        p02 = (p02 - g0 * px2) / lam
+        p11 = (p11 - g1 * px1) / lam
+        p12 = (p12 - g1 * px2) / lam
+        p22 = (p22 - g2 * px2) / lam
+        if r != r and _nan_fixed_point(before, (c0, c1, c2, p00, p01, p02, p11, p12, p22)):
+            break
+    cov = np.array([[p00, p01, p02], [p01, p11, p12], [p02, p12, p22]])
+    return RlsState(coeffs=np.array([c0, c1, c2]), cov=cov, forgetting=lam), r
+
+
+def _nan_fixed_point(before: tuple[float, ...], after: tuple[float, ...]) -> bool:
+    """Whether the state before and after a step hold one and the same NaN
+    bit pattern in every entry.
+
+    The step then gave the state back bit for bit, all NaN. Every operation
+    of any later step has a NaN operand (its rows are finite), so it returns
+    the same bits again, and the rest of the run can be skipped.
+    """
+    values = before + after
+    bits = struct.pack(f"{len(values)}d", *values)
+    return math.isnan(values[0]) and bits == bits[:8] * len(values)
 
 
 def rls_update(state: RlsState, row: RegressionRow) -> tuple[RlsState, float]:
     """One recursion step; returns the new state and the prediction residual."""
     if not (np.isfinite(row.regressors).all() and math.isfinite(row.response)):
         raise ValueError(f"non-finite regression row: {row}")
-    coeffs, cov, residual = _rls_step(
-        state.coeffs, state.cov, state.forgetting, row.regressors, row.response
-    )
-    return RlsState(coeffs=coeffs, cov=cov, forgetting=state.forgetting), residual
+    return _rls(state, [(*row.regressors.tolist(), row.response)])
 
 
 def rls_run(state: RlsState, x: np.ndarray, y: np.ndarray) -> RlsState:
     """``rls_update`` over each row of regressors x (n, 3) and responses y, in order.
 
     Returns early, with the same bits, once the state is an all-NaN fixed
-    point (see ``_nan_fixed_point``). Only a NaN residual triggers that
-    check, so a healthy run pays one float compare a row.
+    point.
     """
     finite = np.isfinite(x).all(axis=1) & np.isfinite(y)
     if not finite.all():
         i = int(np.argmin(finite))
         row = RegressionRow(regressors=x[i], response=float(y[i]))
         raise ValueError(f"non-finite regression row: {row}")
-    coeffs, cov, lam = state.coeffs, state.cov, state.forgetting
-    for xi, yi in zip(x, y.tolist()):
-        new_coeffs, new_cov, residual = _rls_step(coeffs, cov, lam, xi, yi)
-        if residual != residual and _nan_fixed_point(coeffs, cov, new_coeffs, new_cov):  # NaN
-            break
-        coeffs, cov = new_coeffs, new_cov
-    return RlsState(coeffs=coeffs, cov=cov, forgetting=lam)
-
-
-def _nan_fixed_point(*arrays: np.ndarray) -> bool:
-    """Whether every entry of the arrays holds one and the same NaN bit pattern.
-
-    Given the state before and after a step, this means the step gave the
-    state back bit for bit, all NaN. Every operation of any later step then
-    has a NaN operand (its rows are finite), so it returns the same bits
-    again, and the rest of the run can be skipped.
-    """
-    bits = np.concatenate([a.ravel() for a in arrays]).view(np.uint64)
-    return math.isnan(arrays[0].flat[0]) and bool((bits == bits[0]).all())
+    return _rls(state, zip(*map(memoryview, (x[:, 0], x[:, 1], x[:, 2], y))))[0]
 
 
 def fit_peak(
@@ -270,9 +329,9 @@ def fit_peak(
     ``estimator`` is one of ``ESTIMATORS``; "rls" starts from the absolute
     peak ``prior`` when given. The fit runs in offsets from ``centre``: at
     absolute angles like [180.2, 72.05, 1] the recursion's gain matrix
-    collapses along a near-degenerate direction. A diverged recursion
-    returns a non-finite peak; other failures, such as a curvature below
-    ``DEFAULT_COEFF_FLOOR``, raise EstimationError.
+    collapses along a near-degenerate direction. Raises EstimationError
+    when the fit fails, such as a curvature below ``DEFAULT_COEFF_FLOOR``
+    or a diverged recursion, whose peak is not finite.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
@@ -294,8 +353,12 @@ def fit_peak(
             state = RlsState(coeffs=coeffs, cov=state.cov, forgetting=forgetting)
         beta = rls_run(state, x, y).coeffs
     local = recover_peak(beta, k)
-    rms = float(np.sqrt(np.mean((y - x @ beta) ** 2)))
-    return PeakEstimate(local.azimuth + caz, local.elevation + cel, local.level), rms
+    peak = PeakEstimate(local.azimuth + caz, local.elevation + cel, local.level)
+    if not all(map(math.isfinite, (peak.azimuth, peak.elevation, peak.level))):
+        raise EstimationError(f"non-finite estimate {peak}")
+    b0, b1, b2 = beta.tolist()
+    residual = y - (x[:, 0] * b0 + x[:, 1] * b1 + x[:, 2] * b2)
+    return peak, math.sqrt(_fsum(residual * residual) / len(y))
 
 
 def memory_horizon(forgetting: float) -> float:

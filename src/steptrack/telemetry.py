@@ -475,22 +475,35 @@ def _line_count(text: bytes) -> int:
     return lines + (bool(text) and not text.endswith((b"\n", b"\r")))
 
 
+def _parse_lines(lines: list[str]) -> np.ndarray:
+    """The rows of CSV lines; blank lines are skipped."""
+    with warnings.catch_warnings():
+        # A block of blank lines holds no data, which is fine.
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, dtype=_CSV_ROW)
+
+
 def _read_blocks(fh: BinaryIO, lo: int, hi: int, line_no: int, log: TelemetryLog) -> None:
     """Parse the blocks from byte ``lo`` to ``hi`` into ``log``.
 
     ``line_no`` is the number of the first line in the file. Raises the
-    ValueError of ``read_csv`` at the first bad block.
+    ValueError of ``read_csv`` at the first bad block, naming the file line
+    of its first line that does not parse on its own.
     """
     for text in _blocks(fh, lo, hi):
         lines = io.StringIO(text.decode(), newline="").readlines()
         try:
-            with warnings.catch_warnings():
-                # A block of blank lines holds no data, which is fine.
-                warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(
-                    lines, delimiter=",", comments=None, ndmin=1, dtype=_CSV_ROW
-                )
+            rows = _parse_lines(lines)
         except ValueError as exc:
+            for i, line in enumerate(lines):
+                try:
+                    _parse_lines([line])
+                except ValueError as line_exc:
+                    # numpy's row count restarts at this one line.
+                    why = str(line_exc).replace(" at row 1", "").replace(" at row 0", "")
+                    raise ValueError(
+                        f"malformed telemetry line {line_no + i}: {line.rstrip()!r}: {why}"
+                    ) from None
             raise ValueError(
                 f"malformed telemetry line in the block from line {line_no}: {exc}"
             ) from None

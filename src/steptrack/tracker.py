@@ -274,11 +274,6 @@ class StepTracker:
                 az, el, level, self.pattern_center, self._k, config.estimator,
                 config.forgetting, prior=self.last_estimate,
             )
-            # A diverged recursion yields NaN or inf, which must not
-            # reach the plant.
-            values = (estimate.azimuth, estimate.elevation, estimate.level)
-            if not all(map(math.isfinite, values)):
-                raise EstimationError(f"non-finite estimate {estimate}")
         except EstimationError as exc:
             logger.warning("cycle %d aborted: %s", self.cycle_index, exc)
             self.phase = TrackerPhase.WAIT

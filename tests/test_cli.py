@@ -3,6 +3,7 @@
 import dataclasses
 import re
 
+import numpy as np
 import pytest
 
 from steptrack.antenna import AntennaState, ReceiverConfig
@@ -415,6 +416,28 @@ def test_fit_small_window_exits_two(static_log, capsys):
     code = main(["fit", str(static_log), "--k-y", "-11.4", "--t0", "0.0", "--t1", "0.02"])
     assert code == 2
     assert "need at least 3" in capsys.readouterr().err
+
+
+def test_fit_wound_up_rls_exits_two(tmp_path, capsys):
+    # A rectangle pattern, then 12 minutes holding still: at forgetting
+    # 0.98 the gain matrix winds up to NaN, and the fit has no peak.
+    from steptrack.telemetry import TelemetryLog, write_csv
+
+    rng = np.random.default_rng(12)
+    corners = np.repeat([(-0.2, -0.05), (0.2, -0.05), (0.2, 0.05), (-0.2, 0.05)], 50, 0)
+    pos = np.vstack([corners, np.tile([(0.01, -0.02)], (36_000, 1))])
+    az, el = 180.0 + pos[:, 0], 72.0 + pos[:, 1]
+    log = TelemetryLog()
+    level = 6.0 + 0.2 * rng.standard_normal(len(pos))
+    log.extend(np.arange(len(pos)) * 0.02, az, el, az, el, level, 5.0, "acquire", 0)
+    path = tmp_path / "windup.csv"
+    write_csv(log, str(path))
+    argv = ["fit", str(path), "--k-y", "-11.4", "--mode", "rls", "--forgetting", "0.98"]
+    with np.errstate(all="ignore"):
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: non-finite estimate" in captured.err
 
 
 def test_fit_empty_window_exits_two(static_log, capsys):

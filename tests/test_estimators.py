@@ -433,16 +433,33 @@ def test_rls_run_stops_once_the_state_is_a_nan_fixed_point(monkeypatch):
     x, y = regression_rows(pos[:, 0], pos[:, 1], level, K12)
     with np.errstate(all="ignore"):
         loop = _rls_loop(state, _scalar_rows(pos[:, 0], pos[:, 1], level, K12))
-        steps = []
-        real_step = estimators._rls_step
-        monkeypatch.setattr(
-            estimators, "_rls_step", lambda *args: steps.append(1) or real_step(*args)
-        )
+        # Count the rows the recursion takes from its input.
+        taken = []
+        real_rls = estimators._rls
+
+        def counting_rls(state, rows):
+            return real_rls(state, (taken.append(1) or row for row in rows))
+
+        monkeypatch.setattr(estimators, "_rls", counting_rls)
         run = rls_run(state, x, y)
-    assert len(steps) < len(x)
+    assert 0 < len(taken) < len(x)
     assert np.isnan(run.coeffs).all() and np.isnan(run.cov).all()
     assert _same_bits(run.coeffs, loop.coeffs)
     assert _same_bits(run.cov, loop.cov)
+
+
+def test_rls_zero_denominator_divides_like_ieee():
+    # A gain matrix that is not positive definite can make lam + x.Px zero:
+    # the gain is then px / 0, -inf or nan as IEEE arithmetic gives it.
+    state = RlsState(np.zeros(3), np.diag([-0.98, 1.0, 1.0]), 0.98)
+    row = RegressionRow(np.array([1.0, 0.0, 0.0]), 1.0)
+    with np.errstate(all="ignore"):
+        new, residual = rls_update(state, row)
+        run = rls_run(state, row.regressors[None, :], np.array([row.response]))
+    assert residual == 1.0
+    assert new.coeffs[0] == -math.inf and np.isnan(new.coeffs[1:]).all()
+    assert _same_bits(run.coeffs, new.coeffs)
+    assert _same_bits(run.cov, new.cov)
 
 
 nan_signs = st.sampled_from([math.nan, -math.nan])
@@ -486,6 +503,17 @@ def test_ls_fit_matches_ls_solve(columns, k):
             ls_solve(*regression_rows(*columns, k))
         return
     assert _same_bits(ls_solve(*regression_rows(*columns, k)), want)
+
+
+@pytest.mark.parametrize("far", [1e154, 1e200])
+def test_ls_solve_sums_that_overflow_are_rank_deficient(far):
+    # 1e154 squared is finite, but two of them overflow inside fsum; 1e200
+    # squared is inf, and the cross sums meet inf - inf.
+    az, el = np.array([far, -far, 0.0, 1.0]), np.array([far, far, 0.0, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y = regression_rows(az, el, np.zeros(4), K12)
+        with pytest.raises(RankDeficientError, match="reciprocal condition 0.000e"):
+            ls_solve(x, y)
 
 
 def test_ls_solve_insufficient_data():
@@ -546,6 +574,8 @@ def test_fit_peak_matches_scalar_composition(
     with np.errstate(all="ignore"):
         try:
             want = _scalar_fit(az, el, level, centre, k, estimator, forgetting, delta, prior)
+            if not np.isfinite([want.azimuth, want.elevation, want.level]).all():
+                raise EstimationError("non-finite estimate")
         except EstimationError as exc:
             with pytest.raises(type(exc)):
                 fit_peak(az, el, level, centre, k, estimator, forgetting, delta, prior=prior)

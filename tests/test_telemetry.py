@@ -241,6 +241,13 @@ def test_read_csv_hash_is_not_a_comment(tmp_path, line):
         _read_text(tmp_path, f"{CSV_HEADER}\n{line}\n")
 
 
+def test_read_csv_error_names_the_file_line(tmp_path):
+    # numpy counts only the non-blank lines of its input: x,1 was its row 3.
+    text = "\n".join([CSV_HEADER, ROW, "", ROW.replace("0.5,", "0.52,", 1), "x,1"]) + "\n"
+    with pytest.raises(ValueError, match=r"^malformed telemetry line 5: 'x,1': .* 2 were found"):
+        _read_text(tmp_path, text)
+
+
 def test_read_csv_rejects_wrong_field_count(tmp_path):
     path = tmp_path / "short.csv"
     path.write_text(CSV_HEADER + "\n0.0,1.0,2.0\n")
