@@ -9,7 +9,7 @@ copies. ``tracker.run_scenario`` does not step these objects: it plans
 the run with the pose as plain floats, advanced by ``_approach`` (the
 arithmetic of ``tick``), with ``check_target`` (the check of ``command``)
 on every command and readbacks from ``quantize_angle``. It then measures
-the planned poses in one array pass with ``measure_array``.
+the planned poses in array passes with ``measure`` and ``receiver_voltage``.
 """
 
 from __future__ import annotations
@@ -166,42 +166,7 @@ def quantize_angle(angle: float, step: float) -> float:
     return round(angle / step) * step
 
 
-def read_resolvers(state: AntennaState) -> tuple[float, float]:
-    """Resolver-quantized (azimuth, elevation) readback in degrees."""
-    return (
-        quantize_angle(state.true_azimuth, state.resolver_step),
-        quantize_angle(state.true_elevation, state.resolver_step),
-    )
-
-
 def measure(
-    state: AntennaState,
-    params: ParabolaParams,
-    rx: ReceiverConfig,
-    t: float,
-    rng: np.random.Generator,
-) -> BeaconSample:
-    """Measure the beacon through the receiver at time t.
-
-    ``params`` must carry the satellite's current direction as its peak.
-    The level is evaluated at the true (not readback) pointing, then
-    drift and Gaussian noise are added and the floor clamp applied. The
-    returned angles are the resolver readbacks.
-
-    Noise is drawn from ``rng``; the simulation loop passes one persistent
-    generator seeded from ``rx.rng_seed``.
-    """
-    raw = beacon_level(params, state.true_azimuth, state.true_elevation)
-    if rx.drift_amplitude != 0.0:
-        raw += rx.drift_amplitude * math.sin(2.0 * math.pi * t / rx.drift_period)
-    if rx.noise_sigma > 0.0:
-        raw += rng.normal(0.0, rx.noise_sigma)
-    level = raw if raw > rx.floor_db else rx.floor_db
-    az, el = read_resolvers(state)
-    return BeaconSample(t=t, azimuth=az, elevation=el, level=level)
-
-
-def measure_array(
     azimuth: float | np.ndarray,
     elevation: float | np.ndarray,
     params: ParabolaParams,
@@ -209,15 +174,17 @@ def measure_array(
     t: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Array form of ``measure``: the level at each time.
+    """Beacon level through the receiver at each time in ``t``.
 
-    ``azimuth`` and ``elevation`` are the true pointing, one value per time
-    for a moving plant or a single value for a plant at rest. ``params``
-    holds one surface per time (array ``k_az``, ``peak_az`` and
-    ``peak_el``). The noise is one batch from ``rng``, the same stream as
-    one scalar draw per time, so each level is bit-equal to what
-    ``measure`` returns at that time and pose. The readbacks are left to
-    the caller (``quantize_angle``).
+    ``azimuth`` and ``elevation`` are the true (not readback) pointing, one
+    value per time for a moving plant or a single value for a plant at
+    rest. ``params`` holds one surface per time (array ``k_az``,
+    ``peak_az`` and ``peak_el``), peaked at the satellite's direction then.
+    Drift and Gaussian noise are added and the floor clamp applied. The
+    noise is one batch from ``rng``, the same stream as one draw per time;
+    the simulation passes one persistent generator seeded from
+    ``rx.rng_seed``. The readbacks are left to the caller
+    (``quantize_angle``).
     """
     raw = beacon_level(params, azimuth, elevation)
     if rx.drift_amplitude != 0.0:
@@ -227,16 +194,10 @@ def measure_array(
     return np.where(raw > rx.floor_db, raw, rx.floor_db)
 
 
-def receiver_voltage(level: float, rx: ReceiverConfig) -> float:
-    """Affine dB-to-volts telemetry map, clamped to [0, 10] V."""
+def receiver_voltage(level: np.ndarray, rx: ReceiverConfig) -> np.ndarray:
+    """Affine dB-to-volts telemetry map of each level, clamped to [0, 10] V."""
     v = 10.0 * (level - rx.floor_db) / (rx.max_db - rx.floor_db)
-    return min(10.0, max(0.0, v))
-
-
-def receiver_voltage_array(level: np.ndarray, rx: ReceiverConfig) -> np.ndarray:
-    """Array form of ``receiver_voltage``: bit-equal at each level."""
-    v = 10.0 * (level - rx.floor_db) / (rx.max_db - rx.floor_db)
-    # Python's max/min keep the first argument on a tie, so -0.0 clamps to
-    # +0.0; np.maximum would keep -0.0.
+    # -0.0 clamps to +0.0, as Python's max(0.0, v) gives it; np.maximum
+    # would keep -0.0.
     v = np.where(v > 0.0, v, 0.0)
     return np.where(v < 10.0, v, 10.0)

@@ -12,21 +12,19 @@ whose coefficient vector b encodes the peak:
          peak_level + k_az*peak_az**2 + k_el*peak_el**2]
 
 ``fit_peak`` is the one fit, for the tracker's cycles and for ``steptrack
-fit``'s logged windows. It centres the samples, builds the regression rows
-(``regression_rows``), solves them by batch least squares (``ls_solve``)
-or by the recursive filter (``rls_init``, ``rls_run``), recovers the peak
-(``recover_peak``) and shifts it back. The recursive filter keeps only a
-3-vector and a 3x3 gain matrix, optionally down-weighting old samples
-through a forgetting factor, which both bounds memory and lets the fit
-follow a slowly moving peak.
+fit``'s logged windows. It centres the samples, builds their regression
+rows (``regression_row``), solves them by batch least squares (``ls_fit``)
+or by the recursive filter (``rls_init``, ``rls_update``), recovers the
+peak (``recover_peak``) and shifts it back. The recursive filter keeps
+only a 3-vector and a 3x3 gain matrix, optionally down-weighting old
+samples through a forgetting factor, which both bounds memory and lets the
+fit follow a slowly moving peak. Each function takes all the samples at
+once, as arrays.
 
-The per-sample forms ``regression_row``, ``ls_fit`` and ``rls_update``
-are the references the array forms match bit for bit; ``rls_update`` and
-``rls_run`` share the one RLS recursion, ``_rls``. A filter that
-diverges (a gain matrix wound up by a long stationary window) may end
-with every entry NaN; once a step gives such a state back bit for bit,
-``rls_run`` returns it without running the remaining rows, which would
-give the same bits again.
+A filter that diverges (a gain matrix wound up by a long stationary
+window) may end with every entry NaN; once a step gives such a state back
+bit for bit, ``rls_update`` returns it without running the remaining rows,
+which would give the same bits again.
 
 Both solvers do their arithmetic in Python floats, in a fixed order, with
 no BLAS or LAPACK call, so their bits do not depend on the kernel that
@@ -44,11 +42,10 @@ import math
 import struct
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .antenna import BeaconSample
 from .beacon import QuadraticCoefficients
 
 # Reciprocal 1-norm condition of the centred normal equations (the Gram
@@ -87,14 +84,6 @@ class DegenerateCoefficientsError(EstimationError):
 
 
 @dataclass(frozen=True)
-class RegressionRow:
-    """One sample mapped into the linear regression."""
-
-    regressors: np.ndarray  # [azimuth, elevation, 1.0]
-    response: float
-
-
-@dataclass(frozen=True)
 class PeakEstimate:
     azimuth: float  # deg
     elevation: float  # deg
@@ -116,19 +105,11 @@ class RlsState:
     forgetting: float
 
 
-def regression_row(sample: BeaconSample, k: QuadraticCoefficients) -> RegressionRow:
-    """Map a beacon sample to its linear-regression row."""
-    az, el = sample.azimuth, sample.elevation
-    response = sample.level - k.k_az * az * az - k.k_el * el * el
-    return RegressionRow(
-        regressors=np.array([az, el, 1.0]), response=float(response)
-    )
-
-
-def regression_rows(
+def regression_row(
     az: np.ndarray, el: np.ndarray, level: np.ndarray, k: QuadraticCoefficients
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of ``regression_row``: the (n, 3) regressors and n responses."""
+    """Map beacon samples to their linear-regression rows: the (n, 3)
+    regressors [az, el, 1] and the n responses."""
     response = level - k.k_az * az * az - k.k_el * el * el
     return np.column_stack([az, el, np.ones(len(az))]), response
 
@@ -136,14 +117,6 @@ def regression_rows(
 def _require_samples(n: int) -> None:
     if n < 3:
         raise InsufficientDataError(f"need at least 3 samples, got {n}")
-
-
-def ls_fit(rows: Sequence[RegressionRow]) -> np.ndarray:
-    """Least-squares coefficient vector for a batch of rows; see ``ls_solve``."""
-    return ls_solve(
-        np.array([row.regressors for row in rows]),
-        np.array([row.response for row in rows]),
-    )
 
 
 def _fsum(values: np.ndarray) -> float:
@@ -155,7 +128,7 @@ def _fsum(values: np.ndarray) -> float:
         return math.nan
 
 
-def ls_solve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def ls_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least-squares coefficient vector for regressors x (n, 3) and responses y.
 
     The angle columns are shifted to their means, which keeps the solve
@@ -291,15 +264,9 @@ def _nan_fixed_point(before: tuple[float, ...], after: tuple[float, ...]) -> boo
     return math.isnan(values[0]) and bits == bits[:8] * len(values)
 
 
-def rls_update(state: RlsState, row: RegressionRow) -> tuple[RlsState, float]:
-    """One recursion step; returns the new state and the prediction residual."""
-    if not (np.isfinite(row.regressors).all() and math.isfinite(row.response)):
-        raise ValueError(f"non-finite regression row: {row}")
-    return _rls(state, [(*row.regressors.tolist(), row.response)])
-
-
-def rls_run(state: RlsState, x: np.ndarray, y: np.ndarray) -> RlsState:
-    """``rls_update`` over each row of regressors x (n, 3) and responses y, in order.
+def rls_update(state: RlsState, x: np.ndarray, y: np.ndarray) -> tuple[RlsState, float]:
+    """The recursion over each row of regressors x (n, 3) and responses y, in
+    order: the new state and the last row's prediction residual.
 
     Returns early, with the same bits, once the state is an all-NaN fixed
     point.
@@ -307,9 +274,8 @@ def rls_run(state: RlsState, x: np.ndarray, y: np.ndarray) -> RlsState:
     finite = np.isfinite(x).all(axis=1) & np.isfinite(y)
     if not finite.all():
         i = int(np.argmin(finite))
-        row = RegressionRow(regressors=x[i], response=float(y[i]))
-        raise ValueError(f"non-finite regression row: {row}")
-    return _rls(state, zip(*map(memoryview, (x[:, 0], x[:, 1], x[:, 2], y))))[0]
+        raise ValueError(f"non-finite regression row: regressors {x[i]}, response {y[i]}")
+    return _rls(state, zip(*map(memoryview, (x[:, 0], x[:, 1], x[:, 2], y))))
 
 
 def fit_peak(
@@ -337,9 +303,9 @@ def fit_peak(
         raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
     _require_samples(len(az))
     caz, cel = centre
-    x, y = regression_rows(az - caz, el - cel, level, k)
+    x, y = regression_row(az - caz, el - cel, level, k)
     if estimator == "batch-ls":
-        beta = ls_solve(x, y)
+        beta = ls_fit(x, y)
     else:
         state = rls_init(forgetting, delta)
         if prior is not None:
@@ -351,7 +317,7 @@ def fit_peak(
                 prior.level + k.k_az * daz * daz + k.k_el * del_ * del_,
             ])
             state = RlsState(coeffs=coeffs, cov=state.cov, forgetting=forgetting)
-        beta = rls_run(state, x, y).coeffs
+        beta = rls_update(state, x, y)[0].coeffs
     local = recover_peak(beta, k)
     peak = PeakEstimate(local.azimuth + caz, local.elevation + cel, local.level)
     if not all(map(math.isfinite, (peak.azimuth, peak.elevation, peak.level))):

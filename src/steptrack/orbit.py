@@ -59,28 +59,17 @@ class OrbitConfig:
             )
 
 
-def _direction(config: OrbitConfig, t, sin):
-    # The formula for both forms: ``sin`` is math.sin for a float ``t`` and
-    # np.sin for an array, with the same operations in the same order.
+def satellite_direction(config: OrbitConfig, t):
+    """True satellite (azimuth, elevation) in degrees at time ``t`` seconds.
+
+    ``t`` may be a float or an array of times; each angle then has its shape.
+    """
     theta = 2.0 * math.pi * t / config.period + config.phase
     drift = config.drift_deg_per_day * t / 86400.0
     if config.axis_mode == "azimuth-major":
-        major = config.azimuth_amplitude * sin(theta)
-        minor = 0.5 * config.elevation_amplitude * sin(2.0 * theta)
+        major = config.azimuth_amplitude * np.sin(theta)
+        minor = 0.5 * config.elevation_amplitude * np.sin(2.0 * theta)
         return config.center_azimuth + major + drift, config.center_elevation + minor
-    major = config.elevation_amplitude * sin(theta)
-    minor = 0.5 * config.azimuth_amplitude * sin(2.0 * theta)
+    major = config.elevation_amplitude * np.sin(theta)
+    minor = 0.5 * config.azimuth_amplitude * np.sin(2.0 * theta)
     return config.center_azimuth + minor, config.center_elevation + major + drift
-
-
-def satellite_direction(config: OrbitConfig, t: float) -> tuple[float, float]:
-    """True satellite (azimuth, elevation) in degrees at time t seconds."""
-    return _direction(config, t, math.sin)
-
-
-def satellite_direction_array(
-    config: OrbitConfig, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of ``satellite_direction``: bit-equal at each time in ``t``."""
-    return _direction(config, t, np.sin)
-

@@ -199,9 +199,3 @@ def resolve_scenario_path(name_or_path: str) -> Path:
     raise ScenarioError(
         f"scenario '{name_or_path}' is neither a file nor a bundled scenario"
     )
-
-
-def bundled_scenarios() -> list[str]:
-    """Names of scenarios shipped with the package."""
-    root = resources.files("steptrack").joinpath("scenarios")
-    return sorted(p.name[: -len(".yaml")] for p in root.iterdir() if p.name.endswith(".yaml"))

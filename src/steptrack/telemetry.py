@@ -488,16 +488,19 @@ def _read_blocks(fh: BinaryIO, lo: int, hi: int, line_no: int, log: TelemetryLog
 
     ``line_no`` is the number of the first line in the file. Raises the
     ValueError of ``read_csv`` at the first bad block, naming the file line
-    of its first line that does not parse on its own.
+    of its first line that, on its own, does not parse or does not go into
+    the log (an unknown phase, a time out of order).
     """
     for text in _blocks(fh, lo, hi):
         lines = io.StringIO(text.decode(), newline="").readlines()
         try:
             rows = _parse_lines(lines)
+            log.extend(*(rows[name] for name in FIELDS))
         except ValueError as exc:
             for i, line in enumerate(lines):
                 try:
-                    _parse_lines([line])
+                    rows = _parse_lines([line])
+                    log.extend(*(rows[name] for name in FIELDS))
                 except ValueError as line_exc:
                     # numpy's row count restarts at this one line.
                     why = str(line_exc).replace(" at row 1", "").replace(" at row 0", "")
@@ -507,7 +510,6 @@ def _read_blocks(fh: BinaryIO, lo: int, hi: int, line_no: int, log: TelemetryLog
             raise ValueError(
                 f"malformed telemetry line in the block from line {line_no}: {exc}"
             ) from None
-        log.extend(*(rows[name] for name in FIELDS))
         line_no += len(lines)
 
 

@@ -27,16 +27,15 @@ from .antenna import (
     ReceiverConfig,
     _approach,
     check_target,
-    measure_array,
+    measure,
     quantize_angle,
-    receiver_voltage_array,
+    receiver_voltage,
 )
 from .beacon import (
     DEFAULT_K_EL,
     ParabolaParams,
     QuadraticCoefficients,
     az_coeff_from_elevation,
-    az_coeff_from_elevation_array,
 )
 from .estimators import (
     DEFAULT_COEFF_FLOOR,
@@ -45,17 +44,16 @@ from .estimators import (
     PeakEstimate,
     fit_peak,
 )
-from .orbit import OrbitConfig, satellite_direction_array
+from .orbit import OrbitConfig, satellite_direction
 from .telemetry import TelemetryLog
 
 # Unused here since the cycle fits through ``fit_peak`` and ``run_scenario``
-# measures and moves the plant in its own passes, but bound as the layer
-# names through which perfbench/tracer.py traces this module.
-from .antenna import command, measure, receiver_voltage, tick  # noqa: F401
+# moves the plant in its plan pass, but bound as the layer names through
+# which perfbench/tracer.py traces this module.
+from .antenna import command, tick  # noqa: F401
 from .estimators import (  # noqa: F401
     ls_fit, recover_peak, regression_row, rls_init, rls_recover, rls_update,
 )
-from .orbit import satellite_direction  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -382,9 +380,8 @@ def run_scenario(
     each ESTIMATE step, the one decision that reads levels, and at the
     end. A WAIT span, where the plant rests at its target until the next
     cycle is due, skips the plan pass and is measured as one block. The
-    array forms are bit-equal to the scalar ones, so the log is the same,
-    byte for byte once written, as stepping ``measure``, ``StepTracker.step``,
-    ``command`` and ``tick`` one step at a time.
+    log is the same, byte for byte once written, as measuring, stepping
+    ``StepTracker.step``, ``command`` and ``tick`` one step at a time.
 
     Deterministic for a fixed receiver seed. Raises ValueError before
     starting if ``duration`` is not finite and non-negative or needs more
@@ -428,18 +425,18 @@ def run_scenario(
         # The measure pass over steps [first, first + count) at true pose
         # (az, el). Each column is an array or one value for every row.
         t = np.arange(first, first + count) * dt
-        sat_az, sat_el = satellite_direction_array(orbit, t)
+        sat_az, sat_el = satellite_direction(orbit, t)
         field = ParabolaParams(
-            k_az=az_coeff_from_elevation_array(k_el, sat_el),
+            k_az=az_coeff_from_elevation(k_el, sat_el),
             k_el=k_el,
             peak_az=sat_az,
             peak_el=sat_el,
             peak_level=peak,
         )
-        level = measure_array(az, el, field, rx, t, rng)
+        level = measure(az, el, field, rx, t, rng)
         log.extend(
             t, cmd_az, cmd_el, rb_az, rb_el, level,
-            receiver_voltage_array(level, rx), phase, cycle,
+            receiver_voltage(level, rx), phase, cycle,
         )
 
     # Plan-pass rows not yet measured: (az, el, commanded az, commanded el,

@@ -27,13 +27,15 @@ import time
 import numpy as np
 
 import steptrack as st
-from steptrack.antenna import command, measure, tick
+from steptrack.antenna import command, tick
 from steptrack.beacon import ParabolaParams, az_coeff_from_elevation, beacon_level
 from steptrack.cli import main
-from steptrack.estimators import ls_fit, memory_horizon, recover_peak, regression_row, rls_init, rls_recover, rls_update
+from steptrack.estimators import memory_horizon, recover_peak, rls_init, rls_recover
 from steptrack.orbit import satellite_direction
 from steptrack.telemetry import PHASES
 from steptrack.tracker import StepTracker, TrackerConfig, run_scenario
+
+from oracles import ls_fit, measure, regression_row, rls_update
 
 RESOLVER_STEP = 360.0 / 65536.0
 

@@ -10,11 +10,11 @@ from steptrack.antenna import (
     ReceiverConfig,
     command,
     measure,
-    read_resolvers,
+    quantize_angle,
     receiver_voltage,
     tick,
 )
-from steptrack.beacon import ParabolaParams
+from steptrack.beacon import ParabolaParams, beacon_level
 
 
 def _plant(**kw):
@@ -111,21 +111,16 @@ def test_tick_never_overshoots_random_walk():
 # -- resolvers ---------------------------------------------------------------
 
 def test_resolver_rounds_to_nearest_multiple():
-    state = _plant(true_azimuth=10.004, resolver_step=0.01)
-    az, _ = read_resolvers(state)
-    assert az == pytest.approx(10.0, abs=1e-12)
+    assert quantize_angle(10.004, 0.01) == pytest.approx(10.0, abs=1e-12)
 
 
 def test_resolver_exact_multiple_unchanged():
     step = DEFAULT_RESOLVER_STEP
-    state = _plant(true_azimuth=1000 * step)
-    az, _ = read_resolvers(state)
-    assert az == 1000 * step
+    assert quantize_angle(1000 * step, step) == 1000 * step
 
 
 def test_resolver_sixteen_bit_step():
-    state = _plant(true_azimuth=0.003, az_limits=(-1.0, 360.0))
-    az, _ = read_resolvers(state)
+    az = quantize_angle(0.003, DEFAULT_RESOLVER_STEP)
     assert az == pytest.approx(DEFAULT_RESOLVER_STEP, abs=1e-15)
 
 
@@ -134,53 +129,55 @@ def test_resolver_error_bounded_by_half_step():
     for _ in range(500):
         true_az = rng.uniform(0.0, 360.0)
         true_el = rng.uniform(5.0, 90.0)
-        state = _plant(
-            true_azimuth=true_az, true_elevation=true_el,
-            target_azimuth=true_az, target_elevation=true_el,
-        )
-        az, el = read_resolvers(state)
+        az = quantize_angle(true_az, DEFAULT_RESOLVER_STEP)
+        el = quantize_angle(true_el, DEFAULT_RESOLVER_STEP)
         assert abs(az - true_az) <= DEFAULT_RESOLVER_STEP / 2 + 1e-12
         assert abs(el - true_el) <= DEFAULT_RESOLVER_STEP / 2 + 1e-12
 
 
 # -- measurement -------------------------------------------------------------
 
+def _level(params, rx, t=0.0, az=10.0, el=70.0):
+    """The one level ``measure`` gives at time ``t`` with the plant at (az, el)."""
+    level = measure(az, el, params, rx, np.array([t]), np.random.default_rng(0))
+    return float(np.ravel(level)[0])
+
+
 def test_measure_at_peak_noiseless():
     rx = ReceiverConfig(noise_sigma=0.0, drift_amplitude=0.0)
-    sample = measure(_plant(), _params(), rx, t=0.0, rng=np.random.default_rng(0))
-    assert sample.level == 6.0
+    assert _level(_params(), rx) == 6.0
 
 
 def test_measure_clamps_at_floor():
     rx = ReceiverConfig(floor_db=-24.0, noise_sigma=0.0)
     params = _params(peak_az=40.0)  # 30 deg off in azimuth: far below floor
-    sample = measure(_plant(), params, rx, t=0.0, rng=np.random.default_rng(0))
-    assert sample.level == -24.0
+    assert _level(params, rx) == -24.0
 
 
 def test_measure_uses_true_angles_but_reports_readbacks():
-    state = _plant(true_azimuth=10.0 + DEFAULT_RESOLVER_STEP / 3)
+    # The level is taken at the true pointing, not at the readback that
+    # the caller takes with quantize_angle.
+    true_az = 10.0 + DEFAULT_RESOLVER_STEP / 3
+    readback = quantize_angle(true_az, DEFAULT_RESOLVER_STEP)
     rx = ReceiverConfig(noise_sigma=0.0)
-    sample = measure(state, _params(), rx, t=0.0, rng=np.random.default_rng(0))
-    from steptrack.beacon import beacon_level
-
-    assert sample.level == beacon_level(_params(), state.true_azimuth, 70.0)
-    assert sample.azimuth == read_resolvers(state)[0]
+    level = _level(_params(), rx, az=true_az)
+    assert level == beacon_level(_params(), true_az, 70.0)
+    assert level != beacon_level(_params(), readback, 70.0)
 
 
 def test_measure_drift_term():
     rx = ReceiverConfig(noise_sigma=0.0, drift_amplitude=0.5, drift_period=100.0)
-    sample = measure(_plant(), _params(), rx, t=25.0, rng=np.random.default_rng(0))  # sin at quarter period = 1
-    assert sample.level == pytest.approx(6.5, abs=1e-12)
+    level = _level(_params(), rx, t=25.0)  # sin at quarter period = 1
+    assert level == pytest.approx(6.5, abs=1e-12)
 
 
 def test_measure_seeded_sequences_repeat():
     rx = ReceiverConfig(noise_sigma=0.3, rng_seed=7)
-    state = _plant()
+    t = np.arange(100) * 0.02
 
     def sequence():
         rng = np.random.default_rng(rx.rng_seed)
-        return [measure(state, _params(), rx, i * 0.02, rng=rng).level for i in range(100)]
+        return measure(10.0, 70.0, _params(), rx, t, rng).tolist()
 
     first, second = sequence(), sequence()
     assert first == second
@@ -191,19 +188,17 @@ def test_measure_seeded_sequences_repeat():
 
 def test_voltage_endpoints():
     rx = ReceiverConfig(floor_db=-24.0, max_db=6.0)
-    assert receiver_voltage(-24.0, rx) == 0.0
-    assert receiver_voltage(6.0, rx) == 10.0
+    assert receiver_voltage(np.array([-24.0, 6.0]), rx).tolist() == [0.0, 10.0]
 
 
 def test_voltage_midpoint():
     rx = ReceiverConfig(floor_db=-24.0, max_db=6.0)
-    assert receiver_voltage(-9.0, rx) == pytest.approx(5.0, abs=1e-12)
+    assert receiver_voltage(np.array([-9.0]), rx)[0] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_voltage_clamped():
     rx = ReceiverConfig(floor_db=-24.0, max_db=6.0)
-    assert receiver_voltage(-40.0, rx) == 0.0
-    assert receiver_voltage(20.0, rx) == 10.0
+    assert receiver_voltage(np.array([-40.0, 20.0]), rx).tolist() == [0.0, 10.0]
 
 
 # -- config validation ---------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from steptrack.scenario import (
     _SCHEMA,
     Scenario,
     ScenarioError,
-    bundled_scenarios,
     load_scenario,
     resolve_scenario_path,
 )
@@ -228,7 +228,8 @@ def test_left_out_keys_take_class_defaults(tmp_path):
 
 
 def test_bundled_scenarios_load():
-    names = bundled_scenarios()
+    root = resources.files("steptrack").joinpath("scenarios")
+    names = [p.name[: -len(".yaml")] for p in root.iterdir() if p.name.endswith(".yaml")]
     assert "default_figure8" in names
     for name in names:
         load_scenario(resolve_scenario_path(name))

@@ -23,38 +23,36 @@ from steptrack.estimators import (
     InsufficientDataError,
     PeakEstimate,
     RankDeficientError,
-    RegressionRow,
     RlsState,
     ls_fit,
-    ls_solve,
     fit_peak,
     memory_horizon,
     recover_peak,
     regression_row,
-    regression_rows,
     rls_init,
     rls_recover,
-    rls_run,
     rls_update,
 )
 
+import oracles
+
 
 def _rows_from_parabola(k, peak_az, peak_el, peak_level, positions):
+    """Regression rows (x, y) of noiseless samples of the surface at positions."""
+    az, el = np.array(positions, dtype=float).reshape(-1, 2).T
     params = ParabolaParams(
         k_az=k.k_az, k_el=k.k_el,
         peak_az=peak_az, peak_el=peak_el, peak_level=peak_level,
     )
-    rows = []
-    for az, el in positions:
-        level = beacon_level(params, az, el)
-        rows.append(regression_row(BeaconSample(0.0, az, el, level), k))
-    return rows
+    return regression_row(az, el, beacon_level(params, az, el), k)
 
 
-def _normal_equations_oracle(rows):
-    x = np.array([r.regressors for r in rows])
-    y = np.array([r.response for r in rows])
+def _normal_equations_oracle(x, y):
     return np.linalg.inv(x.T @ x) @ x.T @ y
+
+
+def _one_row(az, el, level, k):
+    return regression_row(np.array([az]), np.array([el]), np.array([level]), k)
 
 
 RECT = [(0.5, 1.9), (1.5, 1.9), (1.5, 2.1), (0.5, 2.1)]
@@ -64,19 +62,19 @@ K12 = QuadraticCoefficients(k_az=-1.0, k_el=-2.0)
 # -- regression rows -----------------------------------------------------------
 
 def test_row_at_origin_keeps_level():
-    row = regression_row(BeaconSample(0.0, 0.0, 0.0, 5.0), QuadraticCoefficients(-1.0, -11.4))
-    assert list(row.regressors) == [0.0, 0.0, 1.0]
-    assert row.response == 5.0
+    x, y = _one_row(0.0, 0.0, 5.0, QuadraticCoefficients(-1.0, -11.4))
+    assert x.tolist() == [[0.0, 0.0, 1.0]]
+    assert y.tolist() == [5.0]
 
 
 def test_row_removes_azimuth_quadratic():
-    row = regression_row(BeaconSample(0.0, 1.0, 0.0, 2.0), QuadraticCoefficients(-1.0, -11.4))
-    assert row.response == pytest.approx(3.0, abs=1e-12)
+    _, y = _one_row(1.0, 0.0, 2.0, QuadraticCoefficients(-1.0, -11.4))
+    assert y[0] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_row_removes_both_quadratics():
-    row = regression_row(BeaconSample(0.0, 2.0, 1.0, 0.0), QuadraticCoefficients(-1.0, -2.0))
-    assert row.response == pytest.approx(6.0, abs=1e-12)
+    _, y = _one_row(2.0, 1.0, 0.0, QuadraticCoefficients(-1.0, -2.0))
+    assert y[0] == pytest.approx(6.0, abs=1e-12)
 
 
 # -- batch fit -------------------------------------------------------------------
@@ -84,8 +82,7 @@ def test_row_removes_both_quadratics():
 def test_ls_fit_rectangle_matches_definition():
     # forward evaluation of the coefficient definition:
     # [-2*(-1)*1, -2*(-2)*2, 3 + (-1)*1 + (-2)*4] = [2, 8, -6]
-    rows = _rows_from_parabola(K12, 1.0, 2.0, 3.0, RECT)
-    beta = ls_fit(rows)
+    beta = ls_fit(*_rows_from_parabola(K12, 1.0, 2.0, 3.0, RECT))
     assert beta == pytest.approx([2.0, 8.0, -6.0], abs=1e-9)
 
 
@@ -94,42 +91,39 @@ def test_ls_fit_matches_normal_equations_oracle():
     k = QuadraticCoefficients(-1.1, -11.4)
     for _ in range(20):
         positions = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(8)]
-        rows = _rows_from_parabola(k, 0.3, -0.2, 4.0, positions)
+        x, y = _rows_from_parabola(k, 0.3, -0.2, 4.0, positions)
         # perturb responses so the fit is not trivially exact
-        rows = [
-            type(r)(regressors=r.regressors, response=r.response + rng.normal(0, 0.1))
-            for r in rows
-        ]
-        assert ls_fit(rows) == pytest.approx(_normal_equations_oracle(rows), abs=1e-8)
+        y = y + rng.normal(0, 0.1, size=len(y))
+        assert ls_fit(x, y) == pytest.approx(_normal_equations_oracle(x, y), abs=1e-8)
 
 
 def test_ls_fit_identical_rows_rank_deficient():
     rows = _rows_from_parabola(K12, 1.0, 2.0, 3.0, [(0.5, 1.9)] * 5)
     with pytest.raises(RankDeficientError):
-        ls_fit(rows)
+        ls_fit(*rows)
 
 
 def test_ls_fit_collinear_rows_rank_deficient():
     positions = [(0.1 * i, 0.2 * i) for i in range(6)]
     rows = _rows_from_parabola(K12, 1.0, 2.0, 3.0, positions)
     with pytest.raises(RankDeficientError):
-        ls_fit(rows)
+        ls_fit(*rows)
 
 
 def test_ls_fit_insufficient_data():
     rows = _rows_from_parabola(K12, 1.0, 2.0, 3.0, RECT[:2])
     with pytest.raises(InsufficientDataError):
-        ls_fit(rows)
+        ls_fit(*rows)
 
 
 def test_ls_fit_permutation_invariant():
     rng = np.random.default_rng(9)
     positions = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(12)]
-    rows = _rows_from_parabola(K12, 0.7, -0.4, 1.5, positions)
-    beta = ls_fit(rows)
+    x, y = _rows_from_parabola(K12, 0.7, -0.4, 1.5, positions)
+    beta = ls_fit(x, y)
     for _ in range(5):
-        order = rng.permutation(len(rows))
-        assert ls_fit([rows[i] for i in order]) == pytest.approx(beta, abs=1e-9)
+        order = rng.permutation(len(y))
+        assert ls_fit(x[order], y[order]) == pytest.approx(beta, abs=1e-9)
 
 
 # -- peak recovery ----------------------------------------------------------------
@@ -158,7 +152,7 @@ def test_noiseless_exactness_randomized():
         positions = [(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(n)]
         rows = _rows_from_parabola(k, *peak, positions)
         try:
-            est = recover_peak(ls_fit(rows), k)
+            est = recover_peak(ls_fit(*rows), k)
         except RankDeficientError:
             continue  # a random draw can be near-collinear
         assert est.azimuth == pytest.approx(peak[0], abs=1e-9)
@@ -169,12 +163,9 @@ def test_noiseless_exactness_randomized():
 def test_level_shift_moves_only_recovered_level():
     rng = np.random.default_rng(23)
     positions = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(10)]
-    rows = _rows_from_parabola(K12, 0.5, -0.3, 2.0, positions)
-    shifted = [
-        type(r)(regressors=r.regressors, response=r.response + 7.5) for r in rows
-    ]
-    base = recover_peak(ls_fit(rows), K12)
-    lifted = recover_peak(ls_fit(shifted), K12)
+    x, y = _rows_from_parabola(K12, 0.5, -0.3, 2.0, positions)
+    base = recover_peak(ls_fit(x, y), K12)
+    lifted = recover_peak(ls_fit(x, y + 7.5), K12)
     assert lifted.azimuth == pytest.approx(base.azimuth, abs=1e-9)
     assert lifted.elevation == pytest.approx(base.elevation, abs=1e-9)
     assert lifted.level == pytest.approx(base.level + 7.5, abs=1e-9)
@@ -202,14 +193,8 @@ def test_rls_init_validation():
 
 def test_rls_zero_innovation_keeps_coeffs():
     state = RlsState(np.array([2.0, 8.0, -6.0]), 10.0 * np.eye(3), 0.95)
-    row = regression_row(
-        BeaconSample(0.0, 0.5, 1.9, 0.0), QuadraticCoefficients(-1.0, -2.0)
-    )
-    row = type(row)(
-        regressors=row.regressors,
-        response=float(row.regressors @ state.coeffs),
-    )
-    new_state, residual = rls_update(state, row)
+    x, _ = _one_row(0.5, 1.9, 0.0, QuadraticCoefficients(-1.0, -2.0))
+    new_state, residual = rls_update(state, x, x @ state.coeffs)
     assert residual == 0.0
     assert new_state.coeffs == pytest.approx(state.coeffs, abs=1e-15)
     assert not np.allclose(new_state.cov, state.cov)  # gain still updates
@@ -217,10 +202,8 @@ def test_rls_zero_innovation_keeps_coeffs():
 
 def test_rls_matches_batch_on_rectangle():
     k = K12
-    rows = _rows_from_parabola(k, 1.0, 2.0, 3.0, RECT)
-    state = rls_init(1.0, 1e8)
-    for row in rows:
-        state, _ = rls_update(state, row)
+    x, y = _rows_from_parabola(k, 1.0, 2.0, 3.0, RECT)
+    state, _ = rls_update(rls_init(1.0, 1e8), x, y)
     peak = rls_recover(state, k)
     assert peak.azimuth == pytest.approx(1.0, abs=1e-4)
     assert peak.elevation == pytest.approx(2.0, abs=1e-4)
@@ -229,18 +212,15 @@ def test_rls_matches_batch_on_rectangle():
 
 def test_rls_repeated_row_shrinks_gain():
     state = rls_init(0.9, 1e4)
-    row = regression_row(
-        BeaconSample(0.0, 0.5, 1.9, 1.0), QuadraticCoefficients(-1.0, -2.0)
-    )
-    x = row.regressors
+    x, y = _one_row(0.5, 1.9, 1.0, QuadraticCoefficients(-1.0, -2.0))
 
     def directional_gain(s):
-        return float(x @ s.cov @ x)
+        return float(x[0] @ s.cov @ x[0])
 
     g0 = directional_gain(state)
-    state, _ = rls_update(state, row)
+    state, _ = rls_update(state, x, y)
     g1 = directional_gain(state)
-    state, _ = rls_update(state, row)
+    state, _ = rls_update(state, x, y)
     g2 = directional_gain(state)
     assert g1 < g0
     assert g2 < g1
@@ -254,15 +234,10 @@ def test_rls_equivalence_randomized():
         peak = (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-5, 6))
         n = int(rng.integers(4, 101))
         positions = [(peak[0] + rng.uniform(-0.5, 0.5), peak[1] + rng.uniform(-0.5, 0.5)) for _ in range(n)]
-        rows = _rows_from_parabola(k, *peak, positions)
-        rows = [
-            type(r)(regressors=r.regressors, response=r.response + rng.normal(0, 0.1))
-            for r in rows
-        ]
-        batch = recover_peak(ls_fit(rows), k)
-        state = rls_init(1.0, 1e8)
-        for row in rows:
-            state, _ = rls_update(state, row)
+        x, y = _rows_from_parabola(k, *peak, positions)
+        y = y + rng.normal(0, 0.1, size=len(y))
+        batch = recover_peak(ls_fit(x, y), k)
+        state, _ = rls_update(rls_init(1.0, 1e8), x, y)
         rec = rls_recover(state, k)
         worst = max(
             worst,
@@ -280,8 +255,7 @@ def test_rls_cov_stays_symmetric_positive_definite():
     for i in range(400):
         az, el = rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
         level = -1.1 * (az - 0.1) ** 2 - 11.4 * (el + 0.2) ** 2 + 3.0 + rng.normal(0, 0.05)
-        row = regression_row(BeaconSample(0.0, az, el, level), k)
-        state, _ = rls_update(state, row)
+        state, _ = rls_update(state, *_one_row(az, el, level, k))
         assert np.allclose(state.cov, state.cov.T, rtol=1e-9, atol=1e-12)
         np.linalg.cholesky(state.cov)  # raises if not positive definite
 
@@ -289,9 +263,9 @@ def test_rls_cov_stays_symmetric_positive_definite():
 def test_rls_update_rejects_non_finite():
     state = rls_init(0.98)
     with pytest.raises(ValueError):
-        rls_update(state, RegressionRow(np.array([np.nan, 0.0, 1.0]), 1.0))
+        rls_update(state, np.array([[np.nan, 0.0, 1.0]]), np.array([1.0]))
     with pytest.raises(ValueError):
-        rls_update(state, RegressionRow(np.array([0.0, 0.0, 1.0]), math.inf))
+        rls_update(state, np.array([[0.0, 0.0, 1.0]]), np.array([math.inf]))
 
 
 def test_rls_recover_fresh_state_is_origin():
@@ -325,13 +299,14 @@ def test_memory_horizon_domain():
         memory_horizon(1.01)
 
 
-# -- array forms -------------------------------------------------------------------
-# ``fit_peak`` runs through the array forms; the scalar forms, one sample
-# at a time, are the reference they must match bit for bit, NaN included.
+# -- against the per-sample forms ---------------------------------------------------
+# The per-sample forms in ``oracles``, one sample or row at a time, are the
+# reference the package's array functions must match bit for bit, NaN
+# included.
 
 def _scalar_rows(az, el, level, k):
     return [
-        regression_row(BeaconSample(0.0, a, e, lv), k)
+        oracles.regression_row(BeaconSample(0.0, a, e, lv), k)
         for a, e, lv in zip(az.tolist(), el.tolist(), level.tolist())
     ]
 
@@ -342,7 +317,7 @@ def _same_bits(a, b):
 
 def _rls_loop(state, rows):
     for row in rows:
-        state, _ = rls_update(state, row)
+        state, _ = oracles.rls_update(state, row)
     return state
 
 
@@ -364,7 +339,7 @@ pattern_samples = st.integers(3, 200).flatmap(
 @given(columns=samples, k=curvatures)
 def test_regression_rows_match_scalar_rows(columns, k):
     with np.errstate(over="ignore", invalid="ignore"):
-        x, y = regression_rows(*columns, k)
+        x, y = regression_row(*columns, k)
     rows = _scalar_rows(*columns, k)
     assert _same_bits(x, [row.regressors for row in rows])
     assert _same_bits(y, [row.response for row in rows])
@@ -378,9 +353,9 @@ def test_regression_rows_match_scalar_rows(columns, k):
 )
 def test_rls_run_matches_rls_update_loop(columns, k, forgetting, delta):
     state = rls_init(forgetting, delta)
-    x, y = regression_rows(*columns, k)
+    x, y = regression_row(*columns, k)
     with np.errstate(all="ignore"):
-        run = rls_run(state, x, y)
+        run, _ = rls_update(state, x, y)
         loop = _rls_loop(state, _scalar_rows(*columns, k))
     assert _same_bits(run.coeffs, loop.coeffs)
     assert _same_bits(run.cov, loop.cov)
@@ -396,9 +371,9 @@ def test_rls_run_matches_rls_update_loop_through_windup():
     pos = np.vstack([corners, np.tile([(0.01, -0.02)], (36_000, 1))])
     level = 6.0 + 0.2 * rng.standard_normal(len(pos))
     state = rls_init(0.98, 1e8)
-    x, y = regression_rows(pos[:, 0], pos[:, 1], level, K12)
+    x, y = regression_row(pos[:, 0], pos[:, 1], level, K12)
     with np.errstate(all="ignore"):
-        run = rls_run(state, x, y)
+        run, _ = rls_update(state, x, y)
         loop = _rls_loop(state, _scalar_rows(pos[:, 0], pos[:, 1], level, K12))
     assert np.isnan(run.cov).any()
     assert _same_bits(run.coeffs, loop.coeffs)
@@ -408,16 +383,16 @@ def test_rls_run_matches_rls_update_loop_through_windup():
 @pytest.mark.parametrize("bad", [(2, 0), (2, 1), (0, 0), (4, None)])
 def test_rls_run_rejects_non_finite_row_like_rls_update(bad):
     i, j = bad
-    x, y = regression_rows(np.linspace(0.0, 1.0, 5), np.linspace(1.0, 0.0, 5), np.ones(5), K12)
+    x, y = regression_row(np.linspace(0.0, 1.0, 5), np.linspace(1.0, 0.0, 5), np.ones(5), K12)
     if j is None:
         y[i] = math.inf
     else:
         x[i, j] = math.nan
     state = rls_init(0.98)
     with pytest.raises(ValueError) as from_update:
-        _rls_loop(state, [RegressionRow(xi, float(yi)) for xi, yi in zip(x, y)])
+        _rls_loop(state, [oracles.RegressionRow(xi, float(yi)) for xi, yi in zip(x, y)])
     with pytest.raises(ValueError) as from_run:
-        rls_run(state, x, y)
+        rls_update(state, x, y)
     assert str(from_run.value) == str(from_update.value)
     assert "non-finite regression row" in str(from_run.value)
 
@@ -430,7 +405,7 @@ def test_rls_run_stops_once_the_state_is_a_nan_fixed_point(monkeypatch):
     pos = np.vstack([corners, np.tile([(0.01, -0.02)], (36_000, 1))])
     level = 6.0 + 0.2 * rng.standard_normal(len(pos))
     state = rls_init(0.98, 1e8)
-    x, y = regression_rows(pos[:, 0], pos[:, 1], level, K12)
+    x, y = regression_row(pos[:, 0], pos[:, 1], level, K12)
     with np.errstate(all="ignore"):
         loop = _rls_loop(state, _scalar_rows(pos[:, 0], pos[:, 1], level, K12))
         # Count the rows the recursion takes from its input.
@@ -441,7 +416,7 @@ def test_rls_run_stops_once_the_state_is_a_nan_fixed_point(monkeypatch):
             return real_rls(state, (taken.append(1) or row for row in rows))
 
         monkeypatch.setattr(estimators, "_rls", counting_rls)
-        run = rls_run(state, x, y)
+        run, _ = rls_update(state, x, y)
     assert 0 < len(taken) < len(x)
     assert np.isnan(run.coeffs).all() and np.isnan(run.cov).all()
     assert _same_bits(run.coeffs, loop.coeffs)
@@ -452,14 +427,10 @@ def test_rls_zero_denominator_divides_like_ieee():
     # A gain matrix that is not positive definite can make lam + x.Px zero:
     # the gain is then px / 0, -inf or nan as IEEE arithmetic gives it.
     state = RlsState(np.zeros(3), np.diag([-0.98, 1.0, 1.0]), 0.98)
-    row = RegressionRow(np.array([1.0, 0.0, 0.0]), 1.0)
     with np.errstate(all="ignore"):
-        new, residual = rls_update(state, row)
-        run = rls_run(state, row.regressors[None, :], np.array([row.response]))
+        new, residual = rls_update(state, np.array([[1.0, 0.0, 0.0]]), np.array([1.0]))
     assert residual == 1.0
     assert new.coeffs[0] == -math.inf and np.isnan(new.coeffs[1:]).all()
-    assert _same_bits(run.coeffs, new.coeffs)
-    assert _same_bits(run.cov, new.cov)
 
 
 nan_signs = st.sampled_from([math.nan, -math.nan])
@@ -485,9 +456,9 @@ def test_rls_run_matches_rls_update_loop_from_nan_states(
         cov=np.full((3, 3), cov_nan) if nan_in != "coeffs" else fresh.cov,
         forgetting=forgetting,
     )
-    x, y = regression_rows(*columns, k)
+    x, y = regression_row(*columns, k)
     with np.errstate(all="ignore"):
-        run = rls_run(state, x, y)
+        run, _ = rls_update(state, x, y)
         loop = _rls_loop(state, _scalar_rows(*columns, k))
     assert _same_bits(run.coeffs, loop.coeffs)
     assert _same_bits(run.cov, loop.cov)
@@ -497,12 +468,12 @@ def test_rls_run_matches_rls_update_loop_from_nan_states(
 def test_ls_fit_matches_ls_solve(columns, k):
     rows = _scalar_rows(*columns, k)
     try:
-        want = ls_fit(rows)
+        want = oracles.ls_fit(rows)
     except RankDeficientError:
         with pytest.raises(RankDeficientError):
-            ls_solve(*regression_rows(*columns, k))
+            ls_fit(*regression_row(*columns, k))
         return
-    assert _same_bits(ls_solve(*regression_rows(*columns, k)), want)
+    assert _same_bits(ls_fit(*regression_row(*columns, k)), want)
 
 
 @pytest.mark.parametrize("far", [1e154, 1e200])
@@ -511,14 +482,14 @@ def test_ls_solve_sums_that_overflow_are_rank_deficient(far):
     # squared is inf, and the cross sums meet inf - inf.
     az, el = np.array([far, -far, 0.0, 1.0]), np.array([far, far, 0.0, 1.0])
     with np.errstate(over="ignore", invalid="ignore"):
-        x, y = regression_rows(az, el, np.zeros(4), K12)
+        x, y = regression_row(az, el, np.zeros(4), K12)
         with pytest.raises(RankDeficientError, match="reciprocal condition 0.000e"):
-            ls_solve(x, y)
+            ls_fit(x, y)
 
 
 def test_ls_solve_insufficient_data():
     with pytest.raises(InsufficientDataError):
-        ls_solve(np.ones((2, 3)), np.ones(2))
+        ls_fit(np.ones((2, 3)), np.ones(2))
 
 
 # -- fit_peak ----------------------------------------------------------------------
@@ -529,11 +500,11 @@ def _scalar_fit(az, el, level, centre, k, estimator, forgetting, delta, prior):
     ``ls_fit`` the rows), recover the peak and shift it back."""
     caz, cel = centre
     rows = [
-        regression_row(BeaconSample(0.0, a - caz, e - cel, lv), k)
+        oracles.regression_row(BeaconSample(0.0, a - caz, e - cel, lv), k)
         for a, e, lv in zip(az.tolist(), el.tolist(), level.tolist())
     ]
     if estimator == "batch-ls":
-        local = recover_peak(ls_fit(rows), k)
+        local = recover_peak(oracles.ls_fit(rows), k)
     else:
         state = rls_init(forgetting, delta)
         if prior is not None:
@@ -600,8 +571,8 @@ def test_fit_peak_residual_rms_of_exact_and_offset_samples():
     # One sample 0.5 dB high: the batch residuals are those of the fit.
     level[-1] += 0.5
     peak, rms = fit_peak(positions[:, 0], positions[:, 1], level, (1.0, 2.0), K12, "batch-ls")
-    x, y = regression_rows(positions[:, 0] - 1.0, positions[:, 1] - 2.0, level, K12)
-    beta = ls_solve(x, y)
+    x, y = regression_row(positions[:, 0] - 1.0, positions[:, 1] - 2.0, level, K12)
+    beta = ls_fit(x, y)
     assert rms == pytest.approx(math.sqrt(np.mean((y - x @ beta) ** 2)), rel=1e-12)
     assert rms > 0.1
 

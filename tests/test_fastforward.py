@@ -1,9 +1,10 @@
 """Plan and measure passes: ``run_scenario`` must log what plain stepping logs.
 
-``_stepped`` below is the per-step loop, kept here as the reference. The
-properties compare the two bit for bit on the configurations the golden
-digests do not cover, and check that each array form of a physics
-formula equals its scalar form bit for bit.
+``_stepped`` below is the per-step loop, built from the per-sample forms
+in ``oracles``, kept here as the reference. The properties compare the two
+bit for bit on the configurations the golden digests do not cover, and
+check that each physics formula of the package, over an array, equals its
+per-sample form bit for bit at each element.
 """
 
 import dataclasses
@@ -20,19 +21,12 @@ from steptrack.antenna import (
     ReceiverConfig,
     command,
     measure,
-    measure_array,
     quantize_angle,
     receiver_voltage,
-    receiver_voltage_array,
     tick,
 )
-from steptrack.beacon import (
-    ParabolaParams,
-    az_coeff_from_elevation,
-    az_coeff_from_elevation_array,
-    beacon_level,
-)
-from steptrack.orbit import OrbitConfig, satellite_direction, satellite_direction_array
+from steptrack.beacon import ParabolaParams, az_coeff_from_elevation, beacon_level
+from steptrack.orbit import OrbitConfig, satellite_direction
 from steptrack.telemetry import FIELDS, TelemetryLog
 from steptrack.tracker import (
     PatternInfeasibleError,
@@ -42,6 +36,8 @@ from steptrack.tracker import (
     plan_pattern,
     run_scenario,
 )
+
+import oracles
 
 
 def _stepped(orbit, plant, rx, config, duration, peak_level_db=None):
@@ -53,15 +49,15 @@ def _stepped(orbit, plant, rx, config, duration, peak_level_db=None):
     dt = config.sample_interval
     for i in range(round(duration / dt)):
         t = i * dt
-        sat_az, sat_el = satellite_direction(orbit, t)
+        sat_az, sat_el = oracles.satellite_direction(orbit, t)
         field = ParabolaParams(
-            k_az=az_coeff_from_elevation(config.k_el, sat_el),
+            k_az=oracles.az_coeff_from_elevation(config.k_el, sat_el),
             k_el=config.k_el,
             peak_az=sat_az,
             peak_el=sat_el,
             peak_level=peak,
         )
-        sample = measure(plant, field, rx, t, rng=rng)
+        sample = oracles.measure(plant, field, rx, t, rng=rng)
         cmd = tracker.step(plant, sample, t)
         if cmd is not None:
             plant = command(plant, cmd[0], cmd[1])
@@ -72,7 +68,7 @@ def _stepped(orbit, plant, rx, config, duration, peak_level_db=None):
             sample.azimuth,
             sample.elevation,
             sample.level,
-            receiver_voltage(sample.level, rx),
+            oracles.receiver_voltage(sample.level, rx),
             tracker.phase.value,
             tracker.cycle_index,
         )
@@ -236,7 +232,7 @@ def test_run_scenario_matches_stepping(case):
     _assert_same_log(got, want)
 
 
-# -- array forms of the physics ------------------------------------------------
+# -- the physics over arrays, against the per-sample forms -----------------------
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -256,8 +252,8 @@ def test_satellite_direction_array_is_bit_equal(
 ):
     orbit = OrbitConfig(180.0, 45.0, az_amp, el_amp, period, phase, axis_mode, drift)
     t = t0 + np.arange(64) * dt
-    az, el = satellite_direction_array(orbit, t)
-    want = [satellite_direction(orbit, ti) for ti in t.tolist()]
+    az, el = satellite_direction(orbit, t)
+    want = [oracles.satellite_direction(orbit, ti) for ti in t.tolist()]
     _assert_bit_equal(az, [a for a, _ in want])
     _assert_bit_equal(el, [e for _, e in want])
 
@@ -267,17 +263,20 @@ def test_satellite_direction_array_is_bit_equal(
     elevation=st.lists(st.floats(0.0, 90.0), min_size=1, max_size=64),
 )
 def test_az_coeff_array_is_bit_equal(k_el, elevation):
-    got = az_coeff_from_elevation_array(k_el, np.array(elevation))
-    _assert_bit_equal(got, [az_coeff_from_elevation(k_el, e) for e in elevation])
+    got = az_coeff_from_elevation(k_el, np.array(elevation))
+    want = [oracles.az_coeff_from_elevation(k_el, e) for e in elevation]
+    _assert_bit_equal(got, want)
+    # A float gives the same bits as a one-element array.
+    _assert_bit_equal(np.array([az_coeff_from_elevation(k_el, e) for e in elevation]), want)
 
 
 def test_az_coeff_array_domain_errors():
+    with pytest.raises(ValueError, match="got 90.5"):
+        az_coeff_from_elevation(-11.4, np.array([10.0, 90.5]))
     with pytest.raises(ValueError):
-        az_coeff_from_elevation_array(-11.4, np.array([10.0, 90.5]))
+        az_coeff_from_elevation(-11.4, np.array([math.nan]))
     with pytest.raises(ValueError):
-        az_coeff_from_elevation_array(-11.4, np.array([math.nan]))
-    with pytest.raises(ValueError):
-        az_coeff_from_elevation_array(1.0, np.array([10.0]))
+        az_coeff_from_elevation(1.0, np.array([10.0]))
 
 
 def test_parabola_params_rejects_array_with_zero_curvature():
@@ -324,10 +323,10 @@ def test_measure_array_is_bit_equal(rows, az, el, noise, drift_amp, drift_period
         noise_sigma=noise, drift_amplitude=drift_amp, drift_period=drift_period
     )
     t = t0 + np.arange(len(rows)) * 0.02
-    got = measure_array(az, el, _surface(rows), rx, t, np.random.default_rng(seed))
+    got = measure(az, el, _surface(rows), rx, t, np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
     want = [
-        measure(plant, ParabolaParams(k, -11.4, pa, pe, 6.0), rx, ti, rng=rng).level
+        oracles.measure(plant, ParabolaParams(k, -11.4, pa, pe, 6.0), rx, ti, rng=rng).level
         for (k, pa, pe), ti in zip(rows, t.tolist())
     ]
     _assert_bit_equal(got, want)
@@ -340,5 +339,5 @@ def test_measure_array_is_bit_equal(rows, az, el, noise, drift_amp, drift_period
 )
 def test_receiver_voltage_array_is_bit_equal(levels, floor, span):
     rx = ReceiverConfig(floor_db=floor, max_db=floor + span)
-    got = receiver_voltage_array(np.array(levels), rx)
-    _assert_bit_equal(got, [receiver_voltage(v, rx) for v in levels])
+    got = receiver_voltage(np.array(levels), rx)
+    _assert_bit_equal(got, [oracles.receiver_voltage(v, rx) for v in levels])

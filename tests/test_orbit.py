@@ -4,7 +4,7 @@
 import numpy as np
 import pytest
 
-from steptrack.orbit import OrbitConfig, satellite_direction, satellite_direction_array
+from steptrack.orbit import OrbitConfig, satellite_direction
 
 
 def _default(**kw):
@@ -68,7 +68,7 @@ def test_drift_moves_major_axis():
 def _trace(config, step):
     """Satellite azimuth and elevation sampled every ``step`` over one period."""
     t = np.arange(round(config.period / step) + 1) * step
-    return satellite_direction_array(config, t)
+    return satellite_direction(config, t)
 
 
 def test_trace_stationary_config():

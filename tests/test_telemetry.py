@@ -248,6 +248,22 @@ def test_read_csv_error_names_the_file_line(tmp_path):
         _read_text(tmp_path, text)
 
 
+def test_read_csv_unknown_phase_names_the_file_line(tmp_path):
+    bad = ROW.replace("0.5,", "0.52,", 1).replace("wait", "idle")
+    text = "\n".join([CSV_HEADER, ROW, bad]) + "\n"
+    message = re.escape(f"malformed telemetry line 3: {bad!r}: unknown phase 'idle', expected")
+    with pytest.raises(ValueError, match="^" + message):
+        _read_text(tmp_path, text)
+
+
+def test_read_csv_time_out_of_order_names_the_file_line(tmp_path):
+    later, bad = (ROW.replace("0.5,", f"{t},", 1) for t in (0.6, 0.1))
+    text = "\n".join([CSV_HEADER, ROW, later, bad]) + "\n"
+    message = re.escape(f"malformed telemetry line 4: {bad!r}: non-monotonic time")
+    with pytest.raises(ValueError, match="^" + message + ".* 0.1 after 0.6$"):
+        _read_text(tmp_path, text)
+
+
 def test_read_csv_rejects_wrong_field_count(tmp_path):
     path = tmp_path / "short.csv"
     path.write_text(CSV_HEADER + "\n0.0,1.0,2.0\n")
@@ -651,6 +667,7 @@ def test_read_errors_do_not_depend_on_the_readers(tmp_path, monkeypatch, fault):
                 outcomes.append(_read_outcome(path))
             _assert_no_child_left()
         assert outcomes[0][0] is ValueError, (at, outcomes[0])
+        assert f"malformed telemetry line {at + 2}: " in outcomes[0][1], (at, outcomes[0])
         assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0], at
 
 

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 import steptrack as st
-from steptrack.antenna import AxisLimitError, command, measure, tick
-from steptrack.beacon import ParabolaParams, az_coeff_from_elevation
-from steptrack.orbit import satellite_direction
+from steptrack.antenna import AxisLimitError, command, tick
+from steptrack.beacon import ParabolaParams
 from steptrack.telemetry import FIELDS, PHASES
 from steptrack.tracker import (
     PatternInfeasibleError,
@@ -21,6 +20,8 @@ from steptrack.tracker import (
     run_scenario,
 )
 
+import oracles
+
 
 def _closed_loop(orbit, plant, rx, config, duration, peak_level=6.0):
     """Manual copy of the run_scenario stepping so the test can watch the
@@ -30,15 +31,15 @@ def _closed_loop(orbit, plant, rx, config, duration, peak_level=6.0):
     dt = config.sample_interval
     for i in range(round(duration / dt)):
         t = i * dt
-        sat_az, sat_el = satellite_direction(orbit, t)
+        sat_az, sat_el = oracles.satellite_direction(orbit, t)
         field = ParabolaParams(
-            k_az=az_coeff_from_elevation(config.k_el, sat_el),
+            k_az=oracles.az_coeff_from_elevation(config.k_el, sat_el),
             k_el=config.k_el,
             peak_az=sat_az,
             peak_el=sat_el,
             peak_level=peak_level,
         )
-        sample = measure(plant, field, rx, t, rng=rng)
+        sample = oracles.measure(plant, field, rx, t, rng=rng)
         cmd = tracker.step(plant, sample, t)
         if cmd is not None:
             plant = command(plant, *cmd)
@@ -343,12 +344,12 @@ def test_continuous_sample_count_matches_acquire_ticks():
     state = plant
     for i in range(round(15.0 / dt)):
         t = i * dt
-        sat_az, sat_el = satellite_direction(orbit, t)
+        sat_az, sat_el = oracles.satellite_direction(orbit, t)
         field = ParabolaParams(
-            k_az=az_coeff_from_elevation(config.k_el, sat_el),
+            k_az=oracles.az_coeff_from_elevation(config.k_el, sat_el),
             k_el=config.k_el, peak_az=sat_az, peak_el=sat_el, peak_level=6.0,
         )
-        sample = measure(state, field, rx, t, rng=rng)
+        sample = oracles.measure(state, field, rx, t, rng=rng)
         cmd = tracker.step(state, sample, t)
         if tracker.phase is TrackerPhase.ACQUIRE:
             acquire_ticks += 1
@@ -371,12 +372,12 @@ def test_corner_only_dwell_zero_takes_four_samples():
     dt = config.sample_interval
     for i in range(round(10.0 / dt)):
         t = i * dt
-        sat_az, sat_el = satellite_direction(orbit, t)
+        sat_az, sat_el = oracles.satellite_direction(orbit, t)
         field = ParabolaParams(
-            k_az=az_coeff_from_elevation(config.k_el, sat_el),
+            k_az=oracles.az_coeff_from_elevation(config.k_el, sat_el),
             k_el=config.k_el, peak_az=sat_az, peak_el=sat_el, peak_level=6.0,
         )
-        sample = measure(state, field, rx, t, rng=rng)
+        sample = oracles.measure(state, field, rx, t, rng=rng)
         cmd = tracker.step(state, sample, t)
         if cmd is not None:
             state = command(state, *cmd)
