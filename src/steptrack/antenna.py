@@ -191,6 +191,8 @@ def measure(
         raw = raw + rx.drift_amplitude * np.sin(2.0 * math.pi * t / rx.drift_period)
     if rx.noise_sigma > 0.0:
         raw = raw + rng.normal(0.0, rx.noise_sigma, size=len(t))
+    # One level per time, also from a single surface and pose.
+    raw = np.broadcast_to(raw, np.shape(t))
     return np.where(raw > rx.floor_db, raw, rx.floor_db)
 
 

@@ -135,8 +135,9 @@ def _cmd_simulate(args) -> int:
     print(f"wrote {len(log)} records to {output}")
     if len(log):
         stats = beacon_stats(log)
-        cmd_az = log.column("commanded_az")
-        cmd_el = log.column("commanded_el")
+        # The peak-to-peak of a step column is that of its run values.
+        _, cmd_az = log.runs("commanded_az")
+        _, cmd_el = log.runs("commanded_el")
         print(f"beacon mean {stats.mean:.3f} dB, stddev {stats.stddev:.3f} dB, "
               f"min {stats.minimum:.3f} dB, max {stats.maximum:.3f} dB")
         print(f"command peak-to-peak: azimuth {cmd_az.max() - cmd_az.min():.4f} deg, "

@@ -1,12 +1,20 @@
 """Append-only columnar telemetry log with offline statistics and CSV persistence.
 
-One row per simulation step, stored as nine numpy columns named in
-``FIELDS``: seven float64 columns (time in s, angles in deg, beacon level
-in dB, receiver volts), the phase as a small-int code (an index into
-``PHASES``) and the cycle index. Rows go in as column blocks with
-``extend`` (``append`` is a block of one), and time must strictly
-increase. Data comes out only as columns: ``column`` gives a read-only
-view of one, and ``len`` the row count.
+One row per simulation step, in nine columns named in ``FIELDS``: seven
+float64 columns (time in s, angles in deg, beacon level in dB, receiver
+volts), the phase as a small-int code (an index into ``PHASES``) and the
+cycle index. Rows go in as column blocks with ``extend`` (``append`` is
+a block of one), and time must be finite and strictly increase.
+
+Time, level and volts change on nearly every row and are stored dense,
+one value per row. The commands, readbacks, phase and cycle index are
+step functions: they hold over a WAIT span or a pattern leg, and change
+a few thousand times in a simulated day of 4.32 M rows. They are stored
+run-length encoded: the first row and the value of each run, where
+neighbouring runs differ in bit pattern, so -0.0 and 0.0 stay apart.
+So the log takes about 24 B a row. Data comes out as columns:
+``column`` gives a read-only view of a dense column or expands a step
+column, ``runs`` gives a step column's runs, and ``len`` the row count.
 
 The CSV encoding writes floats at full round-trip precision (padded to at
 least six decimal places), so a written log reads back bit-exact and
@@ -14,8 +22,9 @@ still drops straight into any plotting tool. ``write_csv`` and
 ``read_csv`` work in fixed-size blocks (of rows, and of bytes on a grid
 fixed by the file), so their working memory does not grow with the log:
 ``read_csv`` counts the lines first to size the columns once, then parses
-each block of lines with one ``np.loadtxt`` call. For a long log in a
-regular file, both fork up to one process per available CPU, each
+each block of lines with one ``np.loadtxt`` call, and encodes the step
+columns once at the end. The writer formats each run once. For a long
+log in a regular file, both fork up to one process per available CPU, each
 working on a contiguous range of blocks; one helper, ``_fork_each``,
 forks, reaps and kills them for both. Readers fill the columns in place
 through a shared anonymous mapping and need no temp file. While writing
@@ -51,7 +60,11 @@ FIELDS = (
     "beacon_db", "receiver_volts", "phase", "cycle_index",
 )
 PHASES = ("acquire", "estimate", "move", "wait")
-_DTYPES = (np.float64,) * 7 + (np.int8, np.int64)
+_DTYPES = dict(zip(FIELDS, (np.float64,) * 7 + (np.int8, np.int64)))
+# The columns stored row by row; the other six hold each value over a run
+# of rows and are stored as runs.
+_DENSE = ("t", "beacon_db", "receiver_volts")
+_STEPS = tuple(name for name in FIELDS if name not in _DENSE)
 # One parsed CSV row. A phase field longer than the longest name is cut
 # to one character more, so it can never be cut down to a valid name.
 _CSV_ROW = np.dtype(
@@ -72,6 +85,13 @@ _BLOCK_BYTES = _BLOCK_ROWS * 128
 # writer) wrote 35 % faster than in one process in 29 and 30 of 30 pairs,
 # for a moving and a resting plant.
 _MIN_FORK_ROWS = 1 << 15
+# Values per leaf of beacon_stats' blocked sum of squares: at least 128,
+# where numpy's pairwise sum stops splitting.
+_SUM_LEAF = 1 << 14
+# Rows of the step columns that wait, dense, to be encoded as runs.
+# Encoding costs about 9 us a column a call before any per-row work, as
+# much as copying a 30-80-row block of a moving plant into this tail.
+_TAIL_ROWS = 1 << 12
 
 
 class BeaconStats(NamedTuple):
@@ -93,15 +113,90 @@ def _phase_codes(names) -> np.ndarray:
     return codes
 
 
+def _check_times(t: np.ndarray, last: Optional[float]) -> None:
+    """Raise ValueError unless the times are finite and strictly increase
+    from ``last`` (the log's last time, or None)."""
+    if (
+        (t[1:] > t[:-1]).all()
+        and (last is None or t[0] > last)
+        and math.isfinite(t[0])
+        and math.isfinite(t[-1])
+    ):
+        return
+    bad = t[~np.isfinite(t)]
+    if len(bad):
+        raise ValueError(f"non-finite time {bad[0]}")
+    raise ValueError(f"non-monotonic time in block starting {t[0]} after {last}")
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    """The values as unsigned integers of their size: equal bits, same value."""
+    return values.view(f"u{values.itemsize}")
+
+
+def _run_heads(values: np.ndarray) -> np.ndarray:
+    """Index of the first value of each run of bit-identical values."""
+    bits = _bits(values)
+    heads = np.empty(len(bits), dtype=bool)
+    heads[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=heads[1:])
+    return np.flatnonzero(heads)
+
+
+def _grown(arr: np.ndarray, size: int, used: int) -> np.ndarray:
+    """A copy of the first ``used`` entries of ``arr`` in an array of ``size``."""
+    grown = np.empty(size, arr.dtype)
+    grown[:used] = arr[:used]
+    return grown
+
+
+class _Runs:
+    """A step column as runs: the first row and the value of each run.
+
+    Neighbouring runs differ in bit pattern, so -0.0 and 0.0, or two NaN
+    payloads, stay apart. The buffers grow by doubling.
+    """
+
+    def __init__(self, dtype: type):
+        self.starts = np.empty(0, np.int64)
+        self.values = np.empty(0, dtype)
+        self.count = 0  # runs in use
+        self.rows = 0  # rows they cover
+
+    def encode(self, values: np.ndarray, rows: int) -> None:
+        """Append ``rows`` rows: one value each, or one value for all."""
+        heads = _run_heads(values)
+        if self.count and values[:1].tobytes() == self.values[self.count - 1].tobytes():
+            heads = heads[1:]
+        end = self.count + len(heads)
+        if end > len(self.starts):
+            size = max(end, 2 * len(self.starts), 16)
+            self.starts = _grown(self.starts, size, self.count)
+            self.values = _grown(self.values, size, self.count)
+        self.starts[self.count : end] = heads + self.rows
+        self.values[self.count : end] = values[heads]
+        self.count = end
+        self.rows += rows
+
+
 class TelemetryLog:
     """Columnar row store; each row must carry a later time than the last.
 
-    ``capacity`` preallocates that many rows, so a log of known length
-    (one row per simulation step) is never copied while it grows.
+    ``t``, ``beacon_db`` and ``receiver_volts`` are stored row by row,
+    and the six step columns (commands, readbacks, phase and cycle) as
+    runs. The last rows of the step columns, up to ``_TAIL_ROWS``, wait
+    in a dense tail until it fills or a step column is read, so a stream
+    of short blocks costs a copy each and is encoded a tail at a time.
+    ``capacity`` preallocates that many rows of the row-by-row columns,
+    so a log of known length (one row per simulation step) is never
+    copied while it grows.
     """
 
     def __init__(self, *, capacity: int = 0):
-        self._cols = [np.empty(capacity, dtype) for dtype in _DTYPES]
+        self._dense = {name: np.empty(capacity, np.float64) for name in _DENSE}
+        self._runs = {name: _Runs(_DTYPES[name]) for name in _STEPS}
+        self._tail = [np.empty(_TAIL_ROWS, _DTYPES[name]) for name in _STEPS]
+        self._pending = 0  # rows in the tail
         self._n = 0
 
     def append(
@@ -136,44 +231,89 @@ class TelemetryLog:
     ) -> None:
         """Append a block of rows given as columns, one argument per field.
 
-        ``t`` is a sequence of times; every other column is a sequence of
-        the same length or a single value repeated on every row. ``phase``
-        holds phase names from ``PHASES``.
+        ``t`` is a sequence of finite times; every other column is a
+        sequence of the same length or a single value repeated on every
+        row. ``phase`` holds phase names from ``PHASES``. A single value
+        of a step column adds at most one run.
         """
         t = np.asarray(t, dtype=np.float64)
         k = len(t)
         if k == 0:
             return
         n = self._n
-        if not (t[1:] > t[:-1]).all() or (n and not t[0] > self._cols[0][n - 1]):
-            last = self._cols[0][n - 1] if n else None
-            raise ValueError(f"non-monotonic time in block starting {t[0]} after {last}")
-        columns = (
-            t, commanded_az, commanded_el, readback_az, readback_el,
-            beacon_db, receiver_volts, _phase_codes(phase), cycle_index,
+        _check_times(t, self._dense["t"][n - 1] if n else None)
+        steps = (
+            commanded_az, commanded_el, readback_az, readback_el,
+            _phase_codes(phase), cycle_index,
         )
         self._reserve(n + k)
-        for col, values in zip(self._cols, columns):
+        # A failed copy leaves the log as it was: the row count and the
+        # tail's count move only once every column is in place.
+        for col, values in zip(self._dense.values(), (t, beacon_db, receiver_volts)):
             col[n : n + k] = values
+        if self._pending + k > _TAIL_ROWS:
+            self._seal()
+        if k > _TAIL_ROWS:
+            steps = [_block(values, tail.dtype, k) for values, tail in zip(steps, self._tail)]
+            for runs, values in zip(self._runs.values(), steps):
+                runs.encode(values, k)
+        else:
+            pending = self._pending
+            for tail, values in zip(self._tail, steps):
+                tail[pending : pending + k] = values
+            self._pending = pending + k
         self._n = n + k
 
     def column(self, name: str) -> np.ndarray:
-        """Read-only view of one column; ``phase`` gives codes into ``PHASES``."""
-        view = self._cols[FIELDS.index(name)][: self._n]
-        view.flags.writeable = False
-        return view
+        """One column, read-only; ``phase`` gives codes into ``PHASES``.
+
+        A row-by-row column is a view; a step column is expanded from its
+        runs.
+        """
+        if name in self._dense:
+            col = self._dense[name][: self._n]
+        else:
+            starts, values = self.runs(name)
+            col = np.repeat(values, np.diff(starts, append=self._n))
+        col.flags.writeable = False
+        return col
+
+    def runs(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """First row and value of each run of a step column, read-only.
+
+        Neighbouring runs differ in bit pattern. Raises KeyError for a
+        column stored row by row.
+        """
+        runs = self._runs[name]
+        self._seal()
+        starts, values = runs.starts[: runs.count], runs.values[: runs.count]
+        starts.flags.writeable = values.flags.writeable = False
+        return starts, values
 
     def __len__(self) -> int:
         return self._n
 
+    def _seal(self) -> None:
+        """Encode the tail's rows as runs."""
+        if self._pending:
+            for runs, tail in zip(self._runs.values(), self._tail):
+                runs.encode(tail[: self._pending], self._pending)
+            self._pending = 0
+
     def _reserve(self, rows: int) -> None:
-        capacity = len(self._cols[0])
+        capacity = len(self._dense["t"])
         if rows > capacity:
-            spare = max(rows, 2 * capacity, 1024) - self._n
-            self._cols = [
-                np.concatenate([col[: self._n], np.empty(spare, col.dtype)])
-                for col in self._cols
-            ]
+            size = max(rows, 2 * capacity, 1024)
+            for name, col in self._dense.items():
+                self._dense[name] = _grown(col, size, self._n)
+
+
+def _block(values, dtype: type, rows: int) -> np.ndarray:
+    """``rows`` values of a column as an array of ``dtype``, or a single one."""
+    values = np.asarray(values, dtype)
+    if values.ndim == 0:
+        return values.reshape(1)
+    return np.broadcast_to(values, (rows,))
 
 
 def time_window(
@@ -201,14 +341,33 @@ def beacon_stats(
     ValueError.
     """
     arr = log.column("beacon_db")[time_window(log, t0, t1)]
-    if not len(arr):
+    n = len(arr)
+    if not n:
         raise ValueError(f"no records in window [{t0}, {t1}]")
+    mean = np.add.reduce(arr) / n
     return BeaconStats(
-        mean=float(arr.mean()),
-        stddev=float(arr.std()),  # population: divide by N
+        mean=float(mean),
+        stddev=math.sqrt(_sum_squares(arr, mean) / n),  # population: divide by N
         minimum=float(arr.min()),
         maximum=float(arr.max()),
     )
+
+
+def _sum_squares(x: np.ndarray, mean: float) -> float:
+    """Sum of ``(x - mean)**2``, bit for bit as ``x.std()`` sums it, in
+    leaves of at most ``_SUM_LEAF`` values.
+
+    numpy sums a contiguous array pairwise: it splits n values at n//2
+    rounded down to a multiple of 8, down to 128 values or fewer. The
+    leaves here are nodes of that same tree, so their sums, added in the
+    tree's order, give numpy's sum without its n-value temporary.
+    """
+    n = len(x)
+    if n <= _SUM_LEAF:
+        d = x - mean
+        return float(np.add.reduce(np.multiply(d, d, out=d)))
+    half = n // 2 - n // 2 % 8
+    return _sum_squares(x[:half], mean) + _sum_squares(x[half:], mean)
 
 
 def extract_trajectory(
@@ -264,20 +423,33 @@ def format_floats(values) -> list[str]:
     return merged.tolist()
 
 
-def _column_texts(
-    values: np.ndarray, format_many: Callable[[np.ndarray], list[str]]
-) -> list[str]:
-    """Text of each value; a run of bit-identical values is formatted once.
+def _block_runs(log: TelemetryLog, name: str, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Runs of one column over rows [lo, hi): first rows, counted from
+    ``lo``, and values. A step column's runs are cut from the log's; a
+    row-by-row column's are found by bit pattern."""
+    if name in _DENSE:
+        values = log.column(name)[lo:hi]
+        heads = _run_heads(values)
+        return heads, values[heads]
+    starts, values = log.runs(name)
+    first = np.searchsorted(starts, lo, side="right") - 1
+    stop = np.searchsorted(starts, hi, side="left")
+    heads = starts[first:stop] - lo
+    heads[0] = 0
+    return heads, values[first:stop]
 
-    Runs compare bit patterns, so -0.0 and 0.0 (equal, printed
-    differently) stay apart.
-    """
-    bits = values.view(f"u{values.itemsize}")
-    starts = np.empty(len(bits), dtype=bool)
-    starts[0] = True
-    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
-    texts = np.array(format_many(values[starts]), dtype=object)
-    return texts[np.cumsum(starts) - 1].tolist()
+
+def _column_texts(
+    heads: np.ndarray,
+    values: np.ndarray,
+    rows: int,
+    format_many: Callable[[np.ndarray], list[str]],
+) -> list[str]:
+    """Text of each of ``rows`` rows given as runs; each run is formatted once."""
+    texts = format_many(values)
+    if len(texts) == rows:
+        return texts
+    return np.repeat(np.array(texts, dtype=object), np.diff(heads, append=rows)).tolist()
 
 
 def _phase_names(codes: np.ndarray) -> list[str]:
@@ -288,16 +460,19 @@ def _ints(values: np.ndarray) -> list[str]:
     return list(map(str, values.tolist()))
 
 
-def _write_rows(cols: list[np.ndarray], lo: int, hi: int, out: BinaryIO) -> None:
-    """Write rows [lo, hi) of the columns to ``out`` as CSV lines.
+_FORMATS = (format_floats,) * 7 + (_phase_names, _ints)
+
+
+def _write_rows(log: TelemetryLog, lo: int, hi: int, out: BinaryIO) -> None:
+    """Write rows [lo, hi) of the log to ``out`` as CSV lines.
 
     ``lo`` falls on a block boundary, and ``hi`` on one or at the end.
     """
-    formats = (format_floats,) * 7 + (_phase_names, _ints)
     for start in range(lo, hi, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, hi)
         block = [
-            _column_texts(col[start : start + _BLOCK_ROWS], fmt)
-            for col, fmt in zip(cols, formats)
+            _column_texts(*_block_runs(log, name, start, stop), stop - start, fmt)
+            for name, fmt in zip(FIELDS, _FORMATS)
         ]
         out.write("\n".join(map(",".join, zip(*block))).encode())
         out.write(b"\n")
@@ -329,25 +504,32 @@ def _split(costs: np.ndarray, parts: int) -> list[int]:
     return [0, *cuts.tolist(), len(costs)]
 
 
-def _row_ranges(cols: list[np.ndarray]) -> list[tuple[int, int]]:
+def _row_ranges(log: TelemetryLog) -> list[tuple[int, int]]:
     """Contiguous row ranges on block boundaries, one per writer process.
 
-    The ranges share out the values to format, not the rows: a run of
+    The ranges share out the values to format, not the rows: each run of
     bit-identical values is formatted once, so a block where the level
     and volts vary row by row costs more than one where they hold.
     """
-    rows = len(cols[0])
+    rows = len(log)
     blocks = -(-rows // _BLOCK_ROWS)
     writers = _processes(rows, blocks)
     if writers == 1:
         return [(0, rows)]
-    # Runs of equal values in each block's float columns (what the block
-    # formats), counted a block at a time so no temporary grows with the log.
+    # Changes of value inside each block's float columns: the runs that
+    # start inside it, and in a dense column the bits that differ from the
+    # row before, a block at a time so no temporary grows with the log.
     values = np.zeros(blocks, dtype=np.int64)
-    for i, start in enumerate(range(0, rows, _BLOCK_ROWS)):
-        for col in cols[:7]:
-            bits = col[start : start + _BLOCK_ROWS].view(np.uint64)
-            values[i] += np.count_nonzero(bits[1:] != bits[:-1])
+    for name in FIELDS[:7]:
+        if name in _DENSE:
+            col = log.column(name)
+            for i, start in enumerate(range(0, rows, _BLOCK_ROWS)):
+                bits = _bits(col[start : start + _BLOCK_ROWS])
+                values[i] += np.count_nonzero(bits[1:] != bits[:-1])
+        else:
+            starts = log.runs(name)[0]
+            inner = starts[starts % _BLOCK_ROWS != 0]
+            values += np.bincount(inner // _BLOCK_ROWS, minlength=blocks)
     edges = np.minimum(np.array(_split(values, writers)) * _BLOCK_ROWS, rows).tolist()
     return list(zip(edges, edges[1:]))
 
@@ -411,18 +593,17 @@ def write_csv(log: TelemetryLog, path: str) -> None:
     writable directory gets writers: ``/dev/null`` or a pipe is written
     in one process.
     """
-    cols = [log.column(name) for name in FIELDS]
     folder = os.path.dirname(os.path.abspath(path))
     with open(path, "wb") as out, contextlib.ExitStack() as parts:
         forking = _is_regular(out) and os.access(folder, os.W_OK)
-        ranges = _row_ranges(cols) if forking else [(0, len(log))]
+        ranges = _row_ranges(log) if forking else [(0, len(log))]
         outs = [out] + [
             parts.enter_context(tempfile.TemporaryFile(dir=folder)) for _ in ranges[1:]
         ]
         out.write(CSV_HEADER.encode() + b"\n")
 
         def write(i: int) -> None:
-            _write_rows(cols, *ranges[i], outs[i])
+            _write_rows(log, *ranges[i], outs[i])
             outs[i].flush()
 
         _fork_each(write, len(ranges), "writer")
@@ -483,24 +664,40 @@ def _parse_lines(lines: list[str]) -> np.ndarray:
         return np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, dtype=_CSV_ROW)
 
 
-def _read_blocks(fh: BinaryIO, lo: int, hi: int, line_no: int, log: TelemetryLog) -> None:
-    """Parse the blocks from byte ``lo`` to ``hi`` into ``log``.
+class _Parsed:
+    """Rows parsed by one CSV reader, put in place into nine dense columns."""
+
+    def __init__(self, cols: list[np.ndarray]):
+        self.cols, self.n = cols, 0
+
+    def put(self, rows: np.ndarray) -> None:
+        """Check parsed rows as ``TelemetryLog.extend`` does and put them after the others."""
+        k, n = len(rows), self.n
+        if not k:
+            return
+        _check_times(rows["t"], self.cols[0][n - 1] if n else None)
+        codes = _phase_codes(rows["phase"])
+        for col, name in zip(self.cols, FIELDS):
+            col[n : n + k] = codes if name == "phase" else rows[name]
+        self.n = n + k
+
+
+def _read_blocks(fh: BinaryIO, lo: int, hi: int, line_no: int, part: _Parsed) -> None:
+    """Parse the blocks from byte ``lo`` to ``hi`` into ``part``.
 
     ``line_no`` is the number of the first line in the file. Raises the
     ValueError of ``read_csv`` at the first bad block, naming the file line
     of its first line that, on its own, does not parse or does not go into
-    the log (an unknown phase, a time out of order).
+    the log (an unknown phase, a time out of order or not finite).
     """
     for text in _blocks(fh, lo, hi):
         lines = io.StringIO(text.decode(), newline="").readlines()
         try:
-            rows = _parse_lines(lines)
-            log.extend(*(rows[name] for name in FIELDS))
+            part.put(_parse_lines(lines))
         except ValueError as exc:
             for i, line in enumerate(lines):
                 try:
-                    rows = _parse_lines([line])
-                    log.extend(*(rows[name] for name in FIELDS))
+                    part.put(_parse_lines([line]))
                 except ValueError as line_exc:
                     # numpy's row count restarts at this one line.
                     why = str(line_exc).replace(" at row 1", "").replace(" at row 0", "")
@@ -525,10 +722,16 @@ def _shared_arrays(shapes: list[tuple[type, int]]) -> list[np.ndarray]:
     ]
 
 
-def _log_over(cols: list[np.ndarray], rows: int = 0) -> TelemetryLog:
-    """A log whose columns are ``cols`` themselves, holding their first ``rows`` rows."""
+def _log_of(cols: list[np.ndarray], rows: int) -> TelemetryLog:
+    """A log of the first ``rows`` rows of nine dense columns: the
+    row-by-row ones are used in place, the step ones encoded as runs."""
     log = TelemetryLog()
-    log._cols, log._n = cols, rows
+    for name, col in zip(FIELDS, cols):
+        if name in _DENSE:
+            log._dense[name] = col
+        else:
+            log._runs[name].encode(col[:rows], rows)
+    log._n = rows
     return log
 
 
@@ -536,9 +739,9 @@ def read_csv(path: str) -> TelemetryLog:
     """Parse a CSV written by ``write_csv``; blank lines are skipped.
 
     Raises ValueError on a foreign header, a line that does not parse
-    into the nine fields (``#`` starts no comment), an unknown phase or
-    time that does not strictly increase: the first of these in the file,
-    however many readers share the work.
+    into the nine fields (``#`` starts no comment), an unknown phase or a
+    time that is not finite or does not strictly increase: the first of
+    these in the file, however many readers share the work.
 
     A first pass counts the lines of each block, so the columns are sized
     once. A long regular file is then parsed in contiguous ranges of
@@ -557,13 +760,18 @@ def read_csv(path: str) -> TelemetryLog:
             lines.append(lines[-1] + _line_count(text))
         readers = _processes(lines[-1], len(edges) - 1) if regular else 1
         bounds = _split(np.diff(edges), readers)
-        *cols, counts = _shared_arrays(
-            [(dtype, lines[-1]) for dtype in _DTYPES] + [(np.int64, readers)]
+        # The step columns and the counts get a mapping of their own, which
+        # is freed once they are encoded as runs.
+        columns = dict(zip(_DENSE, _shared_arrays([(np.float64, lines[-1])] * len(_DENSE))))
+        *steps, counts = _shared_arrays(
+            [(_DTYPES[name], lines[-1]) for name in _STEPS] + [(np.int64, readers)]
         )
+        columns.update(zip(_STEPS, steps))
+        cols = [columns[name] for name in FIELDS]
 
         def read(i: int) -> None:
             lo, hi = bounds[i], bounds[i + 1]
-            part = _log_over([col[lines[lo] : lines[hi]] for col in cols])
+            part = _Parsed([col[lines[lo] : lines[hi]] for col in cols])
             with open(path, "rb") if i else contextlib.nullcontext(src) as own:
                 try:
                     _read_blocks(own, edges[lo], edges[hi], 2 + lines[lo], part)
@@ -572,7 +780,7 @@ def read_csv(path: str) -> TelemetryLog:
                         raise  # the first range: the first error in the file
                     counts[i] = -1
                     return
-            counts[i] = len(part)
+            counts[i] = part.n
 
         _fork_each(read, readers, "reader")
         n = 0
@@ -586,9 +794,9 @@ def read_csv(path: str) -> TelemetryLog:
                 n += got
             t = cols[0][:n]
             if (t[1:] > t[:-1]).all():
-                return _log_over(cols, n)
+                return _log_of(cols, n)
         # A later range failed, or its times do not follow the range before
         # it: reading the file in order raises the first error.
-        log = _log_over(cols)
-        _read_blocks(src, start, edges[-1], 2, log)
-        return log
+        part = _Parsed(cols)
+        _read_blocks(src, start, edges[-1], 2, part)
+        return _log_of(cols, part.n)

@@ -6,6 +6,8 @@ formula allows, and the property tests require the package to match them
 bit for bit. ``ls_fit`` and ``rls_update`` take regression rows one by
 one and hand them to the package's solvers, so that a fit over many rows
 can be checked against the same rows fed one at a time.
+``DenseTelemetryLog`` stores every telemetry column row by row, as the
+package's log did before it stored the step columns as runs.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from steptrack.antenna import AntennaState, BeaconSample, ReceiverConfig, quanti
 from steptrack.beacon import ParabolaParams, QuadraticCoefficients, beacon_level
 from steptrack.estimators import RlsState
 from steptrack.orbit import OrbitConfig
+from steptrack.telemetry import FIELDS, _phase_codes
 
 
 def satellite_direction(config: OrbitConfig, t: float) -> tuple[float, float]:
@@ -118,3 +121,40 @@ def rls_update(state: RlsState, row: RegressionRow) -> tuple[RlsState, float]:
     return estimators.rls_update(
         state, row.regressors[None, :], np.array([row.response])
     )
+
+
+class DenseTelemetryLog:
+    """Columnar row store with every column dense, one value per row.
+
+    Takes rows through ``extend`` as ``TelemetryLog`` does, with the same
+    time-order check, and gives each column back with ``column``.
+    """
+
+    _DTYPES = (np.float64,) * 7 + (np.int8, np.int64)
+
+    def __init__(self):
+        self._cols = [np.empty(0, dtype) for dtype in self._DTYPES]
+        self._n = 0
+
+    def extend(self, t, *fields) -> None:
+        t = np.asarray(t, dtype=np.float64)
+        k = len(t)
+        if k == 0:
+            return
+        n = self._n
+        if not (t[1:] > t[:-1]).all() or (n and not t[0] > self._cols[0][n - 1]):
+            raise ValueError(f"non-monotonic time in block starting {t[0]}")
+        *floats, phase, cycle_index = fields
+        columns = (t, *floats, _phase_codes(phase), cycle_index)
+        self._cols = [
+            np.concatenate([col[:n], np.empty(k, col.dtype)]) for col in self._cols
+        ]
+        for col, values in zip(self._cols, columns):
+            col[n : n + k] = values
+        self._n = n + k
+
+    def column(self, name: str) -> np.ndarray:
+        return self._cols[FIELDS.index(name)][: self._n]
+
+    def __len__(self) -> int:
+        return self._n

@@ -171,6 +171,16 @@ def test_measure_drift_term():
     assert level == pytest.approx(6.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("times", [1, 3])
+def test_measure_gives_one_level_per_time(times):
+    # A single surface and pose, without noise or drift, still gives one
+    # level for each time, not one level for all of them.
+    rx = ReceiverConfig(noise_sigma=0.0, drift_amplitude=0.0)
+    t = np.arange(times) * 0.02
+    level = measure(10.0, 70.0, _params(), rx, t, np.random.default_rng(0))
+    assert level.tolist() == [6.0] * times
+
+
 def test_measure_seeded_sequences_repeat():
     rx = ReceiverConfig(noise_sigma=0.3, rng_seed=7)
     t = np.arange(100) * 0.02

@@ -5,13 +5,16 @@ import math
 import os
 import re
 import threading
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import DenseTelemetryLog
 from steptrack import telemetry
 from steptrack.telemetry import (
     CSV_HEADER,
@@ -120,6 +123,23 @@ def test_stats_pooled_windows_match_oracle():
     ) / (n1 + n2)
     assert whole.mean == pytest.approx(pooled_mean, abs=1e-12)
     assert whole.stddev == pytest.approx(math.sqrt(pooled_var), abs=1e-12)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 200_000) | st.sampled_from([1 << 14, (1 << 14) + 1, 1 << 17]),
+    loc=st.sampled_from([0.0, 5.0, -24.0, 1e6]),
+    scale=st.sampled_from([1e-9, 0.2, 3.0, 1e3]),
+    leaf=st.sampled_from([128, 1000, 1 << 14]),
+)
+@settings(max_examples=60)
+def test_stats_equal_numpy_bit_for_bit(seed, n, loc, scale, leaf):
+    # The blocked sum of squares follows numpy's pairwise tree; a numpy
+    # that sums in another order fails here, not in the goldens.
+    levels = np.random.default_rng(seed).normal(loc, scale, n)
+    with mock.patch.object(telemetry, "_SUM_LEAF", leaf):
+        stats = beacon_stats(_log(np.arange(n, dtype=float), level=levels))
+    assert stats == (levels.mean(), levels.std(), levels.min(), levels.max())
 
 
 BOUNDS = [None, -1.0, 0.0, 2.5, 3.0, 9.0, 12.0, math.nan, math.inf, -math.inf]
@@ -369,12 +389,109 @@ def test_extend_rejects_non_monotonic_time():
     assert len(log) == 1
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_extend_rejects_non_finite_time(bad):
+    for t in ([bad], [0.0, bad]):
+        log = TelemetryLog()
+        with pytest.raises(ValueError, match=f"^non-finite time {bad}$"):
+            log.extend(t, *REST)
+        assert len(log) == 0
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_read_csv_names_the_line_of_a_non_finite_time(tmp_path, bad):
+    text = "\n".join([CSV_HEADER, f"{bad},1,1,1,1,1,1,wait,0", ROW]) + "\n"
+    with pytest.raises(ValueError, match=f"^malformed telemetry line 2: .*non-finite time {bad}$"):
+        _read_text(tmp_path, text)
+
+
 def test_column_is_a_read_only_view():
     log = _log([0.0, 1.0], level=[1.5, 2.5])
     levels = log.column("beacon_db")
     assert levels.tolist() == [1.5, 2.5]
     with pytest.raises(ValueError):
         levels[0] = 0.0
+
+
+# -- the run layout ------------------------------------------------------------------
+
+# Step values that equal each other but differ in bits: -0.0 and 0.0, and
+# NaNs of four payloads (quiet, negative, with a payload, signalling).
+NANS = np.array(
+    [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001],
+    dtype=np.uint64,
+).view(np.float64)
+step_floats = st.sampled_from([0.0, -0.0, 1.5, -2.25, 180.0, *NANS])
+
+
+@st.composite
+def step_blocks(draw):
+    """``extend`` arguments of a few blocks: each step column is one value
+    for the block or one per row, drawn from few values so runs repeat."""
+    blocks, start = [], 0.0
+    for _ in range(draw(st.integers(1, 8))):
+        k = draw(st.integers(1, 12))
+
+        def column(values):
+            return draw(values | st.lists(values, min_size=k, max_size=k))
+
+        t = start + 0.5 * np.arange(k)
+        start += 0.5 * k + draw(st.sampled_from([0.0, 0.25]))
+        floats = [column(step_floats) for _ in range(4)]
+        dense = [column(st.floats(-30.0, 10.0)) for _ in range(2)]
+        blocks.append((t, *floats, *dense, column(st.sampled_from(PHASES)),
+                       column(st.integers(-1, 2))))
+    return blocks
+
+
+def _equal_bits(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@given(blocks=step_blocks(), tail=st.sampled_from([1, 5, 4096]), reads=st.lists(st.booleans()))
+def test_run_layout_equals_the_dense_log(tmp_path_factory, blocks, tail, reads):
+    # Blocks longer than the tail are encoded at once; shorter ones wait
+    # in it, until a read of a step column encodes them.
+    with mock.patch.object(telemetry, "_TAIL_ROWS", tail):
+        log, dense = TelemetryLog(), DenseTelemetryLog()
+        for i, block in enumerate(blocks):
+            t, cmd_az, cmd_el, rb_az, rb_el, db, volts, phase, cycle = block
+            log.extend(t, cmd_az, cmd_el, rb_az, rb_el, db, volts, phase, cycle)
+            dense.extend(t, cmd_az, cmd_el, rb_az, rb_el, db, volts, phase, cycle)
+            if i < len(reads) and reads[i] or i == len(blocks) - 1:
+                for name in FIELDS:
+                    assert _equal_bits(log.column(name), dense.column(name)), name
+    for name in FIELDS[1:5] + FIELDS[7:]:
+        starts, values = log.runs(name)
+        assert starts[0] == 0 and (np.diff(starts) > 0).all() and starts[-1] < len(log)
+        bits = values.view(f"u{values.itemsize}")
+        assert (bits[1:] != bits[:-1]).all(), name
+    path = tmp_path_factory.mktemp("runs") / "log.csv"
+    write_csv(log, str(path))
+    back = read_csv(str(path))
+    for name in FIELDS:
+        # The CSV writes every NaN as "nan", which reads back as np.nan.
+        want = dense.column(name)
+        if want.dtype == np.float64:
+            want = np.where(np.isnan(want), np.nan, want)
+        assert _equal_bits(back.column(name), want), name
+
+
+def test_scalar_step_values_take_no_memory_per_row():
+    # A block of resting rows adds one run to each step column: the
+    # memory it takes is that of the three row-by-row columns.
+    n = 1_000_000
+    t, level = np.arange(n) * 0.02, np.zeros(n)
+    log = TelemetryLog()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        log.extend(t, 180.0, 72.0, 180.0, 72.0, level, 5.0, "wait", 3)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * n + 64 * 1024
+    assert [len(log.runs(name)[0]) for name in FIELDS[1:5] + FIELDS[7:]] == [1] * 6
 
 
 def _reference_format(value):
@@ -465,10 +582,6 @@ def _blocks_log(n=3 * 4096 + 100):
     return log
 
 
-def _cols(log):
-    return [log.column(name) for name in FIELDS]
-
-
 def _force_writers(monkeypatch, cpus):
     monkeypatch.setattr(telemetry, "_MIN_FORK_ROWS", 1)
     monkeypatch.setattr(telemetry, "_available_cpus", lambda: cpus)
@@ -485,7 +598,7 @@ def _count_forks(monkeypatch):
 def test_forked_writers_match_one_process(tmp_path, monkeypatch, cpus):
     log = _blocks_log()
     one = tmp_path / "one.csv"
-    assert len(telemetry._row_ranges(_cols(log))) == 1  # below the fork threshold
+    assert len(telemetry._row_ranges(log)) == 1  # below the fork threshold
     write_csv(log, str(one))
     _force_writers(monkeypatch, cpus)
     forks = _count_forks(monkeypatch)
@@ -503,12 +616,12 @@ def test_row_ranges_share_out_the_values_to_format(monkeypatch):
     n = 12 * 4096 + 7
     i = np.arange(n)
     log = _log(i * 0.02, level=np.where(i < n // 2, 5.0, i * 0.001))
-    assert telemetry._row_ranges(_cols(log)) == [
+    assert telemetry._row_ranges(log) == [
         (0, 7 * 4096), (7 * 4096, 10 * 4096), (10 * 4096, n)
     ]
-    assert telemetry._row_ranges(_cols(TelemetryLog())) == [(0, 0)]
+    assert telemetry._row_ranges(TelemetryLog()) == [(0, 0)]
     monkeypatch.delattr(os, "fork")
-    assert telemetry._row_ranges(_cols(log)) == [(0, n)]
+    assert telemetry._row_ranges(log) == [(0, n)]
 
 
 def test_no_writers_without_temp_space(tmp_path, monkeypatch):
