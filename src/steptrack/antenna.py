@@ -4,12 +4,12 @@ The plant is a pair of slew-rate-limited axes with resolver-quantized
 readback; the receiver turns the ideal beacon surface into a noisy,
 floor-clamped dB reading and a 0-10 V telemetry voltage.
 
-State values are immutable; ``command`` and ``tick`` return updated
-copies. ``tracker.run_scenario`` does not step these objects: it plans
-the run with the pose as plain floats, advanced by ``_approach`` (the
-arithmetic of ``tick``), with ``check_target`` (the check of ``command``)
-on every command and readbacks from ``quantize_angle``. It then measures
-the planned poses in array passes with ``measure`` and ``receiver_voltage``.
+``AntennaState`` is the plant's configuration and start pose; ``command``
+checks a slew target and ``tick`` returns a copy moved toward one.
+``tracker.run_scenario`` plans the run in plain floats, advanced by
+``_approach`` (the arithmetic of ``tick``), with ``command`` on every
+command and readbacks from ``quantize_angle``, then measures the planned
+poses in array passes with ``measure`` and ``receiver_voltage``.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ class AxisLimitError(ValueError):
 class AntennaState:
     true_azimuth: float  # deg
     true_elevation: float  # deg
-    target_azimuth: float  # deg
-    target_elevation: float  # deg
     az_slew_rate: float = 1.0  # deg/s
     el_slew_rate: float = 1.0  # deg/s
     az_limits: tuple[float, float] = (0.0, 360.0)
@@ -58,9 +56,7 @@ class AntennaState:
             raise ValueError("resolver_step must be positive")
         for name, value, (lo, hi) in (
             ("true_azimuth", self.true_azimuth, self.az_limits),
-            ("target_azimuth", self.target_azimuth, self.az_limits),
             ("true_elevation", self.true_elevation, self.el_limits),
-            ("target_elevation", self.target_elevation, self.el_limits),
         ):
             if not lo <= value <= hi:
                 raise AxisLimitError(f"{name}={value} outside limits [{lo}, {hi}]")
@@ -113,7 +109,7 @@ class BeaconSample(NamedTuple):
     level: float
 
 
-def check_target(
+def command(
     state: AntennaState, target_azimuth: float, target_elevation: float
 ) -> None:
     """Raise AxisLimitError if a slew target lies outside the axis limits."""
@@ -129,16 +125,6 @@ def check_target(
         )
 
 
-def command(
-    state: AntennaState, target_azimuth: float, target_elevation: float
-) -> AntennaState:
-    """Store a new slew target; true angles move only on tick."""
-    check_target(state, target_azimuth, target_elevation)
-    return replace(
-        state, target_azimuth=target_azimuth, target_elevation=target_elevation
-    )
-
-
 def _approach(current: float, target: float, max_step: float) -> float:
     delta = target - current
     if abs(delta) <= max_step:
@@ -146,16 +132,18 @@ def _approach(current: float, target: float, max_step: float) -> float:
     return current + math.copysign(max_step, delta)
 
 
-def tick(state: AntennaState, dt: float) -> AntennaState:
-    """Advance both axes toward their targets by at most slew_rate*dt.
+def tick(
+    state: AntennaState, target_azimuth: float, target_elevation: float, dt: float
+) -> AntennaState:
+    """Advance both axes toward the target by at most slew_rate*dt.
 
     Motion on the two axes is independent and simultaneous; an axis
     never overshoots its target.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    az = _approach(state.true_azimuth, state.target_azimuth, state.az_slew_rate * dt)
-    el = _approach(state.true_elevation, state.target_elevation, state.el_slew_rate * dt)
+    az = _approach(state.true_azimuth, target_azimuth, state.az_slew_rate * dt)
+    el = _approach(state.true_elevation, target_elevation, state.el_slew_rate * dt)
     if az == state.true_azimuth and el == state.true_elevation:
         return state
     return replace(state, true_azimuth=az, true_elevation=el)

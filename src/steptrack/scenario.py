@@ -106,8 +106,6 @@ _SCHEMA = {
 _FALLBACKS = {
     (AntennaState, "true_azimuth"): (OrbitConfig, "center_azimuth"),
     (AntennaState, "true_elevation"): (OrbitConfig, "center_elevation"),
-    (AntennaState, "target_azimuth"): (AntennaState, "true_azimuth"),
-    (AntennaState, "target_elevation"): (AntennaState, "true_elevation"),
     (TrackerConfig, "k_el"): (Scenario, "truth_k_el"),
 }
 

@@ -26,7 +26,7 @@ from .antenna import (
     BeaconSample,
     ReceiverConfig,
     _approach,
-    check_target,
+    command,
     measure,
     quantize_angle,
     receiver_voltage,
@@ -50,7 +50,7 @@ from .telemetry import TelemetryLog
 # Unused here since the cycle fits through ``fit_peak`` and ``run_scenario``
 # moves the plant in its plan pass, but bound as the layer names through
 # which perfbench/tracer.py traces this module.
-from .antenna import command, tick  # noqa: F401
+from .antenna import tick  # noqa: F401
 from .estimators import (  # noqa: F401
     ls_fit, recover_peak, regression_row, rls_init, rls_recover, rls_update,
 )
@@ -163,20 +163,24 @@ def plan_pattern(
 class StepTracker:
     """Drives the four-phase tracking cycle, one call per sample tick.
 
-    ``step`` consumes the latest beacon sample and plant state and may
-    return an (azimuth, elevation) command for the plant. Phase order is
-    always acquire -> estimate -> move -> wait; a failed cycle (pattern
-    infeasible, too few samples, degenerate, rank-deficient or
-    non-finite fit) logs the reason, re-commands the pattern center and
-    falls through to wait.
+    ``step`` consumes the latest beacon sample, whose readbacks and time
+    are all it reads of the plant, and may return an (azimuth, elevation)
+    command for it; the limits and the resolver step (the arrival
+    tolerance) come from ``plant`` once. Phase order is always acquire
+    -> estimate -> move -> wait; a failed cycle (pattern infeasible, too
+    few samples, degenerate, rank-deficient or non-finite fit) logs the
+    reason, re-commands the pattern center and falls through to wait.
 
     The cycle's samples are buffered and fitted once, at estimate, by
     ``fit_peak`` centred on the pattern center. The RLS fit starts from
     the previous cycle's peak.
     """
 
-    def __init__(self, config: TrackerConfig):
+    def __init__(self, config: TrackerConfig, plant: AntennaState):
         self.config = config
+        self._az_limits = plant.az_limits
+        self._el_limits = plant.el_limits
+        self._tol = plant.resolver_step
         self.phase = TrackerPhase.WAIT
         self.cycle_index = -1
         self.pattern_center: tuple[float, float] | None = None
@@ -189,28 +193,24 @@ class StepTracker:
         self._samples: list[tuple[float, float, float]] = []
         self._k: QuadraticCoefficients | None = None
 
-    def step(
-        self, plant: AntennaState, sample: BeaconSample, now: float
-    ) -> tuple[float, float] | None:
+    def step(self, sample: BeaconSample) -> tuple[float, float] | None:
         if self.next_cycle_time is None:
-            self.next_cycle_time = now
+            self.next_cycle_time = sample.t
         if self.phase is TrackerPhase.WAIT:
-            if now >= self.next_cycle_time:
-                return self._begin_cycle(plant, sample, now)
+            if sample.t >= self.next_cycle_time:
+                return self._begin_cycle(sample)
             return None
         if self.phase is TrackerPhase.ACQUIRE:
-            return self._acquire(plant, sample, now)
+            return self._acquire(sample)
         if self.phase is TrackerPhase.ESTIMATE:
-            return self._estimate(plant)
-        return self._move(plant, sample)
+            return self._estimate()
+        return self._move(sample)
 
     # -- phase handlers -------------------------------------------------
 
-    def _begin_cycle(
-        self, plant: AntennaState, sample: BeaconSample, now: float
-    ) -> tuple[float, float] | None:
+    def _begin_cycle(self, sample: BeaconSample) -> tuple[float, float] | None:
         self.cycle_index += 1
-        self.next_cycle_time = now + self.config.cycle_period
+        self.next_cycle_time = sample.t + self.config.cycle_period
         self.pattern_center = (sample.azimuth, sample.elevation)
         k_az = az_coeff_from_elevation(self.config.k_el, self.pattern_center[1])
         if abs(k_az) < DEFAULT_COEFF_FLOOR:
@@ -227,8 +227,8 @@ class StepTracker:
             self._waypoints = plan_pattern(
                 self.pattern_center,
                 self.config,
-                az_limits=plant.az_limits,
-                el_limits=plant.el_limits,
+                az_limits=self._az_limits,
+                el_limits=self._el_limits,
             )
         except PatternInfeasibleError as exc:
             logger.warning("cycle %d skipped: %s", self.cycle_index, exc)
@@ -242,20 +242,18 @@ class StepTracker:
             self._collect(sample)
         return self._waypoints[0]
 
-    def _acquire(
-        self, plant: AntennaState, sample: BeaconSample, now: float
-    ) -> tuple[float, float] | None:
+    def _acquire(self, sample: BeaconSample) -> tuple[float, float] | None:
         if self.config.sampling_mode == "continuous":
             self._collect(sample)
         waypoint = self._waypoints[self._waypoint_idx]
-        if not self._arrived(plant, sample, waypoint):
+        if not self._arrived(sample, waypoint):
             return None
         at_corner = self._waypoint_idx < 4
         if self.config.sampling_mode == "corner-only" and at_corner:
             if self._dwell_until is None:
-                self._dwell_until = now + self.config.dwell_time
+                self._dwell_until = sample.t + self.config.dwell_time
             self._collect(sample)
-            if now < self._dwell_until:
+            if sample.t < self._dwell_until:
                 return None
         self._dwell_until = None
         self._waypoint_idx += 1
@@ -264,7 +262,7 @@ class StepTracker:
         self.phase = TrackerPhase.ESTIMATE
         return None
 
-    def _estimate(self, plant: AntennaState) -> tuple[float, float] | None:
+    def _estimate(self) -> tuple[float, float] | None:
         config = self.config
         az, el, level = np.reshape(self._samples, (-1, 3)).T
         try:
@@ -275,37 +273,27 @@ class StepTracker:
         except EstimationError as exc:
             logger.warning("cycle %d aborted: %s", self.cycle_index, exc)
             self.phase = TrackerPhase.WAIT
-            return self._clamp_to_limits(self.pattern_center, plant)
+            return self._clamp_to_limits(self.pattern_center)
         self.last_estimate = estimate
-        self._move_target = self._clamp_to_limits(
-            (estimate.azimuth, estimate.elevation), plant
-        )
+        self._move_target = self._clamp_to_limits((estimate.azimuth, estimate.elevation))
         self.phase = TrackerPhase.MOVE
         return self._move_target
 
-    def _move(self, plant: AntennaState, sample: BeaconSample) -> None:
-        if self._arrived(plant, sample, self._move_target):
+    def _move(self, sample: BeaconSample) -> None:
+        if self._arrived(sample, self._move_target):
             self.phase = TrackerPhase.WAIT
         return None
 
     # -- helpers --------------------------------------------------------
 
-    @staticmethod
-    def _clamp_to_limits(
-        target: tuple[float, float], plant: AntennaState
-    ) -> tuple[float, float]:
+    def _clamp_to_limits(self, target: tuple[float, float]) -> tuple[float, float]:
         return (
-            min(max(target[0], plant.az_limits[0]), plant.az_limits[1]),
-            min(max(target[1], plant.el_limits[0]), plant.el_limits[1]),
+            min(max(target[0], self._az_limits[0]), self._az_limits[1]),
+            min(max(target[1], self._el_limits[0]), self._el_limits[1]),
         )
 
-    def _arrived(
-        self,
-        plant: AntennaState,
-        sample: BeaconSample,
-        target: tuple[float, float],
-    ) -> bool:
-        tol = plant.resolver_step
+    def _arrived(self, sample: BeaconSample, target: tuple[float, float]) -> bool:
+        tol = self._tol
         return (
             abs(sample.azimuth - target[0]) <= tol
             and abs(sample.elevation - target[1]) <= tol
@@ -343,6 +331,8 @@ def _wait_span_end(
     due = tracker.next_cycle_time
     if tracker.phase is not TrackerPhase.WAIT or due is None or not at_rest:
         return i
+    if due > (n_steps - 1) * dt:
+        return n_steps  # no step of the run is due
     # The first step j with j * dt >= due; the quotient may round either way.
     end = math.ceil(due / dt)
     while end > 0 and (end - 1) * dt >= due:
@@ -409,15 +399,15 @@ def run_scenario(
         el_limits=plant.el_limits,
     )
     peak = rx.max_db if peak_level_db is None else peak_level_db
-    tracker = StepTracker(config)
+    tracker = StepTracker(config, plant)
     rng = np.random.default_rng(rx.rng_seed)
     dt = config.sample_interval
-    n_steps = round(duration / dt)
     try:
+        n_steps = round(duration / dt)  # inf for a subnormal dt: OverflowError
         log = TelemetryLog(capacity=n_steps)
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError, OverflowError) as exc:
         raise ValueError(
-            f"duration {duration} s needs {n_steps:.4g} telemetry rows, "
+            f"duration {duration} s needs {duration / dt:.4g} telemetry rows, "
             f"which cannot be allocated: {exc}"
         ) from None
 
@@ -448,10 +438,9 @@ def run_scenario(
             measure_rows(i - len(rows), len(rows), *map(np.array, zip(*rows)))
             rows.clear()
 
-    # The plant's pose as plain floats. The tracker reads only the limits
-    # and the resolver step of the ``plant`` it is given, never its pose.
+    # The plant's pose and slew target as plain floats, at rest at the start.
     az, el = plant.true_azimuth, plant.true_elevation
-    target_az, target_el = plant.target_azimuth, plant.target_elevation
+    target_az, target_el = az, el
     az_step, el_step = plant.az_slew_rate * dt, plant.el_slew_rate * dt
     resolver = plant.resolver_step
     i = 0
@@ -477,9 +466,9 @@ def run_scenario(
         rb_az, rb_el = quantize_angle(az, resolver), quantize_angle(el, resolver)
         # The level is not measured yet, so the sample carries its step
         # index in its place; only ESTIMATE reads levels.
-        cmd = tracker.step(plant, BeaconSample(t, rb_az, rb_el, i), t)
+        cmd = tracker.step(BeaconSample(t, rb_az, rb_el, i))
         if cmd is not None:
-            check_target(plant, cmd[0], cmd[1])
+            command(plant, cmd[0], cmd[1])
             target_az, target_el = cmd
         rows.append((
             az, el, target_az, target_el, rb_az, rb_el,

@@ -146,10 +146,11 @@ def test_criterion_4_coefficient_coupling():
 def test_criterion_5_closed_loop_convergence():
     peak = (10.0512, 70.0237)
     orbit = st.OrbitConfig(peak[0], peak[1], azimuth_amplitude=0.0, elevation_amplitude=0.0)
-    plant = st.AntennaState(10.0, 70.0, 10.0, 70.0, resolver_step=RESOLVER_STEP)
+    plant = st.AntennaState(10.0, 70.0, resolver_step=RESOLVER_STEP)
     rx = st.ReceiverConfig(noise_sigma=0.0)
     config = TrackerConfig(cycle_period=20.0, estimator="batch-ls")
-    tracker = StepTracker(config)
+    tracker = StepTracker(config, plant)
+    target = plant.true_azimuth, plant.true_elevation
     rng = np.random.default_rng(0)
     dt = config.sample_interval
     started = time.perf_counter()
@@ -160,10 +161,11 @@ def test_criterion_5_closed_loop_convergence():
             k_el=config.k_el, peak_az=peak[0], peak_el=peak[1], peak_level=6.0,
         )
         sample = measure(plant, field, rx, t, rng=rng)
-        cmd = tracker.step(plant, sample, t)
+        cmd = tracker.step(sample)
         if cmd is not None:
-            plant = command(plant, *cmd)
-        plant = tick(plant, dt)
+            command(plant, *cmd)
+            target = cmd
+        plant = tick(plant, *target, dt)
     elapsed = time.perf_counter() - started
     bound = RESOLVER_STEP / 2 + 1e-6
     err_az = abs(plant.true_azimuth - peak[0])
@@ -180,7 +182,7 @@ def test_criterion_6_figure8_reproduction():
     orbit = st.OrbitConfig(
         180.0, 72.0, azimuth_amplitude=16.0, elevation_amplitude=1.2, period=600.0
     )
-    plant = st.AntennaState(180.0, 72.0, 180.0, 72.0)
+    plant = st.AntennaState(180.0, 72.0)
     rx = st.ReceiverConfig(noise_sigma=0.0)
     config = TrackerConfig(cycle_period=10.0, rect_half_width_el=0.03)
     started = time.perf_counter()
@@ -229,7 +231,7 @@ def test_criterion_7_sawtooth_beacon():
         180.0, 72.0, azimuth_amplitude=0.0, elevation_amplitude=0.0,
         drift_deg_per_day=432.0,
     )
-    plant = st.AntennaState(180.0, 72.0, 180.0, 72.0)
+    plant = st.AntennaState(180.0, 72.0)
     rx = st.ReceiverConfig(noise_sigma=0.0)
     config = TrackerConfig(cycle_period=60.0)
     log = run_scenario(orbit, plant, rx, config, 360.0, peak_level_db=6.0)
@@ -274,7 +276,7 @@ def test_criterion_8_calibrated_statistics():
     orbit = st.OrbitConfig(
         180.0, 72.0, azimuth_amplitude=2.0, elevation_amplitude=0.2, period=7200.0
     )
-    plant = st.AntennaState(180.0, 72.0, 180.0, 72.0)
+    plant = st.AntennaState(180.0, 72.0)
     rx = st.ReceiverConfig(floor_db=-24.0, max_db=6.0, noise_sigma=0.0)
     config = TrackerConfig(cycle_period=600.0)
     log = run_scenario(orbit, plant, rx, config, 1800.0, peak_level_db=6.0)
@@ -287,7 +289,7 @@ def test_criterion_8_calibrated_statistics():
         peak_az=180.0, peak_el=72.0, peak_level=6.0,
     )
     forced = measure(
-        st.AntennaState(160.0, 72.0, 160.0, 72.0), field, rx, 0.0,
+        st.AntennaState(160.0, 72.0), field, rx, 0.0,
         rng=np.random.default_rng(0),
     )
     ok = (

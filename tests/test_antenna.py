@@ -18,12 +18,7 @@ from steptrack.beacon import ParabolaParams, beacon_level
 
 
 def _plant(**kw):
-    base = dict(
-        true_azimuth=10.0,
-        true_elevation=70.0,
-        target_azimuth=10.0,
-        target_elevation=70.0,
-    )
+    base = dict(true_azimuth=10.0, true_elevation=70.0)
     base.update(kw)
     return AntennaState(**base)
 
@@ -36,25 +31,26 @@ def _params(**kw):
 
 # -- command ---------------------------------------------------------------
 
-def test_command_stores_target_only():
+def test_command_accepts_target_within_limits():
     state = _plant()
-    moved = command(state, 11.0, 70.5)
-    assert (moved.target_azimuth, moved.target_elevation) == (11.0, 70.5)
-    assert (moved.true_azimuth, moved.true_elevation) == (10.0, 70.0)
+    assert command(state, 11.0, 70.5) is None
+    assert command(state, 0.0, 90.0) is None
+    assert state == _plant()
 
 
 def test_command_outside_limits_rejected():
     state = _plant()
-    with pytest.raises(AxisLimitError):
+    with pytest.raises(AxisLimitError, match=r"azimuth 361.0 outside limits \[0.0, 360.0\]"):
         command(state, 361.0, 70.0)
-    with pytest.raises(AxisLimitError):
+    with pytest.raises(AxisLimitError, match=r"elevation 2.0 outside limits \[5.0, 90.0\]"):
         command(state, 10.0, 2.0)
 
 
 def test_command_then_slew_one_second():
-    state = command(_plant(), 11.0, 70.0)
+    state = _plant()
+    command(state, 11.0, 70.0)
     for _ in range(50):
-        state = tick(state, 0.02)
+        state = tick(state, 11.0, 70.0, 0.02)
     assert state.true_azimuth == pytest.approx(11.0, abs=1e-9)
 
 
@@ -62,31 +58,28 @@ def test_command_then_slew_one_second():
 
 def test_tick_at_target_is_fixed_point():
     state = _plant()
-    assert tick(state, 1.0) is state
+    assert tick(state, 10.0, 70.0, 1.0) is state
 
 
 def test_tick_moves_rate_times_dt():
-    state = command(_plant(), 12.0, 70.0)
-    state = tick(state, 0.5)
+    state = tick(_plant(), 12.0, 70.0, 0.5)
     assert state.true_azimuth == pytest.approx(10.5)
 
 
 def test_tick_clamps_at_target():
-    state = command(_plant(), 10.3, 70.0)
-    state = tick(state, 1.0)
+    state = tick(_plant(), 10.3, 70.0, 1.0)
     assert state.true_azimuth == 10.3
 
 
 def test_tick_axes_move_simultaneously():
-    state = command(_plant(el_slew_rate=0.5), 11.0, 71.0)
-    state = tick(state, 1.0)
+    state = tick(_plant(el_slew_rate=0.5), 11.0, 71.0, 1.0)
     assert state.true_azimuth == pytest.approx(11.0)
     assert state.true_elevation == pytest.approx(70.5)
 
 
 def test_tick_rejects_nonpositive_dt():
     with pytest.raises(ValueError):
-        tick(_plant(), 0.0)
+        tick(_plant(), 10.0, 70.0, 0.0)
 
 
 def test_tick_never_overshoots_random_walk():
@@ -95,10 +88,10 @@ def test_tick_never_overshoots_random_walk():
     for _ in range(300):
         target_az = rng.uniform(5.0, 15.0)
         target_el = rng.uniform(65.0, 75.0)
-        state = command(state, target_az, target_el)
+        command(state, target_az, target_el)
         dt = rng.uniform(0.02, 2.0)
         before = state
-        state = tick(state, dt)
+        state = tick(state, target_az, target_el, dt)
         for cur, prev, tgt, rate in (
             (state.true_azimuth, before.true_azimuth, target_az, state.az_slew_rate),
             (state.true_elevation, before.true_elevation, target_el, state.el_slew_rate),

@@ -1,8 +1,12 @@
 """Scenario loading and command-line interface tests."""
 
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,7 +225,7 @@ def test_left_out_keys_take_class_defaults(tmp_path):
     )
     sc = load_scenario(path)
     assert sc.orbit == OrbitConfig(180.0, 72.0)
-    assert sc.antenna == AntennaState(180.0, 72.0, 180.0, 72.0)
+    assert sc.antenna == AntennaState(180.0, 72.0)
     assert sc.receiver == ReceiverConfig()
     assert sc.tracker == TrackerConfig(k_el=-11.4)
     assert sc.output == "telemetry.csv"
@@ -278,6 +282,38 @@ def test_simulate_non_finite_duration_exits_one(minimal_scenario, tmp_path, caps
     assert code == 1
     assert "duration" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_simulate_subnormal_sample_interval_exits_one(tmp_path, capsys):
+    # 1e-320 s is positive and finite, but 4 s of it is an infinite row count.
+    path = tmp_path / "s.yaml"
+    path.write_text(MINIMAL + "  sample_interval_s: 1.0e-320\n")
+    out = tmp_path / "run.csv"
+    assert main(["simulate", str(path), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: duration 4.0 s needs inf telemetry rows, which cannot be allocated")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("period", ["1.0e+200", "1.0e+308"])
+def test_simulate_huge_cycle_period_finishes(tmp_path, period):
+    # No cycle after the first is due within the run. The run is a child
+    # process with a timeout, so that a hang fails the test instead of
+    # stalling the suite.
+    path = tmp_path / "s.yaml"
+    text = resolve_scenario_path("desk_figure8").read_text()
+    path.write_text(text.replace("cycle_period_s: 10.0", f"cycle_period_s: {period}"))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "steptrack.cli", "simulate", str(path),
+         "--duration-s", "10", "--output", str(tmp_path / "run.csv")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "wrote 500 records" in done.stdout
 
 
 def test_simulate_failing_csv_writer_exits_one(tmp_path, monkeypatch, capsys):

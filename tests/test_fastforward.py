@@ -43,7 +43,8 @@ import oracles
 def _stepped(orbit, plant, rx, config, duration, peak_level_db=None):
     """run_scenario's loop with every step taken one at a time."""
     peak = rx.max_db if peak_level_db is None else peak_level_db
-    tracker = StepTracker(config)
+    tracker = StepTracker(config, plant)
+    target_az, target_el = plant.true_azimuth, plant.true_elevation
     log = TelemetryLog()
     rng = np.random.default_rng(rx.rng_seed)
     dt = config.sample_interval
@@ -58,13 +59,14 @@ def _stepped(orbit, plant, rx, config, duration, peak_level_db=None):
             peak_level=peak,
         )
         sample = oracles.measure(plant, field, rx, t, rng=rng)
-        cmd = tracker.step(plant, sample, t)
+        cmd = tracker.step(sample)
         if cmd is not None:
-            plant = command(plant, cmd[0], cmd[1])
+            command(plant, cmd[0], cmd[1])
+            target_az, target_el = cmd
         log.append(
             t,
-            plant.target_azimuth,
-            plant.target_elevation,
+            target_az,
+            target_el,
             sample.azimuth,
             sample.elevation,
             sample.level,
@@ -72,7 +74,7 @@ def _stepped(orbit, plant, rx, config, duration, peak_level_db=None):
             tracker.phase.value,
             tracker.cycle_index,
         )
-        plant = tick(plant, dt)
+        plant = tick(plant, target_az, target_el, dt)
     return log
 
 
@@ -195,7 +197,7 @@ def test_run_scenario_matches_stepping(case):
         if margin is not None
     }
     plant = AntennaState(
-        180.0, 60.0, 180.0, 60.0,
+        180.0, 60.0,
         az_slew_rate=case["az_rate"],
         el_slew_rate=case["el_rate"],
         resolver_step=case["resolver"],
@@ -318,7 +320,7 @@ def test_beacon_level_on_array_surface_is_bit_equal(rows, az, el):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_measure_array_is_bit_equal(rows, az, el, noise, drift_amp, drift_period, t0, seed):
-    plant = AntennaState(az, el, az, el)
+    plant = AntennaState(az, el)
     rx = ReceiverConfig(
         noise_sigma=noise, drift_amplitude=drift_amp, drift_period=drift_period
     )

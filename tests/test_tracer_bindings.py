@@ -71,7 +71,10 @@ def test_noqa_imports_are_traced_bindings(module):
 
 
 def test_run_scenario_calls_the_traced_physics(monkeypatch):
-    names = ["satellite_direction", "measure", "receiver_voltage", "az_coeff_from_elevation"]
+    names = [
+        "satellite_direction", "measure", "receiver_voltage", "az_coeff_from_elevation",
+        "command",
+    ]
     calls = dict.fromkeys(names, 0)
 
     def counting(name, fn):

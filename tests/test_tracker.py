@@ -26,7 +26,8 @@ import oracles
 def _closed_loop(orbit, plant, rx, config, duration, peak_level=6.0):
     """Manual copy of the run_scenario stepping so the test can watch the
     true (unquantized) plant state."""
-    tracker = StepTracker(config)
+    tracker = StepTracker(config, plant)
+    target = plant.true_azimuth, plant.true_elevation
     rng = np.random.default_rng(rx.rng_seed)
     dt = config.sample_interval
     for i in range(round(duration / dt)):
@@ -40,10 +41,11 @@ def _closed_loop(orbit, plant, rx, config, duration, peak_level=6.0):
             peak_level=peak_level,
         )
         sample = oracles.measure(plant, field, rx, t, rng=rng)
-        cmd = tracker.step(plant, sample, t)
+        cmd = tracker.step(sample)
         if cmd is not None:
-            plant = command(plant, *cmd)
-        plant = tick(plant, dt)
+            command(plant, *cmd)
+            target = cmd
+        plant = tick(plant, *target, dt)
     return tracker, plant
 
 
@@ -116,7 +118,7 @@ def test_config_rejects_non_finite(field, value):
 def test_single_cycle_converges_noiseless(estimator, sampling_mode):
     peak = (10.0512, 70.0237)
     orbit = st.OrbitConfig(peak[0], peak[1], azimuth_amplitude=0.0, elevation_amplitude=0.0)
-    plant = st.AntennaState(10.0, 70.0, 10.0, 70.0)
+    plant = st.AntennaState(10.0, 70.0)
     rx = st.ReceiverConfig(noise_sigma=0.0)
     config = TrackerConfig(
         cycle_period=20.0,
@@ -132,17 +134,17 @@ def test_single_cycle_converges_noiseless(estimator, sampling_mode):
 
 
 def test_zero_samples_forced_abort(caplog):
-    plant = st.AntennaState(10.0, 70.0, 10.0, 70.0)
+    plant = st.AntennaState(10.0, 70.0)
     config = TrackerConfig(cycle_period=20.0, estimator="batch-ls")
-    tracker = StepTracker(config)
+    tracker = StepTracker(config, plant)
     first = st.BeaconSample(0.0, 10.0, 70.0, 5.0)
-    tracker.step(plant, first, 0.0)
+    tracker.step(first)
     assert tracker.phase is TrackerPhase.ACQUIRE
     # force the estimate phase with an empty buffer
     tracker.phase = TrackerPhase.ESTIMATE
     tracker._samples = []
     with caplog.at_level(logging.WARNING, logger="steptrack.tracker"):
-        cmd = tracker.step(plant, first, 0.02)
+        cmd = tracker.step(first._replace(t=0.02))
     assert tracker.phase is TrackerPhase.WAIT
     assert cmd == tracker.pattern_center  # antenna sent back to center
     assert any("aborted" in r.message for r in caplog.records)
@@ -155,7 +157,7 @@ def test_rls_divergence_aborts_only_that_cycle(caplog):
     orbit = st.OrbitConfig(
         180.0, 72.0, azimuth_amplitude=16.0, elevation_amplitude=1.2, period=600.0
     )
-    plant = st.AntennaState(180.0, 72.0, 180.0, 72.0)
+    plant = st.AntennaState(180.0, 72.0)
     rx = st.ReceiverConfig(noise_sigma=0.2)
     config = TrackerConfig(cycle_period=10.0, rect_half_width_el=0.03, forgetting=1e-9)
     with caplog.at_level(logging.WARNING, logger="steptrack.tracker"), np.errstate(all="ignore"):
@@ -171,24 +173,24 @@ def test_rls_divergence_aborts_only_that_cycle(caplog):
 
 def test_degenerate_curvature_skips_cycle(caplog):
     # pattern center elevation so high that the azimuth curvature floors out
-    plant = st.AntennaState(10.0, 89.5, 10.0, 89.5, el_limits=(5.0, 90.0))
+    plant = st.AntennaState(10.0, 89.5, el_limits=(5.0, 90.0))
     config = TrackerConfig(cycle_period=20.0, rect_half_width_el=0.05)
-    tracker = StepTracker(config)
+    tracker = StepTracker(config, plant)
     sample = st.BeaconSample(0.0, 10.0, 89.5, 5.0)
     with caplog.at_level(logging.WARNING, logger="steptrack.tracker"):
-        cmd = tracker.step(plant, sample, 0.0)
+        cmd = tracker.step(sample)
     assert cmd is None
     assert tracker.phase is TrackerPhase.WAIT
     assert any("below floor" in r.message for r in caplog.records)
 
 
 def test_infeasible_pattern_skips_cycle(caplog):
-    plant = st.AntennaState(10.0, 69.99, 10.0, 69.99, el_limits=(5.0, 70.0))
+    plant = st.AntennaState(10.0, 69.99, el_limits=(5.0, 70.0))
     config = TrackerConfig(cycle_period=20.0)
-    tracker = StepTracker(config)
+    tracker = StepTracker(config, plant)
     sample = st.BeaconSample(0.0, 10.0, 69.99, 5.0)
     with caplog.at_level(logging.WARNING, logger="steptrack.tracker"):
-        cmd = tracker.step(plant, sample, 0.0)
+        cmd = tracker.step(sample)
     assert cmd is None
     assert tracker.phase is TrackerPhase.WAIT
     assert any("skipped" in r.message for r in caplog.records)
@@ -201,7 +203,7 @@ def test_wait_phase_issues_no_commands():
         180.0, 72.0, azimuth_amplitude=0.0, elevation_amplitude=0.0,
         drift_deg_per_day=432.0,
     )
-    plant = st.AntennaState(180.0, 72.0, 180.0, 72.0)
+    plant = st.AntennaState(180.0, 72.0)
     rx = st.ReceiverConfig(noise_sigma=0.0)
     config = TrackerConfig(cycle_period=60.0)
     log = run_scenario(orbit, plant, rx, config, 60.0, peak_level_db=6.0)
@@ -215,7 +217,7 @@ def test_wait_phase_issues_no_commands():
 
 def _small_scenario(**tracker_kw):
     orbit = st.OrbitConfig(180.0, 72.0, azimuth_amplitude=0.0, elevation_amplitude=0.0)
-    plant = st.AntennaState(180.05, 72.01, 180.05, 72.01)
+    plant = st.AntennaState(180.05, 72.01)
     rx = st.ReceiverConfig(noise_sigma=0.0)
     config = TrackerConfig(cycle_period=15.0, **tracker_kw)
     return orbit, plant, rx, config
@@ -235,7 +237,7 @@ def test_run_scenario_record_count():
 
 def test_run_scenario_deterministic():
     orbit = st.OrbitConfig(180.0, 72.0, azimuth_amplitude=0.5, elevation_amplitude=0.1, period=300.0)
-    plant = st.AntennaState(180.0, 72.0, 180.0, 72.0)
+    plant = st.AntennaState(180.0, 72.0)
     rx = st.ReceiverConfig(noise_sigma=0.3, rng_seed=99)
     config = TrackerConfig(cycle_period=15.0)
     a = run_scenario(orbit, plant, rx, config, 40.0, peak_level_db=6.0)
@@ -264,14 +266,14 @@ def test_run_scenario_checks_each_command_against_limits(monkeypatch):
     # No tracker decision leaves the limits; a command that did must stop
     # the run with the error ``command`` raises.
     orbit, plant, rx, config = _small_scenario()
-    monkeypatch.setattr(StepTracker, "step", lambda self, plant, sample, now: (400.0, 72.0))
+    monkeypatch.setattr(StepTracker, "step", lambda self, sample: (400.0, 72.0))
     with pytest.raises(AxisLimitError, match=r"target azimuth 400.0 outside limits \[0.0, 360.0\]"):
         run_scenario(orbit, plant, rx, config, 1.0)
 
 
 def test_run_scenario_rejects_infeasible_initial_pattern():
     orbit = st.OrbitConfig(180.0, 72.0, azimuth_amplitude=0.0, elevation_amplitude=0.0)
-    plant = st.AntennaState(180.0, 89.99, 180.0, 89.99)
+    plant = st.AntennaState(180.0, 89.99)
     rx = st.ReceiverConfig(noise_sigma=0.0)
     config = TrackerConfig(cycle_period=15.0)
     with pytest.raises(PatternInfeasibleError):
@@ -283,9 +285,7 @@ def test_run_scenario_checks_first_pattern_around_readback():
     # cycle centres it on the readback, whose elevation 60.00183 puts the
     # top corners at 60.0518: every cycle would be skipped.
     orbit = st.OrbitConfig(180.0, 60.0, azimuth_amplitude=0.0, elevation_amplitude=0.0)
-    plant = st.AntennaState(
-        180, 60, 180, 60, az_limits=(179.8, 180.2), el_limits=(59.95, 60.05)
-    )
+    plant = st.AntennaState(180, 60, az_limits=(179.8, 180.2), el_limits=(59.95, 60.05))
     with pytest.raises(PatternInfeasibleError, match="corner elevation 60.0518"):
         run_scenario(orbit, plant, st.ReceiverConfig(), TrackerConfig(), 60.0)
 
@@ -312,7 +312,7 @@ def test_phase_order_never_violated():
     orbit = st.OrbitConfig(
         180.0, 72.0, azimuth_amplitude=2.0, elevation_amplitude=0.2, period=600.0
     )
-    plant = st.AntennaState(180.0, 72.0, 180.0, 72.0)
+    plant = st.AntennaState(180.0, 72.0)
     rx = st.ReceiverConfig(noise_sigma=0.05, rng_seed=4)
     config = TrackerConfig(cycle_period=12.0)
     log = run_scenario(orbit, plant, rx, config, 60.0, peak_level_db=6.0)
@@ -337,11 +337,12 @@ def test_phase_order_never_violated():
 
 def test_continuous_sample_count_matches_acquire_ticks():
     orbit, plant, rx, config = _small_scenario(estimator="batch-ls")
-    tracker = StepTracker(config)
+    tracker = StepTracker(config, plant)
     rng = np.random.default_rng(0)
     dt = config.sample_interval
     acquire_ticks = 0
     state = plant
+    target = plant.true_azimuth, plant.true_elevation
     for i in range(round(15.0 / dt)):
         t = i * dt
         sat_az, sat_el = oracles.satellite_direction(orbit, t)
@@ -350,12 +351,13 @@ def test_continuous_sample_count_matches_acquire_ticks():
             k_el=config.k_el, peak_az=sat_az, peak_el=sat_el, peak_level=6.0,
         )
         sample = oracles.measure(state, field, rx, t, rng=rng)
-        cmd = tracker.step(state, sample, t)
+        cmd = tracker.step(sample)
         if tracker.phase is TrackerPhase.ACQUIRE:
             acquire_ticks += 1
         if cmd is not None:
-            state = command(state, *cmd)
-        state = tick(state, dt)
+            command(state, *cmd)
+            target = cmd
+        state = tick(state, *target, dt)
     assert len(tracker._samples) >= 3
     assert abs(len(tracker._samples) - acquire_ticks) <= 1
 
@@ -366,9 +368,10 @@ def test_corner_only_dwell_zero_takes_four_samples():
         cycle_period=15.0, sampling_mode="corner-only", dwell_time=0.0,
         estimator="batch-ls",
     )
-    tracker = StepTracker(config)
+    tracker = StepTracker(config, plant)
     rng = np.random.default_rng(0)
     state = plant
+    target = plant.true_azimuth, plant.true_elevation
     dt = config.sample_interval
     for i in range(round(10.0 / dt)):
         t = i * dt
@@ -378,10 +381,11 @@ def test_corner_only_dwell_zero_takes_four_samples():
             k_el=config.k_el, peak_az=sat_az, peak_el=sat_el, peak_level=6.0,
         )
         sample = oracles.measure(state, field, rx, t, rng=rng)
-        cmd = tracker.step(state, sample, t)
+        cmd = tracker.step(sample)
         if cmd is not None:
-            state = command(state, *cmd)
-        state = tick(state, dt)
+            command(state, *cmd)
+            target = cmd
+        state = tick(state, *target, dt)
         if tracker.phase is TrackerPhase.WAIT and tracker.cycle_index == 0 and tracker.last_estimate:
             break
     assert len(tracker._samples) == 4
@@ -392,7 +396,7 @@ def test_sawtooth_post_move_not_below_pre_cycle_level():
         180.0, 72.0, azimuth_amplitude=0.0, elevation_amplitude=0.0,
         drift_deg_per_day=432.0,
     )
-    plant = st.AntennaState(180.0, 72.0, 180.0, 72.0)
+    plant = st.AntennaState(180.0, 72.0)
     rx = st.ReceiverConfig(noise_sigma=0.0)
     config = TrackerConfig(cycle_period=60.0)
     log = run_scenario(orbit, plant, rx, config, 360.0, peak_level_db=6.0)
@@ -412,7 +416,7 @@ def test_figure8_commanded_trace(caplog):
     orbit = st.OrbitConfig(
         180.0, 72.0, azimuth_amplitude=16.0, elevation_amplitude=1.2, period=600.0
     )
-    plant = st.AntennaState(180.0, 72.0, 180.0, 72.0)
+    plant = st.AntennaState(180.0, 72.0)
     rx = st.ReceiverConfig(noise_sigma=0.0)
     config = TrackerConfig(cycle_period=10.0, rect_half_width_el=0.03)
     log = run_scenario(orbit, plant, rx, config, 600.0, peak_level_db=6.0)
