@@ -7,9 +7,10 @@ floor-clamped dB reading and a 0-10 V telemetry voltage.
 ``AntennaState`` is the plant's configuration and start pose; ``command``
 checks a slew target and ``tick`` returns a copy moved toward one.
 ``tracker.run_scenario`` plans the run in plain floats, advanced by
-``_approach`` (the arithmetic of ``tick``), with ``command`` on every
-command and readbacks from ``quantize_angle``, then measures the planned
-poses in array passes with ``measure`` and ``receiver_voltage``.
+``_approach`` (the arithmetic of ``tick``) with readbacks from
+``quantize_angle``, and calls ``command`` on each command the tracker
+gives at its decisions. It then measures the planned poses with
+``measure`` and ``receiver_voltage``, in one array pass a cycle.
 """
 
 from __future__ import annotations
@@ -174,11 +175,11 @@ def measure(
     ``rx.rng_seed``. The readbacks are left to the caller
     (``quantize_angle``).
     """
-    raw = beacon_level(params, azimuth, elevation)
+    raw = beacon_level(params, azimuth, elevation)  # a new array or a float
     if rx.drift_amplitude != 0.0:
-        raw = raw + rx.drift_amplitude * np.sin(2.0 * math.pi * t / rx.drift_period)
+        raw += rx.drift_amplitude * np.sin(2.0 * math.pi * t / rx.drift_period)
     if rx.noise_sigma > 0.0:
-        raw = raw + rng.normal(0.0, rx.noise_sigma, size=len(t))
+        raw += rng.normal(0.0, rx.noise_sigma, size=len(t))
     # One level per time, also from a single surface and pose.
     raw = np.broadcast_to(raw, np.shape(t))
     return np.where(raw > rx.floor_db, raw, rx.floor_db)

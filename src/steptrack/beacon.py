@@ -64,9 +64,18 @@ def beacon_level(params: ParabolaParams, azimuth: float, elevation: float) -> fl
     exactly at the peak. Plain arithmetic, so it also takes arrays:
     array fields in ``params`` give the level at each surface.
     """
+    # The terms of the formula in its order, added up in place, so that
+    # over arrays no more than three temporaries are alive at a time.
     daz = azimuth - params.peak_az
-    del_ = elevation - params.peak_el
-    return params.k_az * daz * daz + params.k_el * del_ * del_ + params.peak_level
+    level = params.k_az * daz
+    level *= daz
+    del daz
+    d_el = elevation - params.peak_el
+    el_term = params.k_el * d_el
+    el_term *= d_el
+    level += el_term
+    level += params.peak_level
+    return level
 
 
 def az_coeff_from_elevation(k_el: float, elevation):

@@ -101,9 +101,22 @@ class BeaconStats(NamedTuple):
     maximum: float
 
 
-def _phase_codes(names) -> np.ndarray:
-    """Index into ``PHASES`` of one phase name, or of each in a sequence."""
-    names = np.asarray(names, dtype=str)
+def _phase_codes(phase):
+    """Index into ``PHASES`` of a phase given as a name or a code, or of
+    each in a sequence of names or of integer codes."""
+    if isinstance(phase, str):
+        if phase not in PHASES:
+            raise ValueError(f"unknown phase {phase!r}, expected one of {PHASES}")
+        return PHASES.index(phase)
+    codes = np.asarray(phase)
+    if codes.dtype.kind in "iu":
+        unknown = codes[(codes < 0) | (codes >= len(PHASES))]
+        if unknown.size:
+            raise ValueError(
+                f"unknown phase code {unknown[0]}, expected 0 to {len(PHASES) - 1}"
+            )
+        return codes
+    names = codes.astype(str)
     codes = np.full(names.shape, -1, dtype=np.int8)
     for code, name in enumerate(PHASES):
         codes[names == name] = code
@@ -233,8 +246,9 @@ class TelemetryLog:
 
         ``t`` is a sequence of finite times; every other column is a
         sequence of the same length or a single value repeated on every
-        row. ``phase`` holds phase names from ``PHASES``. A single value
-        of a step column adds at most one run.
+        row. ``phase`` holds phase names from ``PHASES`` or their codes
+        (indices into it); a code out of range raises ValueError. A single
+        value of a step column adds at most one run.
         """
         t = np.asarray(t, dtype=np.float64)
         k = len(t)
@@ -332,6 +346,27 @@ def time_window(
     return slice(lo, max(lo, hi))
 
 
+def column_rows(log: TelemetryLog, name: str, rows: slice) -> np.ndarray:
+    """``log.column(name)[rows]`` for a slice with a positive step, read-only.
+
+    A step column is cut from its runs, so only the rows taken are
+    expanded, not the whole column.
+    """
+    lo, hi, step = rows.indices(len(log))
+    if step < 1:
+        raise ValueError(f"row step must be positive, got {step}")
+    if name in _DENSE:
+        return log.column(name)[lo:hi:step]
+    if hi <= lo:
+        return log.runs(name)[1][:0]
+    heads, values = _block_runs(log, name, lo, hi)
+    # Each run gives the rows taken from its head on, up to the next run's.
+    taken = -(-heads // step)
+    col = values.repeat(np.diff(taken, append=len(range(lo, hi, step))))
+    col.flags.writeable = False
+    return col
+
+
 def beacon_stats(
     log: TelemetryLog, t0: Optional[float] = None, t1: Optional[float] = None
 ) -> BeaconStats:
@@ -376,10 +411,8 @@ def extract_trajectory(
     """Every decimation-th row's readback azimuth and elevation, as two columns."""
     if decimation < 1:
         raise ValueError(f"decimation must be >= 1, got {decimation}")
-    return (
-        log.column("readback_az")[::decimation],
-        log.column("readback_el")[::decimation],
-    )
+    rows = slice(None, None, decimation)
+    return column_rows(log, "readback_az", rows), column_rows(log, "readback_el", rows)
 
 
 def format_floats(values) -> list[str]:

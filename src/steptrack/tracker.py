@@ -7,9 +7,10 @@ cycles limits mechanical wear; the beacon level decays while the
 satellite drifts and is restored by the next cycle, which produces the
 characteristic sawtooth level trace.
 
-``StepTracker`` takes one sample per tick. ``run_scenario`` drives it in
-a plan pass over plain floats, then measures the planned steps in array
-passes; see its docstring.
+``StepTracker`` takes one sample per tick, and tells through ``awaiting``
+which sample it next decides on. ``run_scenario`` plans the run in plain
+floats, calling the tracker only on those samples, and measures the
+planned steps in one array pass a cycle; see its docstring.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .estimators import (
     fit_peak,
 )
 from .orbit import OrbitConfig, satellite_direction
-from .telemetry import TelemetryLog
+from .telemetry import PHASES, TelemetryLog
 
 # Unused here since the cycle fits through ``fit_peak`` and ``run_scenario``
 # moves the plant in its plan pass, but bound as the layer names through
@@ -69,6 +70,14 @@ class TrackerPhase(str, enum.Enum):
     ESTIMATE = "estimate"
     MOVE = "move"
     WAIT = "wait"
+
+
+# Each phase's code in the telemetry log.
+_PHASE_CODES = {phase: PHASES.index(phase.value) for phase in TrackerPhase}
+# Rows of a WAIT span that run_scenario adds to the pending rows at a time,
+# measuring them first once they reach it: bounds a pass's memory over long
+# spans and skipped cycles (no ESTIMATE). A 600 s span at 20 ms fits.
+_PASS_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -171,6 +180,10 @@ class StepTracker:
     few samples, degenerate, rank-deficient or non-finite fit) logs the
     reason, re-commands the pattern center and falls through to wait.
 
+    Between its decisions ``step`` only waits or collects the sample.
+    ``awaiting`` tells what the next decision waits for, so a caller may
+    skip the calls in between and collect in their place.
+
     The cycle's samples are buffered and fitted once, at estimate, by
     ``fit_peak`` centred on the pattern center. The RLS fit starts from
     the previous cycle's peak.
@@ -205,6 +218,24 @@ class StepTracker:
         if self.phase is TrackerPhase.ESTIMATE:
             return self._estimate()
         return self._move(sample)
+
+    def awaiting(self) -> tuple[float, tuple[float, float] | None, bool]:
+        """What the next deciding sample waits for: ``(due, goal, collecting)``.
+
+        Until the first sample at or after time ``due``, or whose readbacks
+        have arrived at ``goal`` (``_arrived``), ``step`` decides nothing:
+        it returns None and changes no state but the sample buffer, to
+        which it adds each sample when ``collecting``. ``due`` is -inf when
+        the next sample decides whatever it holds.
+        """
+        if self.phase is TrackerPhase.WAIT and self.next_cycle_time is not None:
+            return self.next_cycle_time, None, False
+        if self.phase is TrackerPhase.ACQUIRE and self._dwell_until is None:
+            goal = self._waypoints[self._waypoint_idx]
+            return math.inf, goal, self.config.sampling_mode == "continuous"
+        if self.phase is TrackerPhase.MOVE:
+            return math.inf, self._move_target, False
+        return -math.inf, None, False
 
     # -- phase handlers -------------------------------------------------
 
@@ -246,7 +277,7 @@ class StepTracker:
         if self.config.sampling_mode == "continuous":
             self._collect(sample)
         waypoint = self._waypoints[self._waypoint_idx]
-        if not self._arrived(sample, waypoint):
+        if not _arrived(sample.azimuth, sample.elevation, waypoint, self._tol):
             return None
         at_corner = self._waypoint_idx < 4
         if self.config.sampling_mode == "corner-only" and at_corner:
@@ -280,7 +311,7 @@ class StepTracker:
         return self._move_target
 
     def _move(self, sample: BeaconSample) -> None:
-        if self._arrived(sample, self._move_target):
+        if _arrived(sample.azimuth, sample.elevation, self._move_target, self._tol):
             self.phase = TrackerPhase.WAIT
         return None
 
@@ -290,13 +321,6 @@ class StepTracker:
         return (
             min(max(target[0], self._az_limits[0]), self._az_limits[1]),
             min(max(target[1], self._el_limits[0]), self._el_limits[1]),
-        )
-
-    def _arrived(self, sample: BeaconSample, target: tuple[float, float]) -> bool:
-        tol = self._tol
-        return (
-            abs(sample.azimuth - target[0]) <= tol
-            and abs(sample.elevation - target[1]) <= tol
         )
 
     def _collect(self, sample: BeaconSample) -> None:
@@ -319,27 +343,27 @@ def pattern_duration(config: TrackerConfig, plant: AntennaState) -> float:
     return approach + perimeter + dwells
 
 
-def _wait_span_end(
-    tracker: StepTracker, at_rest: bool, i: int, dt: float, n_steps: int
-) -> int:
-    """End (exclusive) of the WAIT span that starts at step ``i``.
+def _arrived(
+    azimuth: float, elevation: float, target: tuple[float, float], tol: float
+) -> bool:
+    """Whether both readbacks lie within ``tol`` of the target."""
+    return abs(azimuth - target[0]) <= tol and abs(elevation - target[1]) <= tol
 
-    A span is the steps before the next cycle is due while the tracker
-    waits with the plant at rest, exactly at its target, so that no step
-    moves it. Returns ``i`` or less when step ``i`` starts no span.
-    """
-    due = tracker.next_cycle_time
-    if tracker.phase is not TrackerPhase.WAIT or due is None or not at_rest:
-        return i
+
+def _first_step_at(due: float, dt: float, n_steps: int) -> int:
+    """The first step j with ``j * dt >= due``, or ``n_steps`` if no step of
+    the run is."""
     if due > (n_steps - 1) * dt:
-        return n_steps  # no step of the run is due
-    # The first step j with j * dt >= due; the quotient may round either way.
+        return n_steps
+    if not due > 0:
+        return 0
+    # The quotient may round either way.
     end = math.ceil(due / dt)
     while end > 0 and (end - 1) * dt >= due:
         end -= 1
     while end * dt < due:
         end += 1
-    return min(end, n_steps)
+    return end
 
 
 def run_scenario(
@@ -360,18 +384,24 @@ def run_scenario(
     ``config.k_el`` when omitted) and an azimuth curvature re-derived from
     the satellite elevation.
 
-    The run has two passes. The plan pass takes every step in plain
-    floats: the true pose advances as ``tick`` would move it, the tracker
-    decides from the resolver readbacks and the time, and every command
-    gets ``command``'s limit check. The measure pass then evaluates the
-    level of the buffered steps in one array pass (satellite direction,
+    The run has two passes. The plan pass moves the true pose in plain
+    floats as ``tick`` would, reads it back with ``quantize_angle`` and
+    calls ``StepTracker.step`` only on the steps where the tracker
+    decides: a cycle falls due, the readbacks arrive at the waypoint or
+    move target it waits for (``StepTracker.awaiting``), or ESTIMATE.
+    Every command gets ``command``'s limit check. Between two decisions
+    the tracker would only return None, so a quiet run of steps adds its
+    readbacks to the cycle's samples in continuous ACQUIRE and nothing
+    else. A WAIT span, where the plant rests at its target until the next
+    cycle is due, is not planned step by step at all. The measure pass
+    then evaluates the level of every pending row (satellite direction,
     surface at the true pose, drift, noise drawn as one batch from the
-    same generator, floor clamp and volts) and logs them. It runs before
-    each ESTIMATE step, the one decision that reads levels, and at the
-    end. A WAIT span, where the plant rests at its target until the next
-    cycle is due, skips the plan pass and is measured as one block. The
-    log is the same, byte for byte once written, as measuring, stepping
-    ``StepTracker.step``, ``command`` and ``tick`` one step at a time.
+    same generator in row order, floor clamp and volts) and logs them, a
+    block per run of planned steps and per span. It runs once a cycle,
+    before the ESTIMATE step, the one decision that reads levels, and at
+    the end. The log is the same, byte for byte once written, as
+    measuring, stepping ``StepTracker.step``, ``command`` and ``tick``
+    one step at a time.
 
     Deterministic for a fixed receiver seed. Raises ValueError before
     starting if ``duration`` is not finite and non-negative or needs more
@@ -411,9 +441,31 @@ def run_scenario(
             f"which cannot be allocated: {exc}"
         ) from None
 
-    def measure_rows(first, count, az, el, cmd_az, cmd_el, rb_az, rb_el, phase, cycle):
-        # The measure pass over steps [first, first + count) at true pose
-        # (az, el). Each column is an array or one value for every row.
+    # Blocks of rows planned but not measured, in row order: (rows, az, el,
+    # commanded az, commanded el, readback az, readback el, phase code,
+    # cycle), each an array or one value for every row of the block.
+    blocks: list[tuple] = []
+    # Planned steps not yet in a block: pose and readbacks, four floats a
+    # step, and (steps, commanded az, commanded el, phase code, cycle) of
+    # each tracker call and the quiet run after it.
+    poses: list[float] = []
+    runs: list[tuple] = []
+
+    def seal():
+        if runs:
+            counts, *steps = map(np.array, zip(*runs))
+            az, el, rb_az, rb_el = np.array(poses).reshape(-1, 4).T
+            cmd_az, cmd_el, phase, cycle = (v.repeat(counts) for v in steps)
+            blocks.append((len(az), az, el, cmd_az, cmd_el, rb_az, rb_el, phase, cycle))
+            poses.clear()
+            runs.clear()
+
+    def measure_pending():
+        # The measure pass over every pending row.
+        seal()
+        if not blocks:
+            return
+        first, count = len(log), sum(block[0] for block in blocks)
         t = np.arange(first, first + count) * dt
         sat_az, sat_el = satellite_direction(orbit, t)
         field = ParabolaParams(
@@ -423,59 +475,82 @@ def run_scenario(
             peak_el=sat_el,
             peak_level=peak,
         )
-        level = measure(az, el, field, rx, t, rng)
-        log.extend(
-            t, cmd_az, cmd_el, rb_az, rb_el, level,
-            receiver_voltage(level, rx), phase, cycle,
-        )
-
-    # Plan-pass rows not yet measured: (az, el, commanded az, commanded el,
-    # readback az, readback el, phase, cycle), ending before step i.
-    rows: list[tuple] = []
-
-    def flush(i):
-        if rows:
-            measure_rows(i - len(rows), len(rows), *map(np.array, zip(*rows)))
-            rows.clear()
+        pose = np.empty((2, count))
+        lo = 0
+        for rows, az, el, *_ in blocks:
+            pose[0, lo : lo + rows] = az
+            pose[1, lo : lo + rows] = el
+            lo += rows
+        level = measure(pose[0], pose[1], field, rx, t, rng)
+        del pose, field, sat_az, sat_el  # freed before the volts' temporaries
+        volts = receiver_voltage(level, rx)
+        lo = 0
+        for rows, _, _, cmd_az, cmd_el, rb_az, rb_el, phase, cycle in blocks:
+            hi = lo + rows
+            log.extend(
+                t[lo:hi], cmd_az, cmd_el, rb_az, rb_el, level[lo:hi], volts[lo:hi],
+                phase, cycle,
+            )
+            lo = hi
+        blocks.clear()
 
     # The plant's pose and slew target as plain floats, at rest at the start.
     az, el = plant.true_azimuth, plant.true_elevation
     target_az, target_el = az, el
     az_step, el_step = plant.az_slew_rate * dt, plant.el_slew_rate * dt
-    resolver = plant.resolver_step
+    resolver = plant.resolver_step  # also the tracker's arrival tolerance
     i = 0
     while i < n_steps:
-        at_rest = az == target_az and el == target_el
-        end = _wait_span_end(tracker, at_rest, i, dt, n_steps)
-        if end > i:
-            flush(i)
-            measure_rows(
-                i, end - i, az, el, target_az, target_el,
-                quantize_angle(az, resolver), quantize_angle(el, resolver),
-                TrackerPhase.WAIT.value, tracker.cycle_index,
-            )
-            i = end
-            continue
         if tracker.phase is TrackerPhase.ESTIMATE:
             # The fit reads the levels collected this cycle: measure the
             # steps so far and put each level in place of its step index.
-            flush(i)
+            measure_pending()
             db = log.column("beacon_db")
             tracker._samples = [(a, e, float(db[j])) for a, e, j in tracker._samples]
-        t = i * dt
+        # A deciding step. The level is not measured yet, so the sample
+        # carries its step index in its place; only ESTIMATE reads levels.
+        start = i
         rb_az, rb_el = quantize_angle(az, resolver), quantize_angle(el, resolver)
-        # The level is not measured yet, so the sample carries its step
-        # index in its place; only ESTIMATE reads levels.
-        cmd = tracker.step(BeaconSample(t, rb_az, rb_el, i))
+        cmd = tracker.step(BeaconSample(i * dt, rb_az, rb_el, i))
         if cmd is not None:
             command(plant, cmd[0], cmd[1])
             target_az, target_el = cmd
-        rows.append((
-            az, el, target_az, target_el, rb_az, rb_el,
-            tracker.phase.value, tracker.cycle_index,
-        ))
-        az = _approach(az, target_az, az_step)
-        el = _approach(el, target_el, el_step)
-        i += 1
-    flush(n_steps)
+        # Then the quiet run up to the next deciding step, or in WAIT up to
+        # the step where the plant comes to rest.
+        due, goal, collecting = tracker.awaiting()
+        collect = tracker._samples.append if collecting else None
+        stop = _first_step_at(due, dt, n_steps)
+        while True:
+            poses += (az, el, rb_az, rb_el)
+            az = _approach(az, target_az, az_step)
+            el = _approach(el, target_el, el_step)
+            i += 1
+            if i >= stop:
+                break
+            rb_az, rb_el = quantize_angle(az, resolver), quantize_angle(el, resolver)
+            if goal is None:
+                if az == target_az and el == target_el:
+                    break
+            elif _arrived(rb_az, rb_el, goal, resolver):
+                break
+            if collect is not None:
+                collect((rb_az, rb_el, i))
+        phase = tracker.phase
+        code, cycle = _PHASE_CODES[phase], tracker.cycle_index
+        runs.append((i - start, target_az, target_el, code, cycle))
+        if phase is TrackerPhase.WAIT and az == target_az and el == target_el:
+            # A WAIT span: no step moves the plant before the next cycle.
+            end = _first_step_at(tracker.next_cycle_time, dt, n_steps)
+            span = (
+                az, el, target_az, target_el,
+                quantize_angle(az, resolver), quantize_angle(el, resolver), code, cycle,
+            )
+            while i < end:
+                seal()
+                if sum(block[0] for block in blocks) >= _PASS_ROWS:
+                    measure_pending()
+                rows = min(end - i, _PASS_ROWS)
+                blocks.append((rows, *span))
+                i += rows
+    measure_pending()
     return log

@@ -27,6 +27,7 @@ from steptrack.antenna import (
 )
 from steptrack.beacon import ParabolaParams, az_coeff_from_elevation, beacon_level
 from steptrack.orbit import OrbitConfig, satellite_direction
+from steptrack.scenario import load_scenario, resolve_scenario_path
 from steptrack.telemetry import FIELDS, TelemetryLog
 from steptrack.tracker import (
     PatternInfeasibleError,
@@ -170,6 +171,17 @@ cases = st.fixed_dictionaries(
 @example(case=_case(duration=16.5, noise=0.2))  # ends inside a WAIT span
 @example(case=_case(duration=6.5, noise=0.2))  # ends inside ACQUIRE
 @example(case=_case(duration=7.4, noise=0.2))  # ends inside MOVE
+# The tracker is called only where it decides; the steps between are a
+# quiet run. A 0.02 deg resolver step puts the readback on a waypoint 0.01
+# deg away on the first step of its leg: a quiet run of no steps.
+@example(case=_case(resolver=0.02, half_el=0.01))
+# Corner-only sampling without a dwell: one decision and one sample a corner.
+@example(case=_case(sampling="corner-only", dwell=0.0))
+# Ends inside the quiet run of the second cycle's MOVE.
+@example(case=_case(duration=13.4, noise=0.2))
+# Each WAIT span at rest and the next cycle's ACQUIRE rows go through one
+# measure pass, which draws their noise as one batch in row order.
+@example(case=_case(noise=0.2, seed=3))
 # Slewing 2 mdeg a step, the readback arrives before the plant does, so
 # WAIT begins while the plant still settles within one resolver step.
 @example(case=_case(az_rate=0.1, el_rate=0.1, cycle=16.0, noise=0.2))
@@ -232,6 +244,58 @@ def test_run_scenario_matches_stepping(case):
     want = _stepped(orbit, plant, rx, config, case["duration"])
     got = run_scenario(orbit, plant, rx, config, case["duration"])
     _assert_same_log(got, want)
+
+
+@pytest.mark.parametrize("cycle", [6.0, 1e200])
+def test_long_spans_are_measured_in_bounded_passes(monkeypatch, cycle):
+    # With passes capped at 64 rows, the WAIT spans (about 230 rows each,
+    # or all the run after the first cycle when no other falls due) go
+    # through passes of at most twice that besides a cycle's 70 moving rows.
+    monkeypatch.setattr("steptrack.tracker._PASS_ROWS", 64)
+    passes = []
+
+    def recorded(orbit, t):
+        passes.append(len(t))
+        return satellite_direction(orbit, t)
+
+    monkeypatch.setattr("steptrack.tracker.satellite_direction", recorded)
+    orbit = OrbitConfig(180.0, 60.0, 3.0, 0.5, 300.0)
+    plant = AntennaState(180.0, 60.0)
+    rx = ReceiverConfig(noise_sigma=0.2, drift_amplitude=0.5, drift_period=40.0, rng_seed=11)
+    config = TrackerConfig(cycle_period=cycle)
+    want = _stepped(orbit, plant, rx, config, 20.0)
+    got = run_scenario(orbit, plant, rx, config, 20.0)
+    _assert_same_log(got, want)
+    assert max(passes) <= 2 * 64 + 70
+
+
+def test_tracker_is_called_only_where_it_decides(monkeypatch):
+    # A cycle has 8 decisions: it falls due, 5 waypoint arrivals, ESTIMATE
+    # and the arrival at the fitted peak. Each cycle's rows are measured in
+    # one pass, before its ESTIMATE, and the rest at the end.
+    calls = {"step": 0, "satellite_direction": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(StepTracker, "step", counting("step", StepTracker.step))
+    monkeypatch.setattr(
+        "steptrack.tracker.satellite_direction",
+        counting("satellite_direction", satellite_direction),
+    )
+    sc = load_scenario(resolve_scenario_path("desk_figure8"))
+    log = run_scenario(
+        sc.orbit, sc.antenna, sc.receiver, sc.tracker, 60.0,
+        peak_level_db=sc.peak_level_db, truth_k_el=sc.truth_k_el,
+    )
+    cycles = int(log.column("cycle_index").max()) + 1
+    assert cycles == 6 and len(log) == 3000
+    assert calls["step"] <= 10 * cycles, calls
+    assert calls["satellite_direction"] <= cycles + 1, calls
 
 
 # -- the physics over arrays, against the per-sample forms -----------------------

@@ -22,6 +22,7 @@ from steptrack.telemetry import (
     PHASES,
     TelemetryLog,
     beacon_stats,
+    column_rows,
     extract_trajectory,
     format_floats,
     read_csv,
@@ -366,6 +367,34 @@ def test_unknown_phase_rejected():
         _log([0.0, 1.0, 2.0]).extend([3.0, 4.0], *REST[:-2], ["wait", "idle"], 0)
 
 
+CODES = [3, 0, 1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "codes", [CODES, np.array(CODES), np.array(CODES, np.int8), np.array(CODES, np.uint8)]
+)
+def test_extend_takes_phase_codes(codes):
+    by_name = TelemetryLog()
+    by_name.extend(np.arange(5.0), *REST[:-2], [PHASES[c] for c in CODES], 0)
+    by_code = TelemetryLog()
+    by_code.extend(np.arange(5.0), *REST[:-2], codes, 0)
+    assert _columns(by_code) == _columns(by_name)
+    # A single code or name holds for the whole block.
+    by_code.extend([5.0, 6.0], *REST[:-2], WAIT, 0)
+    by_code.extend([7.0, 8.0], *REST[:-2], "move", 0)
+    assert by_code.column("phase").tolist()[5:] == [WAIT, WAIT, 2, 2]
+
+
+@pytest.mark.parametrize("bad", [-1, 4, 127])
+def test_out_of_range_phase_code_rejected(bad):
+    message = re.escape(f"unknown phase code {bad}, expected 0 to 3")
+    log = _log([0.0])
+    for phase in (bad, [WAIT, bad], np.array([bad, WAIT], np.int64)):
+        with pytest.raises(ValueError, match=message):
+            log.extend([1.0, 2.0], *REST[:-2], phase, 0)
+    assert len(log) == 1
+
+
 def test_extend_equals_appends():
     rows = [(i * 0.5, 180.0 + i, 72.0, 180.0 + i, 72.0, float(i), 5.0, "wait", 0)
             for i in range(5)]
@@ -475,6 +504,44 @@ def test_run_layout_equals_the_dense_log(tmp_path_factory, blocks, tail, reads):
         if want.dtype == np.float64:
             want = np.where(np.isnan(want), np.nan, want)
         assert _equal_bits(back.column(name), want), name
+
+
+@given(
+    blocks=step_blocks(),
+    start=st.none() | st.integers(-100, 100),
+    stop=st.none() | st.integers(-100, 100),
+    step=st.none() | st.integers(1, 12),
+)
+def test_column_rows_equal_the_full_expansion(blocks, start, stop, step):
+    log = TelemetryLog()
+    for block in blocks:
+        log.extend(*block)
+    rows = slice(start, stop, step)
+    for name in FIELDS:
+        assert _equal_bits(column_rows(log, name, rows), log.column(name)[rows]), name
+    if step is not None:
+        az, el = extract_trajectory(log, step)
+        assert _equal_bits(az, log.column("readback_az")[::step])
+        assert _equal_bits(el, log.column("readback_el")[::step])
+
+
+def test_window_rows_expand_no_whole_step_column(monkeypatch):
+    log = TelemetryLog()
+    log.extend(np.arange(10_000.0), np.arange(10_000.0) // 7, *REST[1:])
+    read = []
+    column = TelemetryLog.column
+
+    def recorded(self, name):
+        read.append(name)
+        return column(self, name)
+
+    monkeypatch.setattr(TelemetryLog, "column", recorded)
+    got = column_rows(log, "commanded_az", slice(20, 9_000, 50))
+    assert got.tolist() == [float(row // 7) for row in range(20, 9_000, 50)]
+    extract_trajectory(log, 50)
+    assert read == []
+    with pytest.raises(ValueError, match="row step must be positive"):
+        column_rows(log, "commanded_az", slice(None, None, -1))
 
 
 def test_scalar_step_values_take_no_memory_per_row():

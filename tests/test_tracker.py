@@ -15,6 +15,7 @@ from steptrack.tracker import (
     StepTracker,
     TrackerConfig,
     TrackerPhase,
+    _arrived,
     pattern_duration,
     plan_pattern,
     run_scenario,
@@ -214,6 +215,50 @@ def test_wait_phase_issues_no_commands():
 
 
 # -- scenario runs ---------------------------------------------------------------
+
+@pytest.mark.parametrize("sampling_mode", ["continuous", "corner-only"])
+def test_awaiting_foretells_every_step_that_decides(sampling_mode):
+    # Stepping a noisy figure-8 one step at a time: a step that ``awaiting``
+    # calls quiet returns None and changes nothing but the sample buffer.
+    orbit = st.OrbitConfig(180.0, 72.0, azimuth_amplitude=0.5, elevation_amplitude=0.1,
+                           period=60.0)
+    plant = st.AntennaState(180.0, 72.0)
+    rx = st.ReceiverConfig(noise_sigma=0.3, rng_seed=5)
+    config = TrackerConfig(cycle_period=4.0, sampling_mode=sampling_mode, dwell_time=0.1)
+    tracker = StepTracker(config, plant)
+    target = plant.true_azimuth, plant.true_elevation
+    rng = np.random.default_rng(rx.rng_seed)
+    decided = 0
+    for i in range(1000):
+        t = i * config.sample_interval
+        sat_az, sat_el = oracles.satellite_direction(orbit, t)
+        field = ParabolaParams(
+            oracles.az_coeff_from_elevation(config.k_el, sat_el), config.k_el,
+            sat_az, sat_el, 6.0,
+        )
+        sample = oracles.measure(plant, field, rx, t, rng=rng)
+        due, goal, collecting = tracker.awaiting()
+        quiet = t < due and not (
+            goal is not None
+            and _arrived(sample.azimuth, sample.elevation, goal, plant.resolver_step)
+        )
+        state = {k: v for k, v in vars(tracker).items() if k != "_samples"}
+        samples = list(tracker._samples)
+        cmd = tracker.step(sample)
+        if quiet:
+            assert cmd is None
+            assert {k: v for k, v in vars(tracker).items() if k != "_samples"} == state
+            added = [(sample.azimuth, sample.elevation, sample.level)] if collecting else []
+            assert tracker._samples == samples + added
+        else:
+            decided += 1
+        if cmd is not None:
+            target = cmd
+        plant = tick(plant, *target, config.sample_interval)
+    assert tracker.cycle_index == 4
+    # 8 decisions a cycle; a corner-only dwell decides on each of its steps.
+    assert decided == 40 if sampling_mode == "continuous" else 40 < decided < 200
+
 
 def _small_scenario(**tracker_kw):
     orbit = st.OrbitConfig(180.0, 72.0, azimuth_amplitude=0.0, elevation_amplitude=0.0)
