@@ -55,6 +55,13 @@ class AntennaState:
             raise ValueError("slew rates must be positive")
         if self.resolver_step <= 0:
             raise ValueError("resolver_step must be positive")
+        # quantize_angle rounds angle / resolver_step to an int.
+        reach = max(map(abs, (*self.az_limits, *self.el_limits)))
+        if not math.isfinite(reach / self.resolver_step):
+            raise ValueError(
+                f"resolver_step {self.resolver_step} is too fine for limits "
+                f"up to {reach} deg"
+            )
         for name, value, (lo, hi) in (
             ("true_azimuth", self.true_azimuth, self.az_limits),
             ("true_elevation", self.true_elevation, self.el_limits),

@@ -7,10 +7,11 @@ cycles limits mechanical wear; the beacon level decays while the
 satellite drifts and is restored by the next cycle, which produces the
 characteristic sawtooth level trace.
 
-``StepTracker`` takes one sample per tick, and tells through ``awaiting``
-which sample it next decides on. ``run_scenario`` plans the run in plain
-floats, calling the tracker only on those samples, and measures the
-planned steps in one array pass a cycle; see its docstring.
+``StepTracker.step`` decides on a sample's time and readbacks, never its
+level, and ``estimate`` fits the cycle's samples, which its caller keeps.
+``run_scenario`` plans the run in plain floats, calling the tracker only
+where it decides (``awaiting``), and measures the planned steps in one
+array pass a cycle; see its docstring.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ import enum
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .antenna import (
     AntennaState,
-    BeaconSample,
     ReceiverConfig,
     _approach,
     command,
@@ -169,66 +170,93 @@ def plan_pattern(
     return corners + corners[:1]
 
 
+class CycleFit(NamedTuple):
+    """The ESTIMATE decision: the command, and the fitted peak and its
+    residual RMS in dB; after a failed fit, None for both and the reason."""
+
+    command: tuple[float, float]
+    peak: PeakEstimate | None = None
+    residual_rms: float | None = None
+    reason: str | None = None
+
+
 class StepTracker:
-    """Drives the four-phase tracking cycle, one call per sample tick.
+    """Drives the four-phase tracking cycle.
 
-    ``step`` consumes the latest beacon sample, whose readbacks and time
-    are all it reads of the plant, and may return an (azimuth, elevation)
-    command for it; the limits and the resolver step (the arrival
-    tolerance) come from ``plant`` once. Phase order is always acquire
-    -> estimate -> move -> wait; a failed cycle (pattern infeasible, too
-    few samples, degenerate, rank-deficient or non-finite fit) logs the
-    reason, re-commands the pattern center and falls through to wait.
-
-    Between its decisions ``step`` only waits or collects the sample.
-    ``awaiting`` tells what the next decision waits for, so a caller may
-    skip the calls in between and collect in their place.
-
-    The cycle's samples are buffered and fitted once, at estimate, by
-    ``fit_peak`` centred on the pattern center. The RLS fit starts from
-    the previous cycle's peak.
+    ``step`` decides WAIT, ACQUIRE and MOVE from a sample's time and
+    readbacks, may return an (azimuth, elevation) command, and sets
+    ``collected`` when the sample belongs to the cycle's fit. The caller
+    keeps those samples and, at ESTIMATE, hands their readbacks and levels
+    to ``estimate`` in place of a step. The limits and the resolver step
+    (the arrival tolerance) come from ``plant`` once. Phase order is always
+    acquire -> estimate -> move -> wait; a failed cycle (pattern
+    infeasible, too few samples, degenerate, rank-deficient or non-finite
+    fit) logs the reason, re-commands the pattern center and falls through
+    to wait. Between its decisions ``step`` returns None and changes no
+    state; ``awaiting`` tells what the next decision waits for, so a
+    caller may skip the calls in between and collect in their place.
     """
 
     def __init__(self, config: TrackerConfig, plant: AntennaState):
         self.config = config
-        self._az_limits = plant.az_limits
-        self._el_limits = plant.el_limits
+        self._limits = plant.az_limits, plant.el_limits
         self._tol = plant.resolver_step
         self.phase = TrackerPhase.WAIT
         self.cycle_index = -1
         self.pattern_center: tuple[float, float] | None = None
         self.last_estimate: PeakEstimate | None = None
-        self.next_cycle_time: float | None = None
+        self.next_cycle_time = -math.inf  # the first sample begins a cycle
+        self.collected = False
         self._waypoints: list[tuple[float, float]] = []
         self._waypoint_idx = 0
         self._dwell_until: float | None = None
         self._move_target: tuple[float, float] | None = None
-        self._samples: list[tuple[float, float, float]] = []
         self._k: QuadraticCoefficients | None = None
 
-    def step(self, sample: BeaconSample) -> tuple[float, float] | None:
-        if self.next_cycle_time is None:
-            self.next_cycle_time = sample.t
+    def step(self, t: float, azimuth: float, elevation: float) -> tuple[float, float] | None:
+        """Decide on the sample at time ``t`` with these readbacks."""
+        self.collected = False
         if self.phase is TrackerPhase.WAIT:
-            if sample.t >= self.next_cycle_time:
-                return self._begin_cycle(sample)
+            if t >= self.next_cycle_time:
+                return self._begin_cycle(t, azimuth, elevation)
             return None
         if self.phase is TrackerPhase.ACQUIRE:
-            return self._acquire(sample)
+            return self._acquire(t, azimuth, elevation)
         if self.phase is TrackerPhase.ESTIMATE:
-            return self._estimate()
-        return self._move(sample)
+            raise RuntimeError("the ESTIMATE phase decides through estimate, not step")
+        if _arrived(azimuth, elevation, self._move_target, self._tol):
+            self.phase = TrackerPhase.WAIT
+        return None
+
+    def estimate(self, az: np.ndarray, el: np.ndarray, level: np.ndarray) -> CycleFit:
+        """Fit the cycle's samples by ``fit_peak``, centred on the pattern
+        center, and move to the peak. RLS starts from the last peak."""
+        config = self.config
+        self.phase = TrackerPhase.WAIT
+        try:
+            peak, rms = fit_peak(
+                az, el, level, self.pattern_center, self._k, config.estimator,
+                config.forgetting, prior=self.last_estimate,
+            )
+        except EstimationError as exc:
+            fit = CycleFit(self._clamp(self.pattern_center), reason=str(exc))
+            logger.warning("cycle %d aborted: %s", self.cycle_index, fit.reason)
+            return fit
+        self.last_estimate = peak
+        self._move_target = self._clamp((peak.azimuth, peak.elevation))
+        self.phase = TrackerPhase.MOVE
+        return CycleFit(self._move_target, peak, rms)
 
     def awaiting(self) -> tuple[float, tuple[float, float] | None, bool]:
         """What the next deciding sample waits for: ``(due, goal, collecting)``.
 
         Until the first sample at or after time ``due``, or whose readbacks
         have arrived at ``goal`` (``_arrived``), ``step`` decides nothing:
-        it returns None and changes no state but the sample buffer, to
-        which it adds each sample when ``collecting``. ``due`` is -inf when
-        the next sample decides whatever it holds.
+        it returns None, changes no state and sets ``collected`` to
+        ``collecting``. ``due`` is -inf when the next sample decides
+        whatever it holds.
         """
-        if self.phase is TrackerPhase.WAIT and self.next_cycle_time is not None:
+        if self.phase is TrackerPhase.WAIT:
             return self.next_cycle_time, None, False
         if self.phase is TrackerPhase.ACQUIRE and self._dwell_until is None:
             goal = self._waypoints[self._waypoint_idx]
@@ -237,54 +265,39 @@ class StepTracker:
             return math.inf, self._move_target, False
         return -math.inf, None, False
 
-    # -- phase handlers -------------------------------------------------
-
-    def _begin_cycle(self, sample: BeaconSample) -> tuple[float, float] | None:
+    def _begin_cycle(self, t: float, azimuth: float, elevation: float) -> tuple[float, float] | None:
         self.cycle_index += 1
-        self.next_cycle_time = sample.t + self.config.cycle_period
-        self.pattern_center = (sample.azimuth, sample.elevation)
-        k_az = az_coeff_from_elevation(self.config.k_el, self.pattern_center[1])
+        self.next_cycle_time = t + self.config.cycle_period
+        self.pattern_center = (azimuth, elevation)
+        k_az = az_coeff_from_elevation(self.config.k_el, elevation)
         if abs(k_az) < DEFAULT_COEFF_FLOOR:
             logger.warning(
                 "cycle %d skipped: azimuth curvature %.3g below floor %.3g",
-                self.cycle_index,
-                k_az,
-                DEFAULT_COEFF_FLOOR,
+                self.cycle_index, k_az, DEFAULT_COEFF_FLOOR,
             )
-            self.phase = TrackerPhase.WAIT
             return None
         self._k = QuadraticCoefficients(k_az=k_az, k_el=self.config.k_el)
         try:
-            self._waypoints = plan_pattern(
-                self.pattern_center,
-                self.config,
-                az_limits=self._az_limits,
-                el_limits=self._el_limits,
-            )
+            self._waypoints = plan_pattern(self.pattern_center, self.config, *self._limits)
         except PatternInfeasibleError as exc:
             logger.warning("cycle %d skipped: %s", self.cycle_index, exc)
-            self.phase = TrackerPhase.WAIT
             return None
         self._waypoint_idx = 0
         self._dwell_until = None
-        self._samples = []
         self.phase = TrackerPhase.ACQUIRE
-        if self.config.sampling_mode == "continuous":
-            self._collect(sample)
+        self.collected = self.config.sampling_mode == "continuous"
         return self._waypoints[0]
 
-    def _acquire(self, sample: BeaconSample) -> tuple[float, float] | None:
-        if self.config.sampling_mode == "continuous":
-            self._collect(sample)
-        waypoint = self._waypoints[self._waypoint_idx]
-        if not _arrived(sample.azimuth, sample.elevation, waypoint, self._tol):
+    def _acquire(self, t: float, azimuth: float, elevation: float) -> tuple[float, float] | None:
+        continuous = self.config.sampling_mode == "continuous"
+        self.collected = continuous
+        if not _arrived(azimuth, elevation, self._waypoints[self._waypoint_idx], self._tol):
             return None
-        at_corner = self._waypoint_idx < 4
-        if self.config.sampling_mode == "corner-only" and at_corner:
+        if not continuous and self._waypoint_idx < 4:  # at a corner
             if self._dwell_until is None:
-                self._dwell_until = sample.t + self.config.dwell_time
-            self._collect(sample)
-            if sample.t < self._dwell_until:
+                self._dwell_until = t + self.config.dwell_time
+            self.collected = True
+            if t < self._dwell_until:
                 return None
         self._dwell_until = None
         self._waypoint_idx += 1
@@ -293,38 +306,8 @@ class StepTracker:
         self.phase = TrackerPhase.ESTIMATE
         return None
 
-    def _estimate(self) -> tuple[float, float] | None:
-        config = self.config
-        az, el, level = np.reshape(self._samples, (-1, 3)).T
-        try:
-            estimate, _ = fit_peak(
-                az, el, level, self.pattern_center, self._k, config.estimator,
-                config.forgetting, prior=self.last_estimate,
-            )
-        except EstimationError as exc:
-            logger.warning("cycle %d aborted: %s", self.cycle_index, exc)
-            self.phase = TrackerPhase.WAIT
-            return self._clamp_to_limits(self.pattern_center)
-        self.last_estimate = estimate
-        self._move_target = self._clamp_to_limits((estimate.azimuth, estimate.elevation))
-        self.phase = TrackerPhase.MOVE
-        return self._move_target
-
-    def _move(self, sample: BeaconSample) -> None:
-        if _arrived(sample.azimuth, sample.elevation, self._move_target, self._tol):
-            self.phase = TrackerPhase.WAIT
-        return None
-
-    # -- helpers --------------------------------------------------------
-
-    def _clamp_to_limits(self, target: tuple[float, float]) -> tuple[float, float]:
-        return (
-            min(max(target[0], self._az_limits[0]), self._az_limits[1]),
-            min(max(target[1], self._el_limits[0]), self._el_limits[1]),
-        )
-
-    def _collect(self, sample: BeaconSample) -> None:
-        self._samples.append((sample.azimuth, sample.elevation, sample.level))
+    def _clamp(self, target: tuple[float, float]) -> tuple[float, float]:
+        return tuple(min(max(v, lo), hi) for v, (lo, hi) in zip(target, self._limits))
 
 
 def pattern_duration(config: TrackerConfig, plant: AntennaState) -> float:
@@ -386,22 +369,22 @@ def run_scenario(
 
     The run has two passes. The plan pass moves the true pose in plain
     floats as ``tick`` would, reads it back with ``quantize_angle`` and
-    calls ``StepTracker.step`` only on the steps where the tracker
-    decides: a cycle falls due, the readbacks arrive at the waypoint or
-    move target it waits for (``StepTracker.awaiting``), or ESTIMATE.
-    Every command gets ``command``'s limit check. Between two decisions
-    the tracker would only return None, so a quiet run of steps adds its
-    readbacks to the cycle's samples in continuous ACQUIRE and nothing
-    else. A WAIT span, where the plant rests at its target until the next
-    cycle is due, is not planned step by step at all. The measure pass
-    then evaluates the level of every pending row (satellite direction,
-    surface at the true pose, drift, noise drawn as one batch from the
-    same generator in row order, floor clamp and volts) and logs them, a
-    block per run of planned steps and per span. It runs once a cycle,
-    before the ESTIMATE step, the one decision that reads levels, and at
-    the end. The log is the same, byte for byte once written, as
-    measuring, stepping ``StepTracker.step``, ``command`` and ``tick``
-    one step at a time.
+    calls the tracker only on the steps where it decides: ``step`` when a
+    cycle falls due or the readbacks arrive at the waypoint or move target
+    it waits for (``StepTracker.awaiting``), and ``estimate`` at
+    ESTIMATE. Every command gets ``command``'s limit check. The loop keeps
+    the cycle's fit samples, a readback pair and a step index each: the
+    steps ``step`` marks ``collected`` and the quiet steps of continuous
+    ACQUIRE, on which the tracker would only return None. A WAIT span,
+    where the plant rests at its target until the next cycle is due, is
+    not planned step by step at all. The measure pass then evaluates the
+    level of every pending row (satellite direction, surface at the true
+    pose, drift, noise drawn as one batch from the same generator in row
+    order, floor clamp and volts) and logs them, a block per run of
+    planned steps and per span. It runs once a cycle, before ESTIMATE,
+    which reads the samples' levels from the log by their step indices,
+    and at the end. The log is the same, byte for byte once written, as
+    measuring, deciding, ``command`` and ``tick`` one step at a time.
 
     Deterministic for a fixed receiver seed. Raises ValueError before
     starting if ``duration`` is not finite and non-negative or needs more
@@ -419,7 +402,7 @@ def run_scenario(
     if config.cycle_period <= min_cycle:
         raise ValueError(
             f"cycle_period {config.cycle_period}s cannot contain the "
-            f"displacement pattern ({min_cycle:.1f}s)"
+            f"displacement pattern ({min_cycle:.4g}s)"
         )
     plan_pattern(
         (quantize_angle(plant.true_azimuth, plant.resolver_step),
@@ -499,26 +482,30 @@ def run_scenario(
     target_az, target_el = az, el
     az_step, el_step = plant.az_slew_rate * dt, plant.el_slew_rate * dt
     resolver = plant.resolver_step  # also the tracker's arrival tolerance
+    # The cycle's fit samples: readbacks and the step whose level goes with them.
+    samples: list[tuple[float, float, int]] = []
+    collect = samples.append
     i = 0
     while i < n_steps:
-        if tracker.phase is TrackerPhase.ESTIMATE:
-            # The fit reads the levels collected this cycle: measure the
-            # steps so far and put each level in place of its step index.
-            measure_pending()
-            db = log.column("beacon_db")
-            tracker._samples = [(a, e, float(db[j])) for a, e, j in tracker._samples]
-        # A deciding step. The level is not measured yet, so the sample
-        # carries its step index in its place; only ESTIMATE reads levels.
         start = i
         rb_az, rb_el = quantize_angle(az, resolver), quantize_angle(el, resolver)
-        cmd = tracker.step(BeaconSample(i * dt, rb_az, rb_el, i))
+        if tracker.phase is TrackerPhase.ESTIMATE:
+            # The fit reads the levels of the samples: measure the steps so far.
+            measure_pending()
+            fit_az, fit_el, fit_steps = np.reshape(samples, (-1, 3)).T
+            fit_db = log.column("beacon_db")[fit_steps.astype(np.intp)]
+            cmd = tracker.estimate(fit_az, fit_el, fit_db).command
+            samples.clear()
+        else:
+            cmd = tracker.step(i * dt, rb_az, rb_el)
+            if tracker.collected:
+                collect((rb_az, rb_el, i))
         if cmd is not None:
             command(plant, cmd[0], cmd[1])
             target_az, target_el = cmd
         # Then the quiet run up to the next deciding step, or in WAIT up to
         # the step where the plant comes to rest.
         due, goal, collecting = tracker.awaiting()
-        collect = tracker._samples.append if collecting else None
         stop = _first_step_at(due, dt, n_steps)
         while True:
             poses += (az, el, rb_az, rb_el)
@@ -533,7 +520,7 @@ def run_scenario(
                     break
             elif _arrived(rb_az, rb_el, goal, resolver):
                 break
-            if collect is not None:
+            if collecting:
                 collect((rb_az, rb_el, i))
         phase = tracker.phase
         code, cycle = _PHASE_CODES[phase], tracker.cycle_index

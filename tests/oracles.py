@@ -8,22 +8,27 @@ one and hand them to the package's solvers, so that a fit over many rows
 can be checked against the same rows fed one at a time.
 ``DenseTelemetryLog`` stores every telemetry column row by row, as the
 package's log did before it stored the step columns as runs.
+``closed_loop`` runs the tracking loop one step at a time, the reference
+for the package's ``run_scenario``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from steptrack import estimators
-from steptrack.antenna import AntennaState, BeaconSample, ReceiverConfig, quantize_angle
+from steptrack.antenna import (
+    AntennaState, BeaconSample, ReceiverConfig, command, quantize_angle, tick,
+)
 from steptrack.beacon import ParabolaParams, QuadraticCoefficients, beacon_level
 from steptrack.estimators import RlsState
 from steptrack.orbit import OrbitConfig
 from steptrack.telemetry import FIELDS, _phase_codes
+from steptrack.tracker import StepTracker, TrackerConfig, TrackerPhase
 
 
 def satellite_direction(config: OrbitConfig, t: float) -> tuple[float, float]:
@@ -158,3 +163,61 @@ class DenseTelemetryLog:
 
     def __len__(self) -> int:
         return self._n
+
+
+class LoopStep(NamedTuple):
+    """One step of ``closed_loop``, seen after the plant's tick."""
+
+    tracker: StepTracker
+    sample: BeaconSample  # measured on the pose before the tick
+    command: tuple[float, float] | None  # the tracker's, at this step
+    target: tuple[float, float]  # the slew target the plant ticked toward
+    plant: AntennaState  # after the tick
+    samples: list  # the current cycle's fit samples (az, el, level) so far
+
+
+def closed_loop(
+    orbit: OrbitConfig,
+    plant: AntennaState,
+    rx: ReceiverConfig,
+    config: TrackerConfig,
+    duration: float,
+    peak_level_db: float | None = None,
+) -> Iterator[LoopStep]:
+    """The tracking loop one step at a time, for ``duration`` seconds.
+
+    Each step measures the beacon at the true pose (the surface peaks at
+    the satellite direction with level ``peak_level_db``, the receiver's
+    max_db when omitted, and curvature ``config.k_el``), hands the tracker
+    the time and the readbacks, or at ESTIMATE the cycle's samples, checks
+    the command with ``command`` and ticks the plant toward the slew
+    target. The loop keeps the cycle's samples: those the tracker marks
+    ``collected``.
+    """
+    peak = rx.max_db if peak_level_db is None else peak_level_db
+    tracker = StepTracker(config, plant)
+    target = plant.true_azimuth, plant.true_elevation
+    rng = np.random.default_rng(rx.rng_seed)
+    dt = config.sample_interval
+    samples: list = []
+    for i in range(round(duration / dt)):
+        t = i * dt
+        sat_az, sat_el = satellite_direction(orbit, t)
+        field = ParabolaParams(
+            az_coeff_from_elevation(config.k_el, sat_el), config.k_el, sat_az, sat_el, peak
+        )
+        sample = measure(plant, field, rx, t, rng)
+        if tracker.phase is TrackerPhase.ESTIMATE:
+            cmd = tracker.estimate(*np.reshape(samples, (-1, 3)).T).command
+        else:
+            cycle = tracker.cycle_index
+            cmd = tracker.step(t, sample.azimuth, sample.elevation)
+            if tracker.cycle_index != cycle:
+                samples = []
+            if tracker.collected:
+                samples.append((sample.azimuth, sample.elevation, sample.level))
+        if cmd is not None:
+            command(plant, *cmd)
+            target = cmd
+        plant = tick(plant, *target, dt)
+        yield LoopStep(tracker, sample, cmd, target, plant, samples)

@@ -27,15 +27,14 @@ import time
 import numpy as np
 
 import steptrack as st
-from steptrack.antenna import command, tick
 from steptrack.beacon import ParabolaParams, az_coeff_from_elevation, beacon_level
 from steptrack.cli import main
 from steptrack.estimators import memory_horizon, recover_peak, rls_init, rls_recover
 from steptrack.orbit import satellite_direction
 from steptrack.telemetry import PHASES
-from steptrack.tracker import StepTracker, TrackerConfig, run_scenario
+from steptrack.tracker import TrackerConfig, run_scenario
 
-from oracles import ls_fit, measure, regression_row, rls_update
+from oracles import closed_loop, ls_fit, measure, regression_row, rls_update
 
 RESOLVER_STEP = 360.0 / 65536.0
 
@@ -149,23 +148,9 @@ def test_criterion_5_closed_loop_convergence():
     plant = st.AntennaState(10.0, 70.0, resolver_step=RESOLVER_STEP)
     rx = st.ReceiverConfig(noise_sigma=0.0)
     config = TrackerConfig(cycle_period=20.0, estimator="batch-ls")
-    tracker = StepTracker(config, plant)
-    target = plant.true_azimuth, plant.true_elevation
-    rng = np.random.default_rng(0)
-    dt = config.sample_interval
     started = time.perf_counter()
-    for i in range(round(20.0 / dt)):
-        t = i * dt
-        field = ParabolaParams(
-            k_az=az_coeff_from_elevation(config.k_el, peak[1]),
-            k_el=config.k_el, peak_az=peak[0], peak_el=peak[1], peak_level=6.0,
-        )
-        sample = measure(plant, field, rx, t, rng=rng)
-        cmd = tracker.step(sample)
-        if cmd is not None:
-            command(plant, *cmd)
-            target = cmd
-        plant = tick(plant, *target, dt)
+    *_, last = closed_loop(orbit, plant, rx, config, 20.0, peak_level_db=6.0)
+    tracker, plant = last.tracker, last.plant
     elapsed = time.perf_counter() - started
     bound = RESOLVER_STEP / 2 + 1e-6
     err_az = abs(plant.true_azimuth - peak[0])

@@ -215,6 +215,18 @@ def test_state_validation():
         _plant(resolver_step=-0.01)
 
 
+@pytest.mark.parametrize("step", [5e-324, 1e-310])
+def test_state_rejects_resolver_step_too_fine_for_limits(step):
+    # 360 / step overflows, and quantize_angle's round would raise
+    # OverflowError at the first readback.
+    with pytest.raises(ValueError, match=f"resolver_step {step} is too fine"):
+        _plant(resolver_step=step)
+    # Limits near zero leave room for the same step.
+    plant = _plant(true_azimuth=0.0, true_elevation=0.0, az_limits=(0.0, 1e-300),
+                   el_limits=(0.0, 1e-300), resolver_step=step)
+    assert quantize_angle(plant.true_azimuth, step) == 0.0
+
+
 def test_receiver_validation():
     with pytest.raises(ValueError):
         ReceiverConfig(floor_db=6.0, max_db=-24.0)

@@ -209,6 +209,19 @@ def test_mistyped_value_names_field(tmp_path, old, new, field):
         load_scenario(path)
 
 
+def test_subnormal_resolver_step_names_field(tmp_path):
+    path = tmp_path / "s.yaml"
+    path.write_text(MINIMAL.replace(
+        "  elevation_deg: 70.0", "  elevation_deg: 70.0\n  resolver_step_deg: 5.0e-324"
+    ))
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(path)
+    assert str(exc.value) == (
+        "invalid antenna configuration: resolver_step 5e-324 is too fine for "
+        "limits up to 360.0 deg"
+    )
+
+
 def test_negative_seed_names_field(tmp_path):
     path = tmp_path / "s.yaml"
     path.write_text(MINIMAL.replace("seed: 3", "seed: -1"))

@@ -1,7 +1,7 @@
 """Plan and measure passes: ``run_scenario`` must log what plain stepping logs.
 
-``_stepped`` below is the per-step loop, built from the per-sample forms
-in ``oracles``, kept here as the reference. The properties compare the two
+``_stepped`` below logs the per-step loop ``oracles.closed_loop``, built
+from the per-sample forms, as the reference. The properties compare the two
 bit for bit on the configurations the golden digests do not cover, and
 check that each physics formula of the package, over an array, equals its
 per-sample form bit for bit at each element.
@@ -19,11 +19,9 @@ from steptrack.antenna import (
     DEFAULT_RESOLVER_STEP,
     AntennaState,
     ReceiverConfig,
-    command,
     measure,
     quantize_angle,
     receiver_voltage,
-    tick,
 )
 from steptrack.beacon import ParabolaParams, az_coeff_from_elevation, beacon_level
 from steptrack.orbit import OrbitConfig, satellite_direction
@@ -43,39 +41,19 @@ import oracles
 
 def _stepped(orbit, plant, rx, config, duration, peak_level_db=None):
     """run_scenario's loop with every step taken one at a time."""
-    peak = rx.max_db if peak_level_db is None else peak_level_db
-    tracker = StepTracker(config, plant)
-    target_az, target_el = plant.true_azimuth, plant.true_elevation
     log = TelemetryLog()
-    rng = np.random.default_rng(rx.rng_seed)
-    dt = config.sample_interval
-    for i in range(round(duration / dt)):
-        t = i * dt
-        sat_az, sat_el = oracles.satellite_direction(orbit, t)
-        field = ParabolaParams(
-            k_az=oracles.az_coeff_from_elevation(config.k_el, sat_el),
-            k_el=config.k_el,
-            peak_az=sat_az,
-            peak_el=sat_el,
-            peak_level=peak,
-        )
-        sample = oracles.measure(plant, field, rx, t, rng=rng)
-        cmd = tracker.step(sample)
-        if cmd is not None:
-            command(plant, cmd[0], cmd[1])
-            target_az, target_el = cmd
+    for step in oracles.closed_loop(orbit, plant, rx, config, duration, peak_level_db):
+        sample = step.sample
         log.append(
-            t,
-            target_az,
-            target_el,
+            sample.t,
+            *step.target,
             sample.azimuth,
             sample.elevation,
             sample.level,
             oracles.receiver_voltage(sample.level, rx),
-            tracker.phase.value,
-            tracker.cycle_index,
+            step.tracker.phase.value,
+            step.tracker.cycle_index,
         )
-        plant = tick(plant, target_az, target_el, dt)
     return log
 
 

@@ -4,7 +4,8 @@
 dropped from a module, say an import nothing calls any more, breaks only
 the traced benchmark run; these tests catch it in the ordinary suite. They
 also check that the simulation calls the physics through the names the
-tracer wraps, and that an import kept only for the tracer is one it wraps.
+tracer wraps, that an import kept only for the tracer is one it wraps, and
+that the tracer's split of ``StepTracker.step`` by phase still fits.
 The tracer file is parsed, not imported, so the tests neither run nor edit
 it.
 """
@@ -22,15 +23,19 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 
 
-def _module_bindings():
+def _tracer_constant(name):
     tree = ast.parse(TRACER.read_text())
     for node in tree.body:
         if (
             isinstance(node, ast.Assign)
-            and [getattr(t, "id", None) for t in node.targets] == ["MODULE_BINDINGS"]
+            and [getattr(t, "id", None) for t in node.targets] == [name]
         ):
             return ast.literal_eval(node.value)
-    raise AssertionError(f"no MODULE_BINDINGS in {TRACER}")
+    raise AssertionError(f"no {name} in {TRACER}")
+
+
+def _module_bindings():
+    return _tracer_constant("MODULE_BINDINGS")
 
 
 BINDINGS = [
@@ -92,3 +97,11 @@ def test_run_scenario_calls_the_traced_physics(monkeypatch):
         peak_level_db=sc.peak_level_db, truth_k_el=sc.truth_k_el,
     )
     assert all(calls.values()), calls
+
+
+def test_tracer_finds_the_step_it_splits_by_phase():
+    # ``Tracer.install`` patches ``StepTracker.step`` through the class
+    # ``__dict__`` and charges each call to ``tracker.step.<phase value>``.
+    assert "step" in tracker.StepTracker.__dict__
+    phases = _tracer_constant("STEP_PHASES")
+    assert sorted(p.value for p in tracker.TrackerPhase if p.value not in phases) == []

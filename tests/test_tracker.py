@@ -1,14 +1,17 @@
 """Tracking-cycle tests: pattern planning, the four phases, closed-loop runs."""
 
+import ast
 import itertools
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import steptrack as st
-from steptrack.antenna import AxisLimitError, command, tick
-from steptrack.beacon import ParabolaParams
+from steptrack.antenna import AxisLimitError
+from steptrack.beacon import ParabolaParams, az_coeff_from_elevation, beacon_level
+from steptrack.estimators import fit_peak
 from steptrack.telemetry import FIELDS, PHASES
 from steptrack.tracker import (
     PatternInfeasibleError,
@@ -24,30 +27,10 @@ from steptrack.tracker import (
 import oracles
 
 
-def _closed_loop(orbit, plant, rx, config, duration, peak_level=6.0):
-    """Manual copy of the run_scenario stepping so the test can watch the
-    true (unquantized) plant state."""
-    tracker = StepTracker(config, plant)
-    target = plant.true_azimuth, plant.true_elevation
-    rng = np.random.default_rng(rx.rng_seed)
-    dt = config.sample_interval
-    for i in range(round(duration / dt)):
-        t = i * dt
-        sat_az, sat_el = oracles.satellite_direction(orbit, t)
-        field = ParabolaParams(
-            k_az=oracles.az_coeff_from_elevation(config.k_el, sat_el),
-            k_el=config.k_el,
-            peak_az=sat_az,
-            peak_el=sat_el,
-            peak_level=peak_level,
-        )
-        sample = oracles.measure(plant, field, rx, t, rng=rng)
-        cmd = tracker.step(sample)
-        if cmd is not None:
-            command(plant, *cmd)
-            target = cmd
-        plant = tick(plant, *target, dt)
-    return tracker, plant
+def _closed_loop(orbit, plant, rx, config, duration):
+    """The tracker and the true (unquantized) plant after stepping the loop."""
+    *_, last = oracles.closed_loop(orbit, plant, rx, config, duration)
+    return last.tracker, last.plant
 
 
 # -- pattern planning --------------------------------------------------------
@@ -138,17 +121,70 @@ def test_zero_samples_forced_abort(caplog):
     plant = st.AntennaState(10.0, 70.0)
     config = TrackerConfig(cycle_period=20.0, estimator="batch-ls")
     tracker = StepTracker(config, plant)
-    first = st.BeaconSample(0.0, 10.0, 70.0, 5.0)
-    tracker.step(first)
+    tracker.step(0.0, 10.0, 70.0)
     assert tracker.phase is TrackerPhase.ACQUIRE
-    # force the estimate phase with an empty buffer
-    tracker.phase = TrackerPhase.ESTIMATE
-    tracker._samples = []
+    # estimate on no samples at all
+    empty = np.empty(0)
     with caplog.at_level(logging.WARNING, logger="steptrack.tracker"):
-        cmd = tracker.step(first._replace(t=0.02))
+        fit = tracker.estimate(empty, empty, empty)
     assert tracker.phase is TrackerPhase.WAIT
-    assert cmd == tracker.pattern_center  # antenna sent back to center
-    assert any("aborted" in r.message for r in caplog.records)
+    assert fit.command == tracker.pattern_center  # antenna sent back to center
+    assert fit.peak is None and fit.residual_rms is None
+    assert fit.reason.startswith("need at least 3 samples")
+    aborted = [r.message for r in caplog.records if "aborted" in r.message]
+    assert aborted == [f"cycle 0 aborted: {fit.reason}"]
+
+
+@pytest.mark.parametrize("estimator", ["batch-ls", "rls"])
+def test_estimate_value_of_a_healthy_cycle(estimator):
+    # Noisy samples of a surface peaked beyond the azimuth limit: the value
+    # carries fit_peak's peak and residual RMS, and the clamped peak.
+    plant = st.AntennaState(10.0, 70.0, az_limits=(9.5, 10.1))
+    config = TrackerConfig(cycle_period=20.0, estimator=estimator)
+    tracker = StepTracker(config, plant)
+    tracker.step(0.0, 10.0, 70.0)
+    k = st.QuadraticCoefficients(az_coeff_from_elevation(config.k_el, 70.0), config.k_el)
+    truth = ParabolaParams(k.k_az, k.k_el, 10.3, 70.02, 6.0)
+    rng = np.random.default_rng(3)
+    az = 10.0 + rng.uniform(-0.2, 0.2, 60)
+    el = 70.0 + rng.uniform(-0.05, 0.05, 60)
+    level = beacon_level(truth, az, el) + rng.normal(0.0, 0.1, 60)
+    want_peak, want_rms = fit_peak(
+        az, el, level, (10.0, 70.0), k, estimator, config.forgetting
+    )
+    fit = tracker.estimate(az, el, level)
+    assert fit.peak == want_peak and fit.reason is None
+    assert np.float64(fit.residual_rms).tobytes() == np.float64(want_rms).tobytes()
+    assert want_peak.azimuth > 10.1
+    assert fit.command == (10.1, want_peak.elevation)
+    assert tracker.phase is TrackerPhase.MOVE
+    assert tracker.last_estimate == want_peak
+
+
+def test_only_the_tracker_touches_its_private_state():
+    # ``run_scenario`` and the rest of the module go through the tracker's
+    # public methods and attributes: an attribute ``x._name`` is read or
+    # written only as ``self._name``, inside the class.
+    path = Path(st.__file__).with_name("tracker.py")
+    pokes = [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ]
+    assert pokes == []
+
+
+def test_step_refuses_the_estimate_phase():
+    plant = st.AntennaState(10.0, 70.0)
+    tracker = StepTracker(TrackerConfig(cycle_period=20.0), plant)
+    tracker.step(0.0, 10.0, 70.0)
+    for waypoint in plan_pattern((10.0, 70.0), TrackerConfig()):
+        tracker.step(0.02, *waypoint)
+    assert tracker.phase is TrackerPhase.ESTIMATE
+    with pytest.raises(RuntimeError, match="estimate"):
+        tracker.step(0.04, 10.0, 70.0)
 
 
 def test_rls_divergence_aborts_only_that_cycle(caplog):
@@ -177,9 +213,8 @@ def test_degenerate_curvature_skips_cycle(caplog):
     plant = st.AntennaState(10.0, 89.5, el_limits=(5.0, 90.0))
     config = TrackerConfig(cycle_period=20.0, rect_half_width_el=0.05)
     tracker = StepTracker(config, plant)
-    sample = st.BeaconSample(0.0, 10.0, 89.5, 5.0)
     with caplog.at_level(logging.WARNING, logger="steptrack.tracker"):
-        cmd = tracker.step(sample)
+        cmd = tracker.step(0.0, 10.0, 89.5)
     assert cmd is None
     assert tracker.phase is TrackerPhase.WAIT
     assert any("below floor" in r.message for r in caplog.records)
@@ -189,9 +224,8 @@ def test_infeasible_pattern_skips_cycle(caplog):
     plant = st.AntennaState(10.0, 69.99, el_limits=(5.0, 70.0))
     config = TrackerConfig(cycle_period=20.0)
     tracker = StepTracker(config, plant)
-    sample = st.BeaconSample(0.0, 10.0, 69.99, 5.0)
     with caplog.at_level(logging.WARNING, logger="steptrack.tracker"):
-        cmd = tracker.step(sample)
+        cmd = tracker.step(0.0, 10.0, 69.99)
     assert cmd is None
     assert tracker.phase is TrackerPhase.WAIT
     assert any("skipped" in r.message for r in caplog.records)
@@ -219,42 +253,31 @@ def test_wait_phase_issues_no_commands():
 @pytest.mark.parametrize("sampling_mode", ["continuous", "corner-only"])
 def test_awaiting_foretells_every_step_that_decides(sampling_mode):
     # Stepping a noisy figure-8 one step at a time: a step that ``awaiting``
-    # calls quiet returns None and changes nothing but the sample buffer.
+    # calls quiet returns None, changes no state and collects its sample
+    # exactly when ``awaiting`` says so. Each step is foretold from the
+    # state after the one before it, with the readbacks of the pose the
+    # tick left; the first step always decides.
     orbit = st.OrbitConfig(180.0, 72.0, azimuth_amplitude=0.5, elevation_amplitude=0.1,
                            period=60.0)
     plant = st.AntennaState(180.0, 72.0)
     rx = st.ReceiverConfig(noise_sigma=0.3, rng_seed=5)
     config = TrackerConfig(cycle_period=4.0, sampling_mode=sampling_mode, dwell_time=0.1)
-    tracker = StepTracker(config, plant)
-    target = plant.true_azimuth, plant.true_elevation
-    rng = np.random.default_rng(rx.rng_seed)
-    decided = 0
-    for i in range(1000):
-        t = i * config.sample_interval
-        sat_az, sat_el = oracles.satellite_direction(orbit, t)
-        field = ParabolaParams(
-            oracles.az_coeff_from_elevation(config.k_el, sat_el), config.k_el,
-            sat_az, sat_el, 6.0,
-        )
-        sample = oracles.measure(plant, field, rx, t, rng=rng)
-        due, goal, collecting = tracker.awaiting()
-        quiet = t < due and not (
-            goal is not None
-            and _arrived(sample.azimuth, sample.elevation, goal, plant.resolver_step)
-        )
-        state = {k: v for k, v in vars(tracker).items() if k != "_samples"}
-        samples = list(tracker._samples)
-        cmd = tracker.step(sample)
+    dt = config.sample_interval
+    decided, quiet = 0, False
+    for i, step in enumerate(oracles.closed_loop(orbit, plant, rx, config, 1000 * dt)):
+        tracker = step.tracker
         if quiet:
-            assert cmd is None
-            assert {k: v for k, v in vars(tracker).items() if k != "_samples"} == state
-            added = [(sample.azimuth, sample.elevation, sample.level)] if collecting else []
-            assert tracker._samples == samples + added
+            assert step.command is None
+            assert {k: v for k, v in vars(tracker).items() if k != "collected"} == state
+            assert tracker.collected == collecting
         else:
             decided += 1
-        if cmd is not None:
-            target = cmd
-        plant = tick(plant, *target, config.sample_interval)
+        due, goal, collecting = tracker.awaiting()
+        azimuth, elevation = oracles.read_resolvers(step.plant)
+        quiet = (i + 1) * dt < due and not (
+            goal is not None and _arrived(azimuth, elevation, goal, plant.resolver_step)
+        )
+        state = {k: v for k, v in vars(tracker).items() if k != "collected"}
     assert tracker.cycle_index == 4
     # 8 decisions a cycle; a corner-only dwell decides on each of its steps.
     assert decided == 40 if sampling_mode == "continuous" else 40 < decided < 200
@@ -300,6 +323,20 @@ def test_run_scenario_rejects_cycle_shorter_than_pattern():
         run_scenario(orbit, plant, rx, config, 10.0, peak_level_db=6.0)
 
 
+@pytest.mark.parametrize(
+    "plant_kw, tracker_kw",
+    [(dict(az_slew_rate=1e-300), {}), ({}, dict(rect_half_width_el=1e300))],
+)
+def test_cycle_period_error_stays_short(plant_kw, tracker_kw):
+    # A pattern of about 1e300 s printed with all its 300 digits.
+    orbit, _, rx, _ = _small_scenario()
+    plant = st.AntennaState(180.05, 72.01, **plant_kw)
+    config = TrackerConfig(cycle_period=15.0, **tracker_kw)
+    with pytest.raises(ValueError, match="cycle_period") as exc:
+        run_scenario(orbit, plant, rx, config, 10.0)
+    assert len(str(exc.value)) < 100, str(exc.value)
+
+
 @pytest.mark.parametrize("k", [0.0, 1.0, float("nan"), float("-inf")])
 def test_run_scenario_rejects_invalid_truth_curvature(k):
     orbit, plant, rx, config = _small_scenario()
@@ -311,7 +348,7 @@ def test_run_scenario_checks_each_command_against_limits(monkeypatch):
     # No tracker decision leaves the limits; a command that did must stop
     # the run with the error ``command`` raises.
     orbit, plant, rx, config = _small_scenario()
-    monkeypatch.setattr(StepTracker, "step", lambda self, sample: (400.0, 72.0))
+    monkeypatch.setattr(StepTracker, "step", lambda self, t, az, el: (400.0, 72.0))
     with pytest.raises(AxisLimitError, match=r"target azimuth 400.0 outside limits \[0.0, 360.0\]"):
         run_scenario(orbit, plant, rx, config, 1.0)
 
@@ -382,29 +419,12 @@ def test_phase_order_never_violated():
 
 def test_continuous_sample_count_matches_acquire_ticks():
     orbit, plant, rx, config = _small_scenario(estimator="batch-ls")
-    tracker = StepTracker(config, plant)
-    rng = np.random.default_rng(0)
-    dt = config.sample_interval
     acquire_ticks = 0
-    state = plant
-    target = plant.true_azimuth, plant.true_elevation
-    for i in range(round(15.0 / dt)):
-        t = i * dt
-        sat_az, sat_el = oracles.satellite_direction(orbit, t)
-        field = ParabolaParams(
-            k_az=oracles.az_coeff_from_elevation(config.k_el, sat_el),
-            k_el=config.k_el, peak_az=sat_az, peak_el=sat_el, peak_level=6.0,
-        )
-        sample = oracles.measure(state, field, rx, t, rng=rng)
-        cmd = tracker.step(sample)
-        if tracker.phase is TrackerPhase.ACQUIRE:
+    for step in oracles.closed_loop(orbit, plant, rx, config, 15.0, peak_level_db=6.0):
+        if step.tracker.phase is TrackerPhase.ACQUIRE:
             acquire_ticks += 1
-        if cmd is not None:
-            command(state, *cmd)
-            target = cmd
-        state = tick(state, *target, dt)
-    assert len(tracker._samples) >= 3
-    assert abs(len(tracker._samples) - acquire_ticks) <= 1
+    assert len(step.samples) >= 3
+    assert abs(len(step.samples) - acquire_ticks) <= 1
 
 
 def test_corner_only_dwell_zero_takes_four_samples():
@@ -413,27 +433,11 @@ def test_corner_only_dwell_zero_takes_four_samples():
         cycle_period=15.0, sampling_mode="corner-only", dwell_time=0.0,
         estimator="batch-ls",
     )
-    tracker = StepTracker(config, plant)
-    rng = np.random.default_rng(0)
-    state = plant
-    target = plant.true_azimuth, plant.true_elevation
-    dt = config.sample_interval
-    for i in range(round(10.0 / dt)):
-        t = i * dt
-        sat_az, sat_el = oracles.satellite_direction(orbit, t)
-        field = ParabolaParams(
-            k_az=oracles.az_coeff_from_elevation(config.k_el, sat_el),
-            k_el=config.k_el, peak_az=sat_az, peak_el=sat_el, peak_level=6.0,
-        )
-        sample = oracles.measure(state, field, rx, t, rng=rng)
-        cmd = tracker.step(sample)
-        if cmd is not None:
-            command(state, *cmd)
-            target = cmd
-        state = tick(state, *target, dt)
+    for step in oracles.closed_loop(orbit, plant, rx, config, 10.0, peak_level_db=6.0):
+        tracker = step.tracker
         if tracker.phase is TrackerPhase.WAIT and tracker.cycle_index == 0 and tracker.last_estimate:
             break
-    assert len(tracker._samples) == 4
+    assert len(step.samples) == 4
 
 
 def test_sawtooth_post_move_not_below_pre_cycle_level():
