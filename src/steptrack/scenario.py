@@ -45,6 +45,13 @@ class Scenario:
             raise ValueError(f"duration must be non-negative, got {self.duration}")
         if not self.truth_k_el < 0:
             raise ValueError(f"truth_k_el must be strictly negative, got {self.truth_k_el}")
+        # satellite_direction takes the sine of twice the orbit angle
+        # 2*pi*t/period, which must stay finite up to the last step.
+        if not math.isfinite(2.0 * (2.0 * math.pi * self.duration / self.orbit.period)):
+            raise ValueError(
+                f"orbit.period_s {self.orbit.period} is too short for duration_s "
+                f"{self.duration}: the orbit angle overflows"
+            )
 
 
 # The scenario schema. A top-level key maps to the (class, field) it sets.

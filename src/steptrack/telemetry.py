@@ -20,14 +20,17 @@ The CSV encoding writes floats at full round-trip precision (padded to at
 least six decimal places), so a written log reads back bit-exact and
 still drops straight into any plotting tool. ``write_csv`` and
 ``read_csv`` work in fixed-size blocks (of rows, and of bytes on a grid
-fixed by the file), so their working memory does not grow with the log:
-``read_csv`` counts the lines first to size the columns once, then parses
-each block of lines with one ``np.loadtxt`` call, and encodes the step
-columns once at the end. The writer formats each run once. For a long
-log in a regular file, both fork up to one process per available CPU, each
-working on a contiguous range of blocks; one helper, ``_fork_each``,
-forks, reaps and kills them for both. Readers fill the columns in place
-through a shared anonymous mapping and need no temp file. While writing
+fixed by the file), so their working memory does not grow with the log.
+The writer formats each run once, and the reader converts each run's
+step fields once: ``read_csv`` counts the lines first to size the
+columns once, then parses each block with one ``np.loadtxt`` pass that
+converts the row-by-row fields and keeps the step fields' text, converts
+the step fields only on the rows where that text changes, and gives the
+step columns as runs. For a long log in a regular file, both fork up to
+one process per available CPU, each working on a contiguous range of
+blocks; one helper, ``_fork_each``, forks, reaps and kills them for
+both. Readers fill the columns in place through a shared anonymous
+mapping and need no temp file. While writing
 with W writers, ``write_csv`` holds up to (W-1)/W of the CSV's size in
 anonymous temp files in the output's directory.
 """
@@ -70,6 +73,23 @@ _STEPS = tuple(name for name in FIELDS if name not in _DENSE)
 _CSV_ROW = np.dtype(
     list(zip(FIELDS, ("f8",) * 7 + (f"U{max(map(len, PHASES)) + 1}", "i8")))
 )
+# Bytes of a step field's text that the run-aware parse keeps: a longer
+# text is cut, so a field that fills them is converted on its own row.
+_STEP_BYTES = 32
+_STEP_TEXT = len(_STEPS) * _STEP_BYTES
+# One CSV row as the run-aware parse reads it: the step fields' text side
+# by side at the front, so one comparison of a row's first _STEP_TEXT
+# bytes with the row before finds where any of them changes, and the
+# row-by-row fields as floats.
+_CSV_TEXT = np.dtype({
+    "names": FIELDS,
+    "formats": [f"S{_STEP_BYTES}" if name in _STEPS else "f8" for name in FIELDS],
+    "offsets": [
+        _STEPS.index(name) * _STEP_BYTES if name in _STEPS
+        else _STEP_TEXT + 8 * _DENSE.index(name)
+        for name in FIELDS
+    ],
+})
 # Rows per block when converting between columns and text, and bytes
 # per block when reading text (about 128 bytes a row): bounds the Python
 # objects alive at once to a few MB however long the log is.
@@ -176,18 +196,20 @@ class _Runs:
         self.count = 0  # runs in use
         self.rows = 0  # rows they cover
 
-    def encode(self, values: np.ndarray, rows: int) -> None:
-        """Append ``rows`` rows: one value each, or one value for all."""
-        heads = _run_heads(values)
+    def encode(self, values: np.ndarray, rows: int, heads: Optional[np.ndarray] = None) -> None:
+        """Append ``rows`` rows: one value each, one value for all, or the
+        value at each of ``heads`` (rows counted from the first appended,
+        which is the first head) up to the next head."""
+        keep = _run_heads(values)
         if self.count and values[:1].tobytes() == self.values[self.count - 1].tobytes():
-            heads = heads[1:]
-        end = self.count + len(heads)
+            keep = keep[1:]
+        end = self.count + len(keep)
         if end > len(self.starts):
             size = max(end, 2 * len(self.starts), 16)
             self.starts = _grown(self.starts, size, self.count)
             self.values = _grown(self.values, size, self.count)
-        self.starts[self.count : end] = heads + self.rows
-        self.values[self.count : end] = values[heads]
+        self.starts[self.count : end] = (keep if heads is None else heads[keep]) + self.rows
+        self.values[self.count : end] = values[keep]
         self.count = end
         self.rows += rows
 
@@ -689,58 +711,143 @@ def _line_count(text: bytes) -> int:
     return lines + (bool(text) and not text.endswith((b"\n", b"\r")))
 
 
-def _parse_lines(lines: list[str]) -> np.ndarray:
+def _parse_lines(lines: list[str], dtype: np.dtype = _CSV_ROW) -> np.ndarray:
     """The rows of CSV lines; blank lines are skipped."""
     with warnings.catch_warnings():
         # A block of blank lines holds no data, which is fine.
         warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, dtype=_CSV_ROW)
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, dtype=dtype)
 
 
 class _Parsed:
-    """Rows parsed by one CSV reader, put in place into nine dense columns."""
+    """Rows parsed by one CSV reader: the row-by-row columns put in place,
+    and the step columns as their values on head rows, where any of them
+    may change. ``n`` rows and ``h`` heads are in."""
 
-    def __init__(self, cols: list[np.ndarray]):
-        self.cols, self.n = cols, 0
+    def __init__(self, dense: list[np.ndarray], heads: np.ndarray, steps: list[np.ndarray]):
+        self.dense, self.heads, self.steps = dense, heads, steps
+        self.n = self.h = 0
 
-    def put(self, rows: np.ndarray) -> None:
-        """Check parsed rows as ``TelemetryLog.extend`` does and put them after the others."""
-        k, n = len(rows), self.n
+    def put(
+        self, rows: np.ndarray, heads: Optional[np.ndarray] = None,
+        tops: Optional[np.ndarray] = None,
+    ) -> None:
+        """Check parsed rows as ``TelemetryLog.extend`` does and put them after the others.
+
+        ``rows`` gives the row-by-row fields of every row, and ``tops``
+        every field of the rows at ``heads``: the first row, and each row
+        whose step fields may differ from the row before. By default
+        ``rows`` holds every field, and the heads are found in it.
+        """
+        k, n, h = len(rows), self.n, self.h
         if not k:
             return
-        _check_times(rows["t"], self.cols[0][n - 1] if n else None)
-        codes = _phase_codes(rows["phase"])
-        for col, name in zip(self.cols, FIELDS):
-            col[n : n + k] = codes if name == "phase" else rows[name]
-        self.n = n + k
+        if heads is None:
+            heads = _step_heads(rows)
+            tops = rows[heads]
+        _check_times(rows["t"], self.dense[0][n - 1] if n else None)
+        codes = _phase_codes(tops["phase"])
+        for col, name in zip(self.dense, _DENSE):
+            col[n : n + k] = rows[name]
+        end = h + len(heads)
+        self.heads[h:end] = heads + n
+        for col, name in zip(self.steps, _STEPS):
+            col[h:end] = codes if name == "phase" else tops[name]
+        self.n, self.h = n + k, end
+
+
+def _step_heads(rows: np.ndarray) -> np.ndarray:
+    """Index of the first row and of each row with a step field that
+    differs in bits (a phase: in text) from the row before."""
+    heads = np.zeros(len(rows), bool)
+    heads[:1] = True
+    for name in _STEPS:
+        col = rows[name]
+        col = col if col.dtype.kind == "U" else _bits(col)
+        heads[1:] |= col[1:] != col[:-1]
+    return np.flatnonzero(heads)
+
+
+def _put_runs(text: bytes, part: _Parsed) -> int:
+    """Parse a block into ``part``, converting each run's step fields once,
+    and return its line count.
+
+    One ``np.loadtxt`` pass converts the row-by-row fields and keeps the
+    step fields' text. Only the heads go through ``_CSV_ROW``: the first
+    row, each row whose step text differs from the row before, and each
+    with a step field that fills ``_STEP_BYTES``. Every other row takes
+    its head's values. Raises ValueError, leaving ``part`` as it was, where
+    the row-by-row parse must decide: a blank line; a ``\\r``, which ends
+    a line there but not in the split here; a NUL, which ``loadtxt`` drops
+    from the end of a field's text; or any row that does not parse or go
+    into the log.
+    """
+    if b"\r" in text or b"\0" in text:
+        raise ValueError("a CR or NUL needs the row-by-row parse")
+    lines = text.decode().split("\n")
+    if text.endswith(b"\n"):
+        lines.pop()
+    rows = _parse_lines(lines, _CSV_TEXT)
+    k = len(rows)
+    if k != len(lines):
+        raise ValueError("a blank line needs the row-by-row parse")
+    words = rows.view(np.uint64).reshape(k, -1)[:, : _STEP_TEXT // 8]
+    full = rows.view(np.uint8).reshape(k, -1)[:, _STEP_BYTES - 1 : _STEP_TEXT : _STEP_BYTES]
+    heads = full.any(axis=1)
+    heads[0] = True
+    heads[1:] |= (words[1:] != words[:-1]).any(axis=1)
+    heads = np.flatnonzero(heads)
+    part.put(rows, heads, _parse_lines([lines[i] for i in heads.tolist()]))
+    return k
+
+
+def _put_rows(text: bytes, line_no: int, part: _Parsed) -> int:
+    """Parse a block into ``part`` row by row, every field of every row
+    through ``_CSV_ROW``, and return its line count.
+
+    ``line_no`` is the number of the block's first line in the file.
+    Raises the ValueError of ``read_csv``, naming the file line of the
+    first line that, on its own, does not parse or does not go into the
+    log (an unknown phase, a time out of order or not finite).
+    """
+    lines = io.StringIO(text.decode(), newline="").readlines()
+    try:
+        part.put(_parse_lines(lines))
+    except ValueError as exc:
+        for i, line in enumerate(lines):
+            try:
+                part.put(_parse_lines([line]))
+            except ValueError as line_exc:
+                # numpy's row count restarts at this one line.
+                why = str(line_exc).replace(" at row 1", "").replace(" at row 0", "")
+                raise ValueError(
+                    f"malformed telemetry line {line_no + i}: {line.rstrip()!r}: {why}"
+                ) from None
+        raise ValueError(
+            f"malformed telemetry line in the block from line {line_no}: {exc}"
+        ) from None
+    return len(lines)
 
 
 def _read_blocks(fh: BinaryIO, lo: int, hi: int, line_no: int, part: _Parsed) -> None:
     """Parse the blocks from byte ``lo`` to ``hi`` into ``part``.
 
-    ``line_no`` is the number of the first line in the file. Raises the
-    ValueError of ``read_csv`` at the first bad block, naming the file line
-    of its first line that, on its own, does not parse or does not go into
-    the log (an unknown phase, a time out of order or not finite).
+    ``line_no`` is the number of the first line in the file. A block goes
+    to ``_put_runs``, and to ``_put_rows`` if that cannot take it or if
+    the block before held so many heads that converting them cost more
+    than a second pass over every row. Raises the ValueError of
+    ``_put_rows`` at the first bad block.
     """
+    few = True  # whether the last block had at most a third as many heads after its first as rows
     for text in _blocks(fh, lo, hi):
-        lines = io.StringIO(text.decode(), newline="").readlines()
-        try:
-            part.put(_parse_lines(lines))
-        except ValueError as exc:
-            for i, line in enumerate(lines):
-                try:
-                    part.put(_parse_lines([line]))
-                except ValueError as line_exc:
-                    # numpy's row count restarts at this one line.
-                    why = str(line_exc).replace(" at row 1", "").replace(" at row 0", "")
-                    raise ValueError(
-                        f"malformed telemetry line {line_no + i}: {line.rstrip()!r}: {why}"
-                    ) from None
-            raise ValueError(
-                f"malformed telemetry line in the block from line {line_no}: {exc}"
-            ) from None
-        line_no += len(lines)
+        n, h, lines = part.n, part.h, None
+        if few:
+            with contextlib.suppress(ValueError):
+                lines = _put_runs(text, part)
+        if lines is None:
+            lines = _put_rows(text, line_no, part)
+        line_no += lines
+        few = 3 * (part.h - h - 1) <= part.n - n
 
 
 def _shared_arrays(shapes: list[tuple[type, int]]) -> list[np.ndarray]:
@@ -755,15 +862,15 @@ def _shared_arrays(shapes: list[tuple[type, int]]) -> list[np.ndarray]:
     ]
 
 
-def _log_of(cols: list[np.ndarray], rows: int) -> TelemetryLog:
-    """A log of the first ``rows`` rows of nine dense columns: the
-    row-by-row ones are used in place, the step ones encoded as runs."""
+def _log_of(
+    dense: list[np.ndarray], rows: int, heads: np.ndarray, steps: list[np.ndarray]
+) -> TelemetryLog:
+    """A log of the first ``rows`` rows of the row-by-row columns, used in
+    place, and of the step columns given by their values at ``heads``."""
     log = TelemetryLog()
-    for name, col in zip(FIELDS, cols):
-        if name in _DENSE:
-            log._dense[name] = col
-        else:
-            log._runs[name].encode(col[:rows], rows)
+    log._dense = dict(zip(_DENSE, dense))
+    for runs, values in zip(log._runs.values(), steps):
+        runs.encode(values, rows, heads)
     log._n = rows
     return log
 
@@ -779,9 +886,12 @@ def read_csv(path: str) -> TelemetryLog:
     A first pass counts the lines of each block, so the columns are sized
     once. A long regular file is then parsed in contiguous ranges of
     blocks, one per available CPU: the parent parses the first and forked
-    readers the others, into columns in a shared mapping. Raises OSError
-    if a reader fails. Any other input, such as a pipe, is read whole
-    into memory and parsed in one process.
+    readers the others, into a shared mapping. Raises OSError if a reader
+    fails. Any other input, such as a pipe, is read whole into memory and
+    parsed in one process. As the writer formats each run once, a reader
+    converts each run's step fields once: it puts the row-by-row columns
+    in place and the step columns' values on head rows only, which become
+    the log's runs.
     """
     with open(path, "rb") as fh:
         regular = _is_regular(fh)
@@ -793,43 +903,52 @@ def read_csv(path: str) -> TelemetryLog:
             lines.append(lines[-1] + _line_count(text))
         readers = _processes(lines[-1], len(edges) - 1) if regular else 1
         bounds = _split(np.diff(edges), readers)
-        # The step columns and the counts get a mapping of their own, which
-        # is freed once they are encoded as runs.
-        columns = dict(zip(_DENSE, _shared_arrays([(np.float64, lines[-1])] * len(_DENSE))))
-        *steps, counts = _shared_arrays(
-            [(_DTYPES[name], lines[-1]) for name in _STEPS] + [(np.int64, readers)]
+        dense = _shared_arrays([(np.float64, lines[-1])] * len(_DENSE))
+        # The heads, step values and counts get a mapping of their own,
+        # freed once they are encoded as runs. Each reader puts its heads
+        # from its first line's row on, so pages that no head reaches are
+        # never touched.
+        heads, *steps, counts = _shared_arrays(
+            [(np.int64, lines[-1])]
+            + [(_DTYPES[name], lines[-1]) for name in _STEPS]
+            + [(np.int64, 2 * readers)]
         )
-        columns.update(zip(_STEPS, steps))
-        cols = [columns[name] for name in FIELDS]
+        counts = counts.reshape(2, readers)  # rows and heads each reader put
 
         def read(i: int) -> None:
             lo, hi = bounds[i], bounds[i + 1]
-            part = _Parsed([col[lines[lo] : lines[hi]] for col in cols])
+            at = slice(lines[lo], lines[hi])
+            part = _Parsed([col[at] for col in dense], heads[at], [col[at] for col in steps])
             with open(path, "rb") if i else contextlib.nullcontext(src) as own:
                 try:
                     _read_blocks(own, edges[lo], edges[hi], 2 + lines[lo], part)
                 except ValueError:
                     if i == 0:
                         raise  # the first range: the first error in the file
-                    counts[i] = -1
+                    counts[0, i] = -1
                     return
-            counts[i] = part.n
+            counts[:, i] = part.n, part.h
 
         _fork_each(read, readers, "reader")
-        n = 0
+        n = h = 0
         if (counts >= 0).all():
             # Each range starts at its first line's row: close the gaps
-            # that blank lines left.
-            for lo, got in zip(bounds, counts.tolist()):
-                if lines[lo] > n:
-                    for col in cols:
-                        col[n : n + got] = col[lines[lo] : lines[lo] + got]
-                n += got
-            t = cols[0][:n]
+            # that blank lines and rows within runs left.
+            for lo, got, put in zip(bounds, *counts.tolist()):
+                at = lines[lo]
+                if at > n:
+                    for col in dense:
+                        col[n : n + got] = col[at : at + got]
+                if at > h:
+                    for col in (heads, *steps):
+                        col[h : h + put] = col[at : at + put]
+                heads[h : h + put] += n
+                n, h = n + got, h + put
+            t = dense[0][:n]
             if (t[1:] > t[:-1]).all():
-                return _log_of(cols, n)
+                return _log_of(dense, n, heads[:h], [col[:h] for col in steps])
         # A later range failed, or its times do not follow the range before
         # it: reading the file in order raises the first error.
-        part = _Parsed(cols)
+        part = _Parsed(dense, heads, steps)
         _read_blocks(src, start, edges[-1], 2, part)
-        return _log_of(cols, part.n)
+        return _log_of(dense, part.n, heads[: part.h], [col[: part.h] for col in steps])

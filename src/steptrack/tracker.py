@@ -41,6 +41,7 @@ from .beacon import (
 )
 from .estimators import (
     DEFAULT_COEFF_FLOOR,
+    DEFAULT_RLS_DELTA,
     ESTIMATORS,
     EstimationError,
     PeakEstimate,
@@ -79,6 +80,8 @@ _PHASE_CODES = {phase: PHASES.index(phase.value) for phase in TrackerPhase}
 # measuring them first once they reach it: bounds a pass's memory over long
 # spans and skipped cycles (no ESTIMATE). A 600 s span at 20 ms fits.
 _PASS_ROWS = 1 << 16
+# The natural log of the largest float.
+_LOG_MAX = math.log(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -389,7 +392,8 @@ def run_scenario(
     Deterministic for a fixed receiver seed. Raises ValueError before
     starting if ``duration`` is not finite and non-negative or needs more
     rows than can be allocated, the cycle period cannot contain the
-    pattern or ``truth_k_el`` is not negative,
+    pattern, ``truth_k_el`` is not negative or the RLS forgetting factor
+    would overflow the gain matrix within one pattern's samples,
     and PatternInfeasibleError if the first cycle's pattern, centred on
     the resolver readback of the initial pose, violates axis limits.
     """
@@ -403,6 +407,16 @@ def run_scenario(
         raise ValueError(
             f"cycle_period {config.cycle_period}s cannot contain the "
             f"displacement pattern ({min_cycle:.4g}s)"
+        )
+    # RLS divides its gain matrix, DEFAULT_RLS_DELTA at the start, by the
+    # forgetting factor once a sample: it must stay finite over a pattern.
+    samples = min_cycle / config.sample_interval
+    if config.estimator == "rls" and (
+        math.log(DEFAULT_RLS_DELTA) - samples * math.log(config.forgetting) > _LOG_MAX
+    ):
+        raise ValueError(
+            f"forgetting {config.forgetting} overflows the RLS gain within one "
+            f"pattern of {samples:.4g} samples"
         )
     plan_pattern(
         (quantize_angle(plant.true_azimuth, plant.resolver_step),

@@ -7,14 +7,19 @@ bit for bit. ``ls_fit`` and ``rls_update`` take regression rows one by
 one and hand them to the package's solvers, so that a fit over many rows
 can be checked against the same rows fed one at a time.
 ``DenseTelemetryLog`` stores every telemetry column row by row, as the
-package's log did before it stored the step columns as runs.
+package's log did before it stored the step columns as runs, and
+``read_csv_rows`` reads a telemetry CSV into one, converting every field of
+every row, as ``read_csv`` did before it converted each run's step fields
+once.
 ``closed_loop`` runs the tracking loop one step at a time, the reference
 for the package's ``run_scenario``.
 """
 
 from __future__ import annotations
 
+import io
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -27,7 +32,8 @@ from steptrack.antenna import (
 from steptrack.beacon import ParabolaParams, QuadraticCoefficients, beacon_level
 from steptrack.estimators import RlsState
 from steptrack.orbit import OrbitConfig
-from steptrack.telemetry import FIELDS, _phase_codes
+from steptrack import telemetry
+from steptrack.telemetry import FIELDS, _check_times, _phase_codes
 from steptrack.tracker import StepTracker, TrackerConfig, TrackerPhase
 
 
@@ -163,6 +169,49 @@ class DenseTelemetryLog:
 
     def __len__(self) -> int:
         return self._n
+
+
+def read_csv_rows(path) -> DenseTelemetryLog:
+    """``read_csv`` in one process, every field of every row converted.
+
+    Each block of ``telemetry._blocks`` goes through one ``np.loadtxt`` of
+    ``telemetry._CSV_ROW``. If that raises ValueError, each of its lines
+    goes through one in turn, and the first line that does not parse or
+    does not go into the log (an unknown phase, a time out of order or
+    not finite) raises the ValueError ``read_csv`` raises.
+    """
+    log = DenseTelemetryLog()
+
+    def put(lines):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a block of blank lines
+            rows = np.loadtxt(
+                lines, delimiter=",", comments=None, ndmin=1, dtype=telemetry._CSV_ROW
+            )
+        if len(rows):
+            _check_times(rows["t"], log.column("t")[-1] if len(log) else None)
+            log.extend(*(rows[name] for name in FIELDS))
+
+    with open(path, "rb") as fh:
+        line_no = 2
+        for text in telemetry._blocks(fh, telemetry._skip_header(fh), math.inf):
+            lines = io.StringIO(text.decode(), newline="").readlines()
+            try:
+                put(lines)
+            except ValueError as exc:
+                for i, line in enumerate(lines):
+                    try:
+                        put([line])
+                    except ValueError as line_exc:
+                        why = str(line_exc).replace(" at row 1", "").replace(" at row 0", "")
+                        raise ValueError(
+                            f"malformed telemetry line {line_no + i}: {line.rstrip()!r}: {why}"
+                        ) from None
+                raise ValueError(
+                    f"malformed telemetry line in the block from line {line_no}: {exc}"
+                ) from None
+            line_no += len(lines)
+    return log
 
 
 class LoopStep(NamedTuple):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -220,6 +221,36 @@ def test_subnormal_resolver_step_names_field(tmp_path):
         "invalid antenna configuration: resolver_step 5e-324 is too fine for "
         "limits up to 360.0 deg"
     )
+
+
+def _desk_figure8(tmp_path, old, new):
+    """desk_figure8 cut to 30 s, with one line changed."""
+    path = tmp_path / "s.yaml"
+    text = resolve_scenario_path("desk_figure8").read_text()
+    assert old in text
+    path.write_text(text.replace("duration_s: 600.0", "duration_s: 30.0").replace(old, new))
+    return path
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("period_s: 600.0", "period_s: 5.0e-324",
+         "invalid scenario configuration: orbit.period_s 5e-324 is too short for "
+         "duration_s 30.0: the orbit angle overflows"),
+        ("forgetting: 0.98", "forgetting: 1.0e-9",
+         "forgetting 1e-09 overflows the RLS gain within one pattern of 56 samples"),
+    ],
+    ids=["orbit.period_s", "tracker.forgetting"],
+)
+def test_simulate_rejects_by_name_before_the_run(tmp_path, capsys, old, new, message):
+    path = _desk_figure8(tmp_path, old, new)
+    out = tmp_path / "run.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", str(path), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_negative_seed_names_field(tmp_path):

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import DenseTelemetryLog
+from oracles import DenseTelemetryLog, read_csv_rows
 from steptrack import telemetry
+from steptrack.scenario import load_scenario, resolve_scenario_path
 from steptrack.telemetry import (
     CSV_HEADER,
     FIELDS,
@@ -29,6 +30,7 @@ from steptrack.telemetry import (
     time_window,
     write_csv,
 )
+from steptrack.tracker import run_scenario
 
 
 def _log(t, level=0.0, az=180.0, el=72.0):
@@ -891,6 +893,21 @@ def test_bare_cr_lines_read_like_lf(tmp_path, monkeypatch):
     assert _columns(read_csv(str(cr))) == _columns(read_csv(str(plain)))
 
 
+@pytest.mark.parametrize("blank", ["\r\r", "\n"])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_blank_lines_count_in_the_line_numbers_of_later_blocks(tmp_path, monkeypatch, cpus, blank):
+    # The first line ends in a blank one, so the bad line is file line 6.
+    rows = _rows_text(12)
+    rows[0] += blank
+    rows[3] = FAULTS["malformed"](rows, 3)
+    path = tmp_path / "log.csv"
+    path.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+    _force_readers(monkeypatch, cpus, block_bytes=128)
+    want = _outcome(read_csv_rows, path)
+    assert want[0] is ValueError and "malformed telemetry line 6: " in want[1]
+    assert _outcome(read_csv, path) == want
+
+
 def test_fifo_is_read_in_one_process(tmp_path, monkeypatch):
     text = "\n".join([CSV_HEADER, *_rows_text(40)]) + "\n"
     plain = tmp_path / "plain.csv"
@@ -929,3 +946,156 @@ def test_failing_reader_raises_and_leaves_no_child(tmp_path, monkeypatch, capfd)
 def test_line_count_splits_like_text_files(text):
     lines = io.StringIO(text, newline="").readlines()
     assert telemetry._line_count(text.encode()) == len(lines)
+
+
+# -- parsing by runs -----------------------------------------------------------------
+# A block is parsed by runs: the step fields of a run's head are converted,
+# and the rows after it take its values while their step text stays the
+# same. These CSVs hold long runs, so most rows are not heads, and each
+# puts one fault on a row inside a run.
+
+STEP_TEXTS = {  # texts a step field's runs take
+    "commanded_az": ("180.0", "179.5"),
+    "commanded_el": ("72.0", "-0.0"),
+    "readback_az": ("180.000000", "1.8e2"),
+    "readback_el": ("72.000000", "nan"),
+    "phase": PHASES,
+    "cycle_index": ("0", "3"),
+}
+# Another text of the same value.
+OTHER_FORM = {"180.0": "180.000000", "179.5": "179.50", "72.0": "7.2e1", "-0.0": "-0.000",
+              "180.000000": "180.0", "1.8e2": "180", "72.000000": "72", "nan": "NaN",
+              "0": "+0", "3": "03"}
+STEP_FAULTS = {
+    "nul": lambda text: text + "\0",
+    "leading space": lambda text: " " + text,
+    "trailing space": lambda text: text + " ",
+    "junk past the width": lambda text: text + "0" * 40 + "x",
+    "zeros past the width": lambda text: text + "0" * 40,
+    "other form": lambda text: OTHER_FORM.get(text, text),
+}
+ROW_FAULTS = {
+    "8 fields": lambda fields: fields[:-1],
+    "10 fields": lambda fields: fields + ["0"],
+}
+
+
+@st.composite
+def run_csvs(draw):
+    """The rows of a CSV, as lists of field texts, whose step fields hold
+    over runs of 2-8 rows; then a fault on one row that is not a run head."""
+    rows, inside, run = [], [], 0
+    while len(rows) < 12 or draw(st.booleans()) and len(rows) < 40:
+        steps = [draw(st.sampled_from(STEP_TEXTS[name])) for name in STEP_TEXTS]
+        steps[-1] = str(run)  # a new cycle index: neighbouring runs differ
+        for j in range(draw(st.integers(2, 8))):
+            i = len(rows)
+            rows.append([f"{i * 0.02:.6f}", *steps[:4], repr(5 + i / 7), "6.0", *steps[4:]])
+            inside += [i] * (j > 0)
+        run += 1
+    at = draw(st.sampled_from(inside))
+    fault = draw(st.sampled_from(sorted(STEP_FAULTS) + sorted(ROW_FAULTS)))
+    if fault in ROW_FAULTS:
+        rows[at] = ROW_FAULTS[fault](rows[at])
+    else:
+        field = FIELDS.index(draw(st.sampled_from(sorted(STEP_TEXTS))))
+        rows[at][field] = STEP_FAULTS[fault](rows[at][field])
+    return [",".join(row) for row in rows]
+
+
+def _outcome(read, path):
+    """What a reader gives: each column's dtype and bytes, or the type and text of its error."""
+    try:
+        log = read(str(path))
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return {name: (log.column(name).dtype.str, log.column(name).tobytes()) for name in FIELDS}
+
+
+@settings(max_examples=60)
+@given(rows=run_csvs())
+def test_faults_inside_a_run_read_as_row_by_row(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("runs") / "log.csv"
+    path.write_bytes("\n".join([CSV_HEADER, *rows, ""]).encode())
+    with mock.patch.object(telemetry, "_BLOCK_BYTES", 128):
+        want = _outcome(read_csv_rows, path)
+        for cpus in (1, 2, 3):
+            with mock.patch.multiple(telemetry, _MIN_FORK_ROWS=1, _available_cpus=lambda: cpus):
+                assert _outcome(read_csv, path) == want, cpus
+            _assert_no_child_left()
+
+
+@pytest.mark.parametrize("fault", ["nul", "junk past the width"])
+@pytest.mark.parametrize("name", [name for name in sorted(STEP_TEXTS) if name != "phase"])
+def test_nul_and_junk_past_the_width_hide_from_the_step_text(tmp_path, name, fault):
+    # A row with the fault keeps the step text of a good row: the same
+    # text, or the same first _STEP_BYTES of a text that fills them. So a
+    # parse that took a run head's values for every row with its text
+    # would read a bad file; the parse by runs converts such a row on its
+    # own. (The row-by-row parse drops a NUL after a phase name, and cuts
+    # a long one to a name that is no phase.)
+    good = ["0.020000", *(STEP_TEXTS[n][0] for n in FIELDS[1:5]), "5.5", "6.0", "wait", "0"]
+    if fault != "nul":
+        good[FIELDS.index(name)] = STEP_FAULTS["zeros past the width"](good[FIELDS.index(name)])
+    bad = list(good)
+    bad[FIELDS.index(name)] = STEP_FAULTS[fault](STEP_TEXTS[name][0])
+    texts = np.loadtxt([",".join(good), ",".join(bad)], delimiter=",", comments=None,
+                       dtype=telemetry._CSV_TEXT)
+    assert texts[0].tobytes() == texts[1].tobytes()
+    path = tmp_path / "log.csv"
+    path.write_text("\n".join([CSV_HEADER, ",".join(["0.000000", *good[1:]]), ",".join(bad), ""]))
+    want = _outcome(read_csv_rows, path)
+    assert want[0] is ValueError and "malformed telemetry line 3: " in want[1]
+    assert _outcome(read_csv, path) == want
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_read_converts_each_run_once(tmp_path, monkeypatch, cpus):
+    # default_figure8 over two whole cycles and into the third.
+    scenario = load_scenario(resolve_scenario_path("default_figure8"))
+    log = run_scenario(
+        scenario.orbit, scenario.antenna, scenario.receiver, scenario.tracker, 1300.0,
+        peak_level_db=scenario.peak_level_db, truth_k_el=scenario.truth_k_el,
+    )
+    path = tmp_path / "log.csv"
+    write_csv(log, str(path))
+    # Every reader appends a line to this file per call: the rows that a
+    # _CSV_ROW parse converts, or the rows and heads that a put adds.
+    record = tmp_path / "record"
+
+    def note(*words):
+        with open(record, "a") as fh:
+            fh.write(" ".join(map(str, words)) + "\n")
+
+    real_parse, real_put = telemetry._parse_lines, telemetry._Parsed.put
+
+    def parse_lines(lines, dtype=telemetry._CSV_ROW):
+        rows = real_parse(lines, dtype)
+        if dtype == telemetry._CSV_ROW:
+            note("converted", len(rows))
+        return rows
+
+    def put(self, *args):
+        n, h = self.n, self.h
+        real_put(self, *args)
+        note("put", self.n - n, self.h - h)
+
+    monkeypatch.setattr(telemetry, "_parse_lines", parse_lines)
+    monkeypatch.setattr(telemetry._Parsed, "put", put)
+    _force_writers(monkeypatch, cpus)
+    forks = _count_forks(monkeypatch)
+    back = read_csv(str(path))
+    assert len(forks) == cpus - 1
+    assert _same_columns(back, log)
+    # A head is the first row of a block or a row where a step column
+    # starts a run.
+    starts = np.unique(np.concatenate([log.runs(name)[0] for name in FIELDS[1:5] + FIELDS[7:]]))
+    with open(path, "rb") as fh:
+        blocks = len(list(telemetry._blocks(fh, telemetry._skip_header(fh), math.inf)))
+    calls = [line.split() for line in record.read_text().splitlines()]
+    converted = sum(int(call[1]) for call in calls if call[0] == "converted")
+    rows = sum(int(call[1]) for call in calls if call[0] == "put")
+    heads = sum(int(call[2]) for call in calls if call[0] == "put")
+    assert rows == len(log) > 2 * scenario.tracker.cycle_period / scenario.tracker.sample_interval
+    assert converted <= len(starts) + blocks < len(log) / 50
+    assert heads <= len(starts) + blocks  # no reader fills a step column row by row

@@ -1,6 +1,7 @@
 """Tracking-cycle tests: pattern planning, the four phases, closed-loop runs."""
 
 import ast
+import dataclasses
 import itertools
 import logging
 from pathlib import Path
@@ -11,7 +12,9 @@ import pytest
 import steptrack as st
 from steptrack.antenna import AxisLimitError
 from steptrack.beacon import ParabolaParams, az_coeff_from_elevation, beacon_level
+from steptrack import tracker as tracker_module
 from steptrack.estimators import fit_peak
+from steptrack.scenario import load_scenario, resolve_scenario_path
 from steptrack.telemetry import FIELDS, PHASES
 from steptrack.tracker import (
     PatternInfeasibleError,
@@ -187,16 +190,21 @@ def test_step_refuses_the_estimate_phase():
         tracker.step(0.04, 10.0, 70.0)
 
 
-def test_rls_divergence_aborts_only_that_cycle(caplog):
+def test_rls_divergence_aborts_only_that_cycle(caplog, monkeypatch):
     # A forgetting factor of 1e-9 with noise overflows the gain matrix, so
     # the fit comes back NaN. Each such cycle aborts back to its center and
-    # the run goes on.
+    # the run goes on. run_scenario rejects such a factor before the run,
+    # so the fit is handed it behind the configuration's back.
+    def diverging(az, el, level, center, k, estimator, forgetting, **kwargs):
+        return fit_peak(az, el, level, center, k, estimator, 1e-9, **kwargs)
+
+    monkeypatch.setattr(tracker_module, "fit_peak", diverging)
     orbit = st.OrbitConfig(
         180.0, 72.0, azimuth_amplitude=16.0, elevation_amplitude=1.2, period=600.0
     )
     plant = st.AntennaState(180.0, 72.0)
     rx = st.ReceiverConfig(noise_sigma=0.2)
-    config = TrackerConfig(cycle_period=10.0, rect_half_width_el=0.03, forgetting=1e-9)
+    config = TrackerConfig(cycle_period=10.0, rect_half_width_el=0.03)
     with caplog.at_level(logging.WARNING, logger="steptrack.tracker"), np.errstate(all="ignore"):
         log = run_scenario(orbit, plant, rx, config, 60.0, peak_level_db=6.0)
     assert len(log) == 3000
@@ -206,6 +214,28 @@ def test_rls_divergence_aborts_only_that_cycle(caplog):
     aborted = [r.message for r in caplog.records if "aborted" in r.message]
     assert len(aborted) == log.column("cycle_index").max() + 1
     assert all("non-finite estimate" in m for m in aborted)
+
+
+@pytest.mark.parametrize(
+    "estimator, forgetting, rejected",
+    [("rls", 1e-9, True), ("rls", 3.6e-6, True), ("rls", 3.8e-6, False),
+     ("batch-ls", 1e-9, False)],
+)
+def test_forgetting_that_overflows_within_a_pattern_is_rejected(estimator, forgetting, rejected):
+    # desk_figure8's pattern takes 56 samples: 1e4 * forgetting**-56 is
+    # finite down to a forgetting factor of about 3.69e-6. The batch fit
+    # has no gain to overflow.
+    scenario = load_scenario(resolve_scenario_path("desk_figure8"))
+    config = dataclasses.replace(scenario.tracker, estimator=estimator, forgetting=forgetting)
+    args = (scenario.orbit, scenario.antenna, scenario.receiver, config, 1.0)
+    if rejected:
+        with pytest.raises(ValueError) as exc:
+            run_scenario(*args)
+        assert str(exc.value) == (
+            f"forgetting {forgetting} overflows the RLS gain within one pattern of 56 samples"
+        )
+    else:
+        assert len(run_scenario(*args)) == 50
 
 
 def test_degenerate_curvature_skips_cycle(caplog):
