@@ -23,16 +23,18 @@ still drops straight into any plotting tool. ``write_csv`` and
 fixed by the file), so their working memory does not grow with the log.
 The writer formats each run once, and the reader converts each run's
 step fields once: ``read_csv`` counts the lines first to size the
-columns once, then parses each block with one ``np.loadtxt`` pass that
-converts the row-by-row fields and keeps the step fields' text, converts
-the step fields only on the rows where that text changes, and gives the
-step columns as runs. For a long log in a regular file, both fork up to
-one process per available CPU, each working on a contiguous range of
-blocks; one helper, ``_fork_each``, forks, reaps and kills them for
-both. Readers fill the columns in place through a shared anonymous
-mapping and need no temp file. While writing
-with W writers, ``write_csv`` holds up to (W-1)/W of the CSV's size in
-anonymous temp files in the output's directory.
+columns once, then parses each block one way, with one ``np.loadtxt``
+pass that converts the row-by-row fields and keeps the step fields'
+text, converts the step fields only on the rows where that text
+changes, and gives the step columns as runs; a block that pass cannot
+take is parsed a line at a time, which names its first bad line.
+For a long log in a regular file, both fork up to one process per
+available CPU, each working on a contiguous range of blocks; one
+helper, ``_fork_each``, forks, reaps and kills them for both. Readers
+fill the columns in place through a shared anonymous mapping and need
+no temp file. While writing with W writers, ``write_csv`` holds up to
+(W-1)/W of the CSV's size in anonymous temp files in the output's
+directory.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ import stat
 import sys
 import tempfile
 import traceback
-import warnings
 from typing import BinaryIO, Callable, Iterator, NamedTuple, NoReturn, Optional
 
 import numpy as np
@@ -677,7 +678,7 @@ def _skip_header(fh: BinaryIO) -> int:
     cr = line.find(b"\r")
     if cr >= 0 and line[cr + 1 : cr + 2] != b"\n":
         line = line[: cr + 1]
-    header = line.decode().strip()
+    header = line.decode(errors="surrogateescape").strip()
     if header != CSV_HEADER:
         raise ValueError(f"unrecognized telemetry header: {header!r}")
     return len(line)
@@ -703,7 +704,7 @@ def _blocks(fh: BinaryIO, pos: int, stop: float) -> Iterator[bytes]:
 
 def _line_count(text: bytes) -> int:
     """Lines in ``text``, split at ``\\n``, ``\\r\\n`` and bare ``\\r`` as
-    ``_read_blocks`` splits them."""
+    ``_lines`` splits them."""
     codes = np.frombuffer(text, np.uint8)  # counts several times faster than bytes.count
     lines = int(np.count_nonzero(codes == ord("\n")))
     if b"\r" in text:
@@ -711,12 +712,23 @@ def _line_count(text: bytes) -> int:
     return lines + (bool(text) and not text.endswith((b"\n", b"\r")))
 
 
+def _lines(text: bytes) -> list[str]:
+    """The lines of a block, without their ends, split as ``_line_count``
+    counts them. A byte that is not UTF-8 becomes a lone surrogate, which
+    no field parses, so the line that holds it fails in file order."""
+    decoded = text.decode(errors="surrogateescape")
+    if "\r" in decoded:
+        decoded = decoded.replace("\r\n", "\n").replace("\r", "\n")
+    lines = decoded.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def _parse_lines(lines: list[str], dtype: np.dtype = _CSV_ROW) -> np.ndarray:
-    """The rows of CSV lines; blank lines are skipped."""
-    with warnings.catch_warnings():
-        # A block of blank lines holds no data, which is fine.
-        warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, dtype=dtype)
+    """The rows of CSV lines, at least one of them not blank; blank lines
+    are skipped."""
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, dtype=dtype)
 
 
 class _Parsed:
@@ -728,23 +740,14 @@ class _Parsed:
         self.dense, self.heads, self.steps = dense, heads, steps
         self.n = self.h = 0
 
-    def put(
-        self, rows: np.ndarray, heads: Optional[np.ndarray] = None,
-        tops: Optional[np.ndarray] = None,
-    ) -> None:
+    def put(self, rows: np.ndarray, heads: np.ndarray, tops: np.ndarray) -> None:
         """Check parsed rows as ``TelemetryLog.extend`` does and put them after the others.
 
         ``rows`` gives the row-by-row fields of every row, and ``tops``
         every field of the rows at ``heads``: the first row, and each row
-        whose step fields may differ from the row before. By default
-        ``rows`` holds every field, and the heads are found in it.
+        whose step fields may differ from the row before.
         """
         k, n, h = len(rows), self.n, self.h
-        if not k:
-            return
-        if heads is None:
-            heads = _step_heads(rows)
-            tops = rows[heads]
         _check_times(rows["t"], self.dense[0][n - 1] if n else None)
         codes = _phase_codes(tops["phase"])
         for col, name in zip(self.dense, _DENSE):
@@ -756,98 +759,59 @@ class _Parsed:
         self.n, self.h = n + k, end
 
 
-def _step_heads(rows: np.ndarray) -> np.ndarray:
-    """Index of the first row and of each row with a step field that
-    differs in bits (a phase: in text) from the row before."""
-    heads = np.zeros(len(rows), bool)
-    heads[:1] = True
-    for name in _STEPS:
-        col = rows[name]
-        col = col if col.dtype.kind == "U" else _bits(col)
-        heads[1:] |= col[1:] != col[:-1]
-    return np.flatnonzero(heads)
-
-
-def _put_runs(text: bytes, part: _Parsed) -> int:
+def _put_block(text: bytes, line_no: int, part: _Parsed) -> int:
     """Parse a block into ``part``, converting each run's step fields once,
-    and return its line count.
+    and return its line count; blank lines are skipped.
 
     One ``np.loadtxt`` pass converts the row-by-row fields and keeps the
     step fields' text. Only the heads go through ``_CSV_ROW``: the first
     row, each row whose step text differs from the row before, and each
     with a step field that fills ``_STEP_BYTES``. Every other row takes
-    its head's values. Raises ValueError, leaving ``part`` as it was, where
-    the row-by-row parse must decide: a blank line; a ``\\r``, which ends
-    a line there but not in the split here; a NUL, which ``loadtxt`` drops
-    from the end of a field's text; or any row that does not parse or go
-    into the log.
+    its head's values. Where that pass cannot take the block (a NUL,
+    which ``loadtxt`` drops from the end of a field's text, or a row that
+    does not parse or go into the log), each line is parsed on its own as
+    its own head. ``line_no`` is the number of the block's first line in
+    the file. Raises the ValueError of ``read_csv``, naming the file line
+    of the first line that does not parse or does not go into the log (an
+    unknown phase, a time out of order or not finite).
     """
-    if b"\r" in text or b"\0" in text:
-        raise ValueError("a CR or NUL needs the row-by-row parse")
-    lines = text.decode().split("\n")
-    if text.endswith(b"\n"):
-        lines.pop()
-    rows = _parse_lines(lines, _CSV_TEXT)
-    k = len(rows)
-    if k != len(lines):
-        raise ValueError("a blank line needs the row-by-row parse")
-    words = rows.view(np.uint64).reshape(k, -1)[:, : _STEP_TEXT // 8]
-    full = rows.view(np.uint8).reshape(k, -1)[:, _STEP_BYTES - 1 : _STEP_TEXT : _STEP_BYTES]
-    heads = full.any(axis=1)
-    heads[0] = True
-    heads[1:] |= (words[1:] != words[:-1]).any(axis=1)
-    heads = np.flatnonzero(heads)
-    part.put(rows, heads, _parse_lines([lines[i] for i in heads.tolist()]))
-    return k
-
-
-def _put_rows(text: bytes, line_no: int, part: _Parsed) -> int:
-    """Parse a block into ``part`` row by row, every field of every row
-    through ``_CSV_ROW``, and return its line count.
-
-    ``line_no`` is the number of the block's first line in the file.
-    Raises the ValueError of ``read_csv``, naming the file line of the
-    first line that, on its own, does not parse or does not go into the
-    log (an unknown phase, a time out of order or not finite).
-    """
-    lines = io.StringIO(text.decode(), newline="").readlines()
-    try:
-        part.put(_parse_lines(lines))
-    except ValueError as exc:
-        for i, line in enumerate(lines):
-            try:
-                part.put(_parse_lines([line]))
-            except ValueError as line_exc:
-                # numpy's row count restarts at this one line.
-                why = str(line_exc).replace(" at row 1", "").replace(" at row 0", "")
-                raise ValueError(
-                    f"malformed telemetry line {line_no + i}: {line.rstrip()!r}: {why}"
-                ) from None
-        raise ValueError(
-            f"malformed telemetry line in the block from line {line_no}: {exc}"
-        ) from None
+    lines = _lines(text)
+    if any(lines) and b"\0" not in text:
+        with contextlib.suppress(ValueError):
+            rows = _parse_lines(lines, _CSV_TEXT)  # skips blank lines
+            k = len(rows)
+            body = lines if k == len(lines) else [line for line in lines if line]
+            words = rows.view(np.uint64).reshape(k, -1)[:, : _STEP_TEXT // 8]
+            full = rows.view(np.uint8).reshape(k, -1)[:, _STEP_BYTES - 1 : _STEP_TEXT : _STEP_BYTES]
+            heads = full.any(axis=1)
+            heads[0] = True
+            heads[1:] |= (words[1:] != words[:-1]).any(axis=1)
+            heads = np.flatnonzero(heads)
+            part.put(rows, heads, _parse_lines([body[i] for i in heads.tolist()]))
+            return len(lines)
+    for i, line in enumerate(lines):
+        if not line:
+            continue
+        try:
+            row = _parse_lines([line])
+            part.put(row, np.zeros(1, np.int64), row)
+        except ValueError as exc:
+            # numpy's row count restarts at this one line.
+            why = str(exc).replace(" at row 1", "").replace(" at row 0", "")
+            raise ValueError(
+                f"malformed telemetry line {line_no + i}: {line.rstrip()!r}: {why}"
+            ) from None
     return len(lines)
 
 
 def _read_blocks(fh: BinaryIO, lo: int, hi: int, line_no: int, part: _Parsed) -> None:
     """Parse the blocks from byte ``lo`` to ``hi`` into ``part``.
 
-    ``line_no`` is the number of the first line in the file. A block goes
-    to ``_put_runs``, and to ``_put_rows`` if that cannot take it or if
-    the block before held so many heads that converting them cost more
-    than a second pass over every row. Raises the ValueError of
-    ``_put_rows`` at the first bad block.
+    ``line_no`` is the number of the first line in the file. Raises the
+    ValueError of ``_put_block`` at the first bad block.
     """
-    few = True  # whether the last block had at most a third as many heads after its first as rows
     for text in _blocks(fh, lo, hi):
-        n, h, lines = part.n, part.h, None
-        if few:
-            with contextlib.suppress(ValueError):
-                lines = _put_runs(text, part)
-        if lines is None:
-            lines = _put_rows(text, line_no, part)
-        line_no += lines
-        few = 3 * (part.h - h - 1) <= part.n - n
+        line_no += _put_block(text, line_no, part)
 
 
 def _shared_arrays(shapes: list[tuple[type, int]]) -> list[np.ndarray]:
@@ -884,14 +848,15 @@ def read_csv(path: str) -> TelemetryLog:
     these in the file, however many readers share the work.
 
     A first pass counts the lines of each block, so the columns are sized
-    once. A long regular file is then parsed in contiguous ranges of
+    once and each range's rows start at its first line's row. A long regular file is then parsed in contiguous ranges of
     blocks, one per available CPU: the parent parses the first and forked
     readers the others, into a shared mapping. Raises OSError if a reader
     fails. Any other input, such as a pipe, is read whole into memory and
-    parsed in one process. As the writer formats each run once, a reader
-    converts each run's step fields once: it puts the row-by-row columns
+    parsed in one process. Each block is parsed one way, by
+    ``_put_block``: as the writer formats each run once, a reader
+    converts each run's step fields once, and puts the row-by-row columns
     in place and the step columns' values on head rows only, which become
-    the log's runs.
+    the log's runs. A byte that is not UTF-8 fails the line that holds it.
     """
     with open(path, "rb") as fh:
         regular = _is_regular(fh)

@@ -222,6 +222,13 @@ def test_read_csv_rejects_foreign_header(tmp_path):
         read_csv(str(path))
 
 
+def test_read_csv_names_a_header_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(CSV_HEADER.encode() + b"\xff\n")
+    with pytest.raises(ValueError, match=r"^unrecognized telemetry header: .*\\udcff'$"):
+        read_csv(str(path))
+
+
 ROW = "0.5,180.25,72.0,180.0,-72.5,5.5,6.0,wait,3"
 
 
@@ -946,6 +953,31 @@ def test_failing_reader_raises_and_leaves_no_child(tmp_path, monkeypatch, capfd)
 def test_line_count_splits_like_text_files(text):
     lines = io.StringIO(text, newline="").readlines()
     assert telemetry._line_count(text.encode()) == len(lines)
+    assert telemetry._lines(text.encode()) == [line.rstrip("\r\n") for line in lines]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("at", [1, 25])  # in the first block, in a later one
+@pytest.mark.parametrize("idle_before", [False, True])
+def test_a_byte_not_in_utf8_fails_its_line_in_file_order(tmp_path, monkeypatch, cpus, at, idle_before):
+    # A bad byte in the receiver volts of row ``at``, alone or after a row
+    # with an unknown phase in the same block: the first bad line is named.
+    rows = _rows_text(30)
+    if idle_before:
+        rows[at - 1] = FAULTS["phase"](rows, at - 1)
+    data = "\n".join([CSV_HEADER, *rows]).encode() + b"\n"
+    path = tmp_path / "log.csv"
+    path.write_bytes(data.replace(rows[at].encode(), rows[at].replace(",6.0,", ",6.\xff,").encode("latin-1")))
+    _force_readers(monkeypatch, cpus, block_bytes=256)
+    with pytest.raises(ValueError) as raised:
+        read_csv(str(path))
+    _assert_no_child_left()
+    if idle_before:
+        assert str(raised.value).startswith(f"malformed telemetry line {at + 1}: ")
+        assert "unknown phase 'idle'" in str(raised.value)
+    else:
+        assert str(raised.value).startswith(f"malformed telemetry line {at + 2}: ")
+        assert "could not convert string '6.\\udcff' to float64" in str(raised.value)
 
 
 # -- parsing by runs -----------------------------------------------------------------
@@ -1012,17 +1044,31 @@ def _outcome(read, path):
     return {name: (log.column(name).dtype.str, log.column(name).tobytes()) for name in FIELDS}
 
 
-@settings(max_examples=60)
-@given(rows=run_csvs())
-def test_faults_inside_a_run_read_as_row_by_row(tmp_path_factory, rows):
-    path = tmp_path_factory.mktemp("runs") / "log.csv"
-    path.write_bytes("\n".join([CSV_HEADER, *rows, ""]).encode())
+def _assert_read_as_row_by_row(path):
     with mock.patch.object(telemetry, "_BLOCK_BYTES", 128):
         want = _outcome(read_csv_rows, path)
         for cpus in (1, 2, 3):
             with mock.patch.multiple(telemetry, _MIN_FORK_ROWS=1, _available_cpus=lambda: cpus):
                 assert _outcome(read_csv, path) == want, cpus
             _assert_no_child_left()
+
+
+@settings(max_examples=60)
+@given(rows=run_csvs())
+def test_faults_inside_a_run_read_as_row_by_row(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("runs") / "log.csv"
+    path.write_bytes("\n".join([CSV_HEADER, *rows, ""]).encode())
+    _assert_read_as_row_by_row(path)
+
+
+@settings(max_examples=30)
+@given(rows=run_csvs(), end=st.sampled_from(["\r\n", "\r"]), blank=st.sets(st.integers(0, 40)))
+def test_other_line_ends_read_as_row_by_row(tmp_path_factory, rows, end, blank):
+    # CRLF or bare-CR line ends, and blank lines after some rows.
+    path = tmp_path_factory.mktemp("ends") / "log.csv"
+    rows = [row + end * (i in blank) for i, row in enumerate(rows)]
+    path.write_bytes(end.join([CSV_HEADER, *rows, ""]).encode())
+    _assert_read_as_row_by_row(path)
 
 
 @pytest.mark.parametrize("fault", ["nul", "junk past the width"])
@@ -1049,9 +1095,23 @@ def test_nul_and_junk_past_the_width_hide_from_the_step_text(tmp_path, name, fau
     assert _outcome(read_csv, path) == want
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_read_converts_each_run_once(tmp_path, monkeypatch, cpus):
-    # default_figure8 over two whole cycles and into the third.
+LINE_ENDS = {  # a CSV as written, and with other line ends
+    "lf": lambda data: data,
+    "crlf": lambda data: data.replace(b"\n", b"\r\n"),
+    "blank": lambda data: b"\n".join(
+        line + b"\n" * (i % 1000 == 999) for i, line in enumerate(data.split(b"\n"))
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "cpus, ends",
+    [(cpus, ends) for ends in LINE_ENDS for cpus in (1, 2, 3)],
+    ids=[str(cpus) if ends == "lf" else f"{ends}-{cpus}" for ends in LINE_ENDS for cpus in (1, 2, 3)],
+)
+def test_read_converts_each_run_once(tmp_path, monkeypatch, cpus, ends):
+    # default_figure8 over two whole cycles and into the third, with LF,
+    # CRLF, or LF and a blank line every 1,000 rows.
     scenario = load_scenario(resolve_scenario_path("default_figure8"))
     log = run_scenario(
         scenario.orbit, scenario.antenna, scenario.receiver, scenario.tracker, 1300.0,
@@ -1059,6 +1119,7 @@ def test_read_converts_each_run_once(tmp_path, monkeypatch, cpus):
     )
     path = tmp_path / "log.csv"
     write_csv(log, str(path))
+    path.write_bytes(LINE_ENDS[ends](path.read_bytes()))
     # Every reader appends a line to this file per call: the rows that a
     # _CSV_ROW parse converts, or the rows and heads that a put adds.
     record = tmp_path / "record"
