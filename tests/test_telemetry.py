@@ -959,15 +959,18 @@ def test_line_count_splits_like_text_files(text):
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("at", [1, 25])  # in the first block, in a later one
 @pytest.mark.parametrize("idle_before", [False, True])
-def test_a_byte_not_in_utf8_fails_its_line_in_file_order(tmp_path, monkeypatch, cpus, at, idle_before):
+def test_a_byte_not_in_utf8_fails_its_line_in_file_order(
+    tmp_path, monkeypatch, cpus, at, idle_before
+):
     # A bad byte in the receiver volts of row ``at``, alone or after a row
     # with an unknown phase in the same block: the first bad line is named.
     rows = _rows_text(30)
     if idle_before:
         rows[at - 1] = FAULTS["phase"](rows, at - 1)
     data = "\n".join([CSV_HEADER, *rows]).encode() + b"\n"
+    bad = rows[at].replace(",6.0,", ",6.\xff,").encode("latin-1")  # a lone 0xff byte
     path = tmp_path / "log.csv"
-    path.write_bytes(data.replace(rows[at].encode(), rows[at].replace(",6.0,", ",6.\xff,").encode("latin-1")))
+    path.write_bytes(data.replace(rows[at].encode(), bad))
     _force_readers(monkeypatch, cpus, block_bytes=256)
     with pytest.raises(ValueError) as raised:
         read_csv(str(path))
