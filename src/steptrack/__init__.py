@@ -9,7 +9,7 @@ The names below run a simulation; the rest of the library is reached
 through its modules (``steptrack.estimators``, ``steptrack.scenario``, ...).
 """
 
-from .antenna import AntennaState, BeaconSample, ReceiverConfig
+from .antenna import AntennaState, ReceiverConfig
 from .beacon import QuadraticCoefficients
 from .orbit import OrbitConfig
 from .telemetry import beacon_stats, write_csv
@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AntennaState",
-    "BeaconSample",
     "OrbitConfig",
     "QuadraticCoefficients",
     "ReceiverConfig",

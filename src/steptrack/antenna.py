@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -106,15 +105,6 @@ class ReceiverConfig:
         seed = self.rng_seed
         if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
             raise ValueError(f"rng_seed must be a non-negative integer, got {seed!r}")
-
-
-class BeaconSample(NamedTuple):
-    """One timestamped measurement; angles are resolver readbacks."""
-
-    t: float
-    azimuth: float
-    elevation: float
-    level: float
 
 
 def command(

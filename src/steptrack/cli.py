@@ -29,7 +29,6 @@ from .estimators import (  # noqa: F401
 from .scenario import ScenarioError, load_scenario, resolve_scenario_path
 from .telemetry import (
     beacon_stats,
-    column_rows,
     extract_trajectory,
     format_floats,
     read_csv,
@@ -156,8 +155,8 @@ def _cmd_fit(args) -> int:
     if window.stop == window.start:
         print(f"error: no records in window [{args.t0}, {args.t1}]", file=sys.stderr)
         return ESTIMATION_ERROR
-    az = column_rows(log, "readback_az", window)
-    el = column_rows(log, "readback_el", window)
+    az = log.column("readback_az", window)
+    el = log.column("readback_el", window)
     # Centred on the window mean, where the curvature is taken too.
     centre = (float(np.mean(az)), float(np.mean(el)))
     try:
@@ -165,7 +164,7 @@ def _cmd_fit(args) -> int:
             k_az=az_coeff_from_elevation(args.k_y, centre[1]), k_el=args.k_y
         )
         peak, rms = fit_peak(
-            az, el, log.column("beacon_db")[window], centre, k, args.mode,
+            az, el, log.column("beacon_db", window), centre, k, args.mode,
             args.forgetting, FIT_RLS_DELTA,
         )
     except (EstimationError, ValueError) as exc:

@@ -13,8 +13,9 @@ a few thousand times in a simulated day of 4.32 M rows. They are stored
 run-length encoded: the first row and the value of each run, where
 neighbouring runs differ in bit pattern, so -0.0 and 0.0 stay apart.
 So the log takes about 24 B a row. Data comes out as columns:
-``column`` gives a read-only view of a dense column or expands a step
-column, ``runs`` gives a step column's runs, and ``len`` the row count.
+``column(name, rows)`` gives a slice of a column's rows, read-only, and
+expands only the rows taken of a step column; ``runs`` gives a step
+column's runs, and ``len`` the row count.
 
 The CSV encoding writes floats at full round-trip precision (padded to at
 least six decimal places), so a written log reads back bit-exact and
@@ -26,8 +27,9 @@ step fields once: ``read_csv`` counts the lines first to size the
 columns once, then parses each block one way, with one ``np.loadtxt``
 pass that converts the row-by-row fields and keeps the step fields'
 text, converts the step fields only on the rows where that text
-changes, and gives the step columns as runs; a block that pass cannot
-take is parsed a line at a time, which names its first bad line.
+changes, and hands those rows to ``TelemetryLog.from_runs``; a block
+that pass cannot take is parsed a line at a time, which names its first
+bad line.
 For a long log in a regular file, both fork up to one process per
 available CPU, each working on a contiguous range of blocks; one
 helper, ``_fork_each``, forks, reaps and kills them for both. Readers
@@ -122,13 +124,9 @@ class BeaconStats(NamedTuple):
     maximum: float
 
 
-def _phase_codes(phase):
-    """Index into ``PHASES`` of a phase given as a name or a code, or of
-    each in a sequence of names or of integer codes."""
-    if isinstance(phase, str):
-        if phase not in PHASES:
-            raise ValueError(f"unknown phase {phase!r}, expected one of {PHASES}")
-        return PHASES.index(phase)
+def _phase_codes(phase) -> np.ndarray:
+    """Index into ``PHASES`` of each phase in an array of names or of
+    integer codes, or of a single one."""
     codes = np.asarray(phase)
     if codes.dtype.kind in "iu":
         unknown = codes[(codes < 0) | (codes >= len(PHASES))]
@@ -145,6 +143,18 @@ def _phase_codes(phase):
     if unknown.size:
         raise ValueError(f"unknown phase {str(unknown[0])!r}, expected one of {PHASES}")
     return codes
+
+
+def _cycle_indices(cycle_index) -> np.ndarray:
+    """The cycle indices as an array; raise ValueError for one that is not
+    a whole number of magnitude below 2**63."""
+    values = np.asarray(cycle_index)
+    if values.dtype.kind not in "iu":
+        values = np.asarray(values, np.float64)
+        bad = values[~((values == np.trunc(values)) & (abs(values) < 2.0**63))]
+        if bad.size:
+            raise ValueError(f"cycle_index must hold int64 integers, got {bad[0]}")
+    return values
 
 
 def _check_times(t: np.ndarray, last: Optional[float]) -> None:
@@ -270,8 +280,9 @@ class TelemetryLog:
         ``t`` is a sequence of finite times; every other column is a
         sequence of the same length or a single value repeated on every
         row. ``phase`` holds phase names from ``PHASES`` or their codes
-        (indices into it); a code out of range raises ValueError. A single
-        value of a step column adds at most one run.
+        (indices into it); a code out of range, or a ``cycle_index`` that is
+        not a whole number, raises ValueError. A single value of a step
+        column adds at most one run.
         """
         t = np.asarray(t, dtype=np.float64)
         k = len(t)
@@ -281,7 +292,7 @@ class TelemetryLog:
         _check_times(t, self._dense["t"][n - 1] if n else None)
         steps = (
             commanded_az, commanded_el, readback_az, readback_el,
-            _phase_codes(phase), cycle_index,
+            _phase_codes(phase), _cycle_indices(cycle_index),
         )
         self._reserve(n + k)
         # A failed copy leaves the log as it was: the row count and the
@@ -301,19 +312,44 @@ class TelemetryLog:
             self._pending = pending + k
         self._n = n + k
 
-    def column(self, name: str) -> np.ndarray:
-        """One column, read-only; ``phase`` gives codes into ``PHASES``.
+    def column(self, name: str, rows: slice = slice(None)) -> np.ndarray:
+        """Rows of one column, read-only, for a slice with a positive step;
+        ``phase`` gives codes into ``PHASES``.
 
-        A row-by-row column is a view; a step column is expanded from its
-        runs.
+        A row-by-row column gives a view. A step column is cut from its
+        runs, so only the rows taken are expanded, not the whole column.
         """
+        lo, hi, step = rows.indices(self._n)
+        if step < 1:
+            raise ValueError(f"row step must be positive, got {step}")
         if name in self._dense:
-            col = self._dense[name][: self._n]
+            col = self._dense[name][lo:hi:step]
+        elif hi <= lo:
+            col = np.empty(0, _DTYPES[name])
         else:
-            starts, values = self.runs(name)
-            col = np.repeat(values, np.diff(starts, append=self._n))
+            heads, values = _block_runs(self, name, lo, hi)
+            # Each run gives the rows taken from its head on, up to the next run's.
+            taken = -(-heads // step)
+            col = values.repeat(np.diff(taken, append=len(range(lo, hi, step))))
         col.flags.writeable = False
         return col
+
+    @classmethod
+    def from_runs(
+        cls, dense: list[np.ndarray], ranges: list[tuple[int, np.ndarray, list[np.ndarray]]]
+    ) -> TelemetryLog:
+        """A log of the row-by-row columns ``dense``, used in place, and of
+        the step columns given range by range in row order, each range as
+        ``(rows, heads, values)``: its row count, the rows where a step
+        column may change (counted from its first row, the first head) and
+        each step column's values on them."""
+        log = cls()
+        for rows, heads, values in ranges:
+            for runs, col in zip(log._runs.values(), values):
+                runs.encode(col, rows, heads)
+            log._n += rows
+        log._dense = dict(zip(_DENSE, dense))
+        return log
 
     def runs(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """First row and value of each run of a step column, read-only.
@@ -369,27 +405,6 @@ def time_window(
     return slice(lo, max(lo, hi))
 
 
-def column_rows(log: TelemetryLog, name: str, rows: slice) -> np.ndarray:
-    """``log.column(name)[rows]`` for a slice with a positive step, read-only.
-
-    A step column is cut from its runs, so only the rows taken are
-    expanded, not the whole column.
-    """
-    lo, hi, step = rows.indices(len(log))
-    if step < 1:
-        raise ValueError(f"row step must be positive, got {step}")
-    if name in _DENSE:
-        return log.column(name)[lo:hi:step]
-    if hi <= lo:
-        return log.runs(name)[1][:0]
-    heads, values = _block_runs(log, name, lo, hi)
-    # Each run gives the rows taken from its head on, up to the next run's.
-    taken = -(-heads // step)
-    col = values.repeat(np.diff(taken, append=len(range(lo, hi, step))))
-    col.flags.writeable = False
-    return col
-
-
 def beacon_stats(
     log: TelemetryLog, t0: Optional[float] = None, t1: Optional[float] = None
 ) -> BeaconStats:
@@ -398,7 +413,7 @@ def beacon_stats(
     Omitted bounds default to the whole log. An empty window raises
     ValueError.
     """
-    arr = log.column("beacon_db")[time_window(log, t0, t1)]
+    arr = log.column("beacon_db", time_window(log, t0, t1))
     n = len(arr)
     if not n:
         raise ValueError(f"no records in window [{t0}, {t1}]")
@@ -435,7 +450,7 @@ def extract_trajectory(
     if decimation < 1:
         raise ValueError(f"decimation must be >= 1, got {decimation}")
     rows = slice(None, None, decimation)
-    return column_rows(log, "readback_az", rows), column_rows(log, "readback_el", rows)
+    return log.column("readback_az", rows), log.column("readback_el", rows)
 
 
 def format_floats(values) -> list[str]:
@@ -484,7 +499,7 @@ def _block_runs(log: TelemetryLog, name: str, lo: int, hi: int) -> tuple[np.ndar
     ``lo``, and values. A step column's runs are cut from the log's; a
     row-by-row column's are found by bit pattern."""
     if name in _DENSE:
-        values = log.column(name)[lo:hi]
+        values = log.column(name, slice(lo, hi))
         heads = _run_heads(values)
         return heads, values[heads]
     starts, values = log.runs(name)
@@ -826,19 +841,6 @@ def _shared_arrays(shapes: list[tuple[type, int]]) -> list[np.ndarray]:
     ]
 
 
-def _log_of(
-    dense: list[np.ndarray], rows: int, heads: np.ndarray, steps: list[np.ndarray]
-) -> TelemetryLog:
-    """A log of the first ``rows`` rows of the row-by-row columns, used in
-    place, and of the step columns given by their values at ``heads``."""
-    log = TelemetryLog()
-    log._dense = dict(zip(_DENSE, dense))
-    for runs, values in zip(log._runs.values(), steps):
-        runs.encode(values, rows, heads)
-    log._n = rows
-    return log
-
-
 def read_csv(path: str) -> TelemetryLog:
     """Parse a CSV written by ``write_csv``; blank lines are skipped.
 
@@ -848,15 +850,20 @@ def read_csv(path: str) -> TelemetryLog:
     these in the file, however many readers share the work.
 
     A first pass counts the lines of each block, so the columns are sized
-    once and each range's rows start at its first line's row. A long regular file is then parsed in contiguous ranges of
-    blocks, one per available CPU: the parent parses the first and forked
-    readers the others, into a shared mapping. Raises OSError if a reader
-    fails. Any other input, such as a pipe, is read whole into memory and
-    parsed in one process. Each block is parsed one way, by
-    ``_put_block``: as the writer formats each run once, a reader
-    converts each run's step fields once, and puts the row-by-row columns
-    in place and the step columns' values on head rows only, which become
-    the log's runs. A byte that is not UTF-8 fails the line that holds it.
+    once and each range's rows start at its first line's row. A long
+    regular file is then parsed in contiguous ranges of blocks, one per
+    available CPU: the parent parses the first and forked readers the
+    others, into a shared mapping. Raises OSError if a reader fails. Any
+    other input, such as a pipe, is read whole into memory and parsed in
+    one process. Each block is parsed one way, by ``_put_block``: as the
+    writer formats each run once, a reader converts each run's step
+    fields once, and puts the row-by-row columns in place and the step
+    columns' values on head rows only. Each range's heads and values go
+    to ``TelemetryLog.from_runs`` as they lie, which encodes them as the
+    log's runs. If a later range fails, or its times do not follow the
+    range before it, the file is read again as one range in this process,
+    which raises the first error. A byte that is not UTF-8 fails the line
+    that holds it.
     """
     with open(path, "rb") as fh:
         regular = _is_regular(fh)
@@ -880,40 +887,39 @@ def read_csv(path: str) -> TelemetryLog:
         )
         counts = counts.reshape(2, readers)  # rows and heads each reader put
 
-        def read(i: int) -> None:
-            lo, hi = bounds[i], bounds[i + 1]
+        def read(lo: int, hi: int) -> _Parsed:
+            """Parse blocks [lo, hi) into the columns from their first line's row on."""
             at = slice(lines[lo], lines[hi])
             part = _Parsed([col[at] for col in dense], heads[at], [col[at] for col in steps])
-            with open(path, "rb") if i else contextlib.nullcontext(src) as own:
-                try:
-                    _read_blocks(own, edges[lo], edges[hi], 2 + lines[lo], part)
-                except ValueError:
-                    if i == 0:
-                        raise  # the first range: the first error in the file
-                    counts[0, i] = -1
-                    return
+            with open(path, "rb") if lo else contextlib.nullcontext(src) as own:
+                _read_blocks(own, edges[lo], edges[hi], 2 + lines[lo], part)
+            return part
+
+        def read_range(i: int) -> None:
+            try:
+                part = read(bounds[i], bounds[i + 1])
+            except ValueError:
+                if i == 0:
+                    raise  # the first range: the first error in the file
+                counts[0, i] = -1
+                return
             counts[:, i] = part.n, part.h
 
-        _fork_each(read, readers, "reader")
-        n = h = 0
+        _fork_each(read_range, readers, "reader")
         if (counts >= 0).all():
-            # Each range starts at its first line's row: close the gaps
-            # that blank lines and rows within runs left.
+            n, ranges = 0, []
             for lo, got, put in zip(bounds, *counts.tolist()):
                 at = lines[lo]
-                if at > n:
+                if at > n:  # close the gap that blank lines left
                     for col in dense:
                         col[n : n + got] = col[at : at + got]
-                if at > h:
-                    for col in (heads, *steps):
-                        col[h : h + put] = col[at : at + put]
-                heads[h : h + put] += n
-                n, h = n + got, h + put
+                ranges.append((got, heads[at : at + put], [col[at : at + put] for col in steps]))
+                n += got
             t = dense[0][:n]
             if (t[1:] > t[:-1]).all():
-                return _log_of(dense, n, heads[:h], [col[:h] for col in steps])
+                return TelemetryLog.from_runs(dense, ranges)
         # A later range failed, or its times do not follow the range before
         # it: reading the file in order raises the first error.
-        part = _Parsed(dense, heads, steps)
-        _read_blocks(src, start, edges[-1], 2, part)
-        return _log_of(dense, part.n, heads[: part.h], [col[: part.h] for col in steps])
+        part = read(0, len(edges) - 1)
+        h = part.h
+        return TelemetryLog.from_runs(dense, [(part.n, heads[:h], [col[:h] for col in steps])])

@@ -5,7 +5,8 @@ functions here take one sample at a time, in plain floats where the
 formula allows, and the property tests require the package to match them
 bit for bit. ``ls_fit`` and ``rls_update`` take regression rows one by
 one and hand them to the package's solvers, so that a fit over many rows
-can be checked against the same rows fed one at a time.
+can be checked against the same rows fed one at a time. ``measure``
+gives one ``BeaconSample``, and ``regression_row`` takes one.
 ``DenseTelemetryLog`` stores every telemetry column row by row, as the
 package's log did before it stored the step columns as runs, and
 ``read_csv_rows`` reads a telemetry CSV into one, converting every field of
@@ -27,7 +28,7 @@ import numpy as np
 
 from steptrack import estimators
 from steptrack.antenna import (
-    AntennaState, BeaconSample, ReceiverConfig, command, quantize_angle, tick,
+    AntennaState, ReceiverConfig, command, quantize_angle, tick,
 )
 from steptrack.beacon import ParabolaParams, QuadraticCoefficients, beacon_level
 from steptrack.estimators import RlsState
@@ -35,6 +36,15 @@ from steptrack.orbit import OrbitConfig
 from steptrack import telemetry
 from steptrack.telemetry import FIELDS, _check_times, _phase_codes
 from steptrack.tracker import StepTracker, TrackerConfig, TrackerPhase
+
+
+class BeaconSample(NamedTuple):
+    """One timestamped measurement; angles are resolver readbacks."""
+
+    t: float
+    azimuth: float
+    elevation: float
+    level: float
 
 
 def satellite_direction(config: OrbitConfig, t: float) -> tuple[float, float]:

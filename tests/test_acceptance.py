@@ -34,7 +34,7 @@ from steptrack.orbit import satellite_direction
 from steptrack.telemetry import PHASES
 from steptrack.tracker import TrackerConfig, run_scenario
 
-from oracles import closed_loop, ls_fit, measure, regression_row, rls_update
+from oracles import BeaconSample, closed_loop, ls_fit, measure, regression_row, rls_update
 
 RESOLVER_STEP = 360.0 / 65536.0
 
@@ -50,7 +50,7 @@ def _rows(k, peak, positions):
     )
     return [
         regression_row(
-            st.BeaconSample(0.0, az, el, beacon_level(params, az, el)), k
+            BeaconSample(0.0, az, el, beacon_level(params, az, el)), k
         )
         for az, el in positions
     ]

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from steptrack import estimators
-from steptrack.antenna import BeaconSample
 from steptrack.beacon import QuadraticCoefficients, beacon_level, ParabolaParams
 from steptrack.estimators import (
     DegenerateCoefficientsError,
@@ -306,7 +305,7 @@ def test_memory_horizon_domain():
 
 def _scalar_rows(az, el, level, k):
     return [
-        oracles.regression_row(BeaconSample(0.0, a, e, lv), k)
+        oracles.regression_row(oracles.BeaconSample(0.0, a, e, lv), k)
         for a, e, lv in zip(az.tolist(), el.tolist(), level.tolist())
     ]
 
@@ -500,7 +499,7 @@ def _scalar_fit(az, el, level, centre, k, estimator, forgetting, delta, prior):
     ``ls_fit`` the rows), recover the peak and shift it back."""
     caz, cel = centre
     rows = [
-        oracles.regression_row(BeaconSample(0.0, a - caz, e - cel, lv), k)
+        oracles.regression_row(oracles.BeaconSample(0.0, a - caz, e - cel, lv), k)
         for a, e, lv in zip(az.tolist(), el.tolist(), level.tolist())
     ]
     if estimator == "batch-ls":

@@ -1,5 +1,6 @@
 """Telemetry log tests: ordering, statistics, trajectory, CSV round trip."""
 
+import ast
 import io
 import math
 import os
@@ -7,6 +8,7 @@ import re
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -23,7 +25,6 @@ from steptrack.telemetry import (
     PHASES,
     TelemetryLog,
     beacon_stats,
-    column_rows,
     extract_trajectory,
     format_floats,
     read_csv,
@@ -394,6 +395,22 @@ def test_extend_takes_phase_codes(codes):
     assert by_code.column("phase").tolist()[5:] == [WAIT, WAIT, 2, 2]
 
 
+@pytest.mark.parametrize("rows", [2, 5_000])
+@pytest.mark.parametrize("bad", [1.5, 2.5, 2.7, 1e19, -1e19, math.nan, math.inf])
+def test_extend_rejects_a_cycle_index_that_is_not_an_int64(rows, bad):
+    # Blocks that wait in the tail and blocks encoded at once are checked
+    # alike, for one value or one per row, and leave the log as it was.
+    log = _log([0.0])
+    t = 1.0 + np.arange(rows)
+    message = re.escape(f"cycle_index must hold int64 integers, got {bad}")
+    for cycle in (bad, np.full(rows, bad), [0] * (rows - 1) + [bad]):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            log.extend(t, *REST[:-1], cycle)
+    assert len(log) == 1
+    log.extend(t, *REST[:-1], [0.0] * (rows - 1) + [-3.0])
+    assert log.column("cycle_index").tolist() == [0] * rows + [-3]
+
+
 @pytest.mark.parametrize("bad", [-1, 4, 127])
 def test_out_of_range_phase_code_rejected(bad):
     message = re.escape(f"unknown phase code {bad}, expected 0 to 3")
@@ -449,6 +466,32 @@ def test_column_is_a_read_only_view():
     assert levels.tolist() == [1.5, 2.5]
     with pytest.raises(ValueError):
         levels[0] = 0.0
+
+
+def test_only_the_log_touches_its_private_state():
+    # Outside ``TelemetryLog``, an attribute ``x._name`` in telemetry.py is
+    # ``self._name`` or a module's, such as ``os._exit``: no function reads
+    # or writes a log's private state.
+    tree = ast.parse(Path(telemetry.__file__).read_text())
+    names = {"self"} | {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+    (log_class,) = [
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "TelemetryLog"
+    ]
+    inside = set(map(id, ast.walk(log_class)))
+    pokes = [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and id(node) not in inside
+        and not (isinstance(node.value, ast.Name) and node.value.id in names)
+    ]
+    assert pokes == []
 
 
 # -- the run layout ------------------------------------------------------------------
@@ -522,35 +565,40 @@ def test_run_layout_equals_the_dense_log(tmp_path_factory, blocks, tail, reads):
     step=st.none() | st.integers(1, 12),
 )
 def test_column_rows_equal_the_full_expansion(blocks, start, stop, step):
-    log = TelemetryLog()
+    # A slice of a column's rows equals those rows of the same log stored
+    # row by row.
+    log, dense = TelemetryLog(), DenseTelemetryLog()
     for block in blocks:
         log.extend(*block)
+        dense.extend(*block)
     rows = slice(start, stop, step)
     for name in FIELDS:
-        assert _equal_bits(column_rows(log, name, rows), log.column(name)[rows]), name
+        assert _equal_bits(log.column(name, rows), dense.column(name)[rows]), name
     if step is not None:
         az, el = extract_trajectory(log, step)
-        assert _equal_bits(az, log.column("readback_az")[::step])
-        assert _equal_bits(el, log.column("readback_el")[::step])
+        assert _equal_bits(az, dense.column("readback_az")[::step])
+        assert _equal_bits(el, dense.column("readback_el")[::step])
 
 
-def test_window_rows_expand_no_whole_step_column(monkeypatch):
+def test_window_rows_expand_no_whole_step_column():
+    # A window or every n-th row of a step column is cut from its runs:
+    # reading them takes a small part of the memory of the whole column.
+    n = 100_000
     log = TelemetryLog()
-    log.extend(np.arange(10_000.0), np.arange(10_000.0) // 7, *REST[1:])
-    read = []
-    column = TelemetryLog.column
-
-    def recorded(self, name):
-        read.append(name)
-        return column(self, name)
-
-    monkeypatch.setattr(TelemetryLog, "column", recorded)
-    got = column_rows(log, "commanded_az", slice(20, 9_000, 50))
+    log.extend(np.arange(float(n)), np.arange(float(n)) // 7, *REST[1:])
+    rows = slice(20, 9_000, 50)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = log.column("commanded_az", rows)
+        extract_trajectory(log, 50)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
     assert got.tolist() == [float(row // 7) for row in range(20, 9_000, 50)]
-    extract_trajectory(log, 50)
-    assert read == []
+    assert peak < 8 * n // 4
     with pytest.raises(ValueError, match="row step must be positive"):
-        column_rows(log, "commanded_az", slice(None, None, -1))
+        log.column("commanded_az", slice(None, None, -1))
 
 
 def test_scalar_step_values_take_no_memory_per_row():

@@ -5,7 +5,8 @@ dropped from a module, say an import nothing calls any more, breaks only
 the traced benchmark run; these tests catch it in the ordinary suite. They
 also check that the simulation calls the physics through the names the
 tracer wraps, that an import kept only for the tracer is one it wraps, and
-that the tracer's split of ``StepTracker.step`` by phase still fits.
+that the tracer's split of ``StepTracker.step`` by phase still fits, and
+that each method it patches on a class is that class's own.
 The tracer file is parsed, not imported, so the tests neither run nor edit
 it.
 """
@@ -105,3 +106,31 @@ def test_tracer_finds_the_step_it_splits_by_phase():
     assert "step" in tracker.StepTracker.__dict__
     phases = _tracer_constant("STEP_PHASES")
     assert sorted(p.value for p in tracker.TrackerPhase if p.value not in phases) == []
+
+
+def test_tracer_finds_the_methods_it_patches():
+    # ``Tracer._patch`` reads each original through the owner's ``__dict__``,
+    # so a method renamed, removed or only inherited would stop the traced
+    # run with KeyError. Each ``_patch(Class, "name", ...)`` call is checked,
+    # the class found through the tracer's own imports.
+    tree = ast.parse(TRACER.read_text())
+    modules = {
+        alias.asname or alias.name: node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    patches = [
+        (call.args[0].id, call.args[1].value)
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "attr", None) == "_patch"
+        and isinstance(call.args[1], ast.Constant)
+    ]
+    assert patches
+    missing = [
+        f"{owner}.{name}"
+        for owner, name in patches
+        if name not in vars(getattr(importlib.import_module(modules[owner]), owner))
+    ]
+    assert missing == []
