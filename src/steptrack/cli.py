@@ -16,6 +16,7 @@ import argparse
 import logging
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -107,12 +108,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(args) -> int:
     try:
-        path = resolve_scenario_path(args.scenario)
-        scenario = load_scenario(path)
+        scenario = load_scenario(resolve_scenario_path(args.scenario))
+        if args.duration_s is not None:
+            # Built anew, so the scenario's checks see the duration that runs.
+            scenario = replace(scenario, duration=args.duration_s)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    duration = scenario.duration if args.duration_s is None else args.duration_s
+    except ValueError as exc:
+        print(f"error: invalid scenario configuration: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     output = args.output or scenario.output
     try:
         log = run_scenario(
@@ -120,7 +125,7 @@ def _cmd_simulate(args) -> int:
             scenario.antenna,
             scenario.receiver,
             scenario.tracker,
-            duration,
+            scenario.duration,
             peak_level_db=scenario.peak_level_db,
             truth_k_el=scenario.truth_k_el,
         )

@@ -41,8 +41,10 @@ class Scenario:
     output: str = "telemetry.csv"
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValueError(f"duration must be non-negative, got {self.duration}")
+        if not (math.isfinite(self.duration) and self.duration >= 0):
+            raise ValueError(
+                f"duration_s must be finite and non-negative, got {self.duration}"
+            )
         if not self.truth_k_el < 0:
             raise ValueError(f"truth_k_el must be strictly negative, got {self.truth_k_el}")
         # satellite_direction takes the sine of twice the orbit angle
@@ -52,6 +54,19 @@ class Scenario:
                 f"orbit.period_s {self.orbit.period} is too short for duration_s "
                 f"{self.duration}: the orbit angle overflows"
             )
+        # The drift moves the major axis, so in elevation-major mode it
+        # carries the elevation swing that OrbitConfig checks with it.
+        orbit = self.orbit
+        if orbit.axis_mode == "elevation-major":
+            drift = orbit.drift_deg_per_day * self.duration / 86400.0
+            lo = orbit.center_elevation - orbit.elevation_amplitude + min(drift, 0.0)
+            hi = orbit.center_elevation + orbit.elevation_amplitude + max(drift, 0.0)
+            if lo < 0.0 or hi > 90.0:
+                raise ValueError(
+                    f"orbit.drift_deg_per_day {orbit.drift_deg_per_day} over duration_s "
+                    f"{self.duration} moves the elevation swing to [{lo}, {hi}], "
+                    "outside [0, 90] deg"
+                )
 
 
 # The scenario schema. A top-level key maps to the (class, field) it sets.

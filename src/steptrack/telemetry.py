@@ -22,17 +22,19 @@ least six decimal places), so a written log reads back bit-exact and
 still drops straight into any plotting tool. ``write_csv`` and
 ``read_csv`` work in fixed-size blocks (of rows, and of bytes on a grid
 fixed by the file), so their working memory does not grow with the log.
-The writer formats each run once, and the reader converts each run's
-step fields once: ``read_csv`` counts the lines first to size the
-columns once, then parses each block one way, with one ``np.loadtxt``
-pass that converts the row-by-row fields and keeps the step fields'
-text, converts the step fields only on the rows where that text
-changes, and hands those rows to ``TelemetryLog.from_runs``; a block
-that pass cannot take is parsed a line at a time, which names its first
-bad line.
+Both follow the log's layout: the writer formats the row-by-row columns
+value by value and each run of a step column once, and the reader
+converts each run's step fields once. ``read_csv`` counts the lines
+first to size the columns once, then parses each block one way, with
+one ``np.loadtxt`` pass that converts the row-by-row fields and keeps
+the step fields' text, converts the step fields only on the rows where
+that text changes, and hands those rows to ``TelemetryLog.from_runs``;
+a block that pass cannot take is parsed a line at a time, which names
+its first bad line.
 For a long log in a regular file, both fork up to one process per
-available CPU, each working on a contiguous range of blocks; one
-helper, ``_fork_each``, forks, reaps and kills them for both. Readers
+available CPU, each working on a contiguous range of blocks; ``_split``
+shares the blocks out by count for both, and ``_fork_each`` forks,
+reaps and kills the processes for both. Readers
 fill the columns in place through a shared anonymous mapping and need
 no temp file. While writing with W writers, ``write_csv`` holds up to
 (W-1)/W of the CSV's size in anonymous temp files in the output's
@@ -99,14 +101,13 @@ _CSV_TEXT = np.dtype({
 _BLOCK_ROWS = 1 << 12
 _BLOCK_BYTES = _BLOCK_ROWS * 128
 # write_csv and read_csv use at most one process per _MIN_FORK_ROWS rows
-# (the ranges then share out the values to format, or the bytes to
-# parse). Measured for the writers: after a fork, each
-# page the parent or a writer first writes is copied, which cost the
-# parent about 30 ms on a 15 k-row range. On a 2-core host, forking for
-# rapid_cycle's 30 k-row log (15 k rows a writer) made that workload 3-9 %
-# slower end to end in 3 of 3 pairs, while 60 k-row logs (30 k rows a
-# writer) wrote 35 % faster than in one process in 29 and 30 of 30 pairs,
-# for a moving and a resting plant.
+# (the ranges then share out the blocks by count). Measured for the
+# writers: after a fork, each page the parent or a writer first writes is
+# copied, which cost the parent about 30 ms on a 15 k-row range. On a
+# 2-core host, forking for rapid_cycle's 30 k-row log (15 k rows a writer)
+# made that workload 3-9 % slower end to end in 3 of 3 pairs, while 60
+# k-row logs (30 k rows a writer) wrote 35 % faster than in one process
+# in 29 and 30 of 30 pairs, for a moving and a resting plant.
 _MIN_FORK_ROWS = 1 << 15
 # Values per leaf of beacon_stats' blocked sum of squares: at least 128,
 # where numpy's pairwise sum stops splitting.
@@ -149,11 +150,15 @@ def _cycle_indices(cycle_index) -> np.ndarray:
     """The cycle indices as an array; raise ValueError for one that is not
     a whole number of magnitude below 2**63."""
     values = np.asarray(cycle_index)
-    if values.dtype.kind not in "iu":
+    if values.dtype.kind == "i":
+        return values
+    if values.dtype.kind == "u":
+        bad = values[values > np.iinfo(np.int64).max]
+    else:
         values = np.asarray(values, np.float64)
         bad = values[~((values == np.trunc(values)) & (abs(values) < 2.0**63))]
-        if bad.size:
-            raise ValueError(f"cycle_index must hold int64 integers, got {bad[0]}")
+    if bad.size:
+        raise ValueError(f"cycle_index must hold int64 integers, got {bad[0]}")
     return values
 
 
@@ -173,14 +178,9 @@ def _check_times(t: np.ndarray, last: Optional[float]) -> None:
     raise ValueError(f"non-monotonic time in block starting {t[0]} after {last}")
 
 
-def _bits(values: np.ndarray) -> np.ndarray:
-    """The values as unsigned integers of their size: equal bits, same value."""
-    return values.view(f"u{values.itemsize}")
-
-
 def _run_heads(values: np.ndarray) -> np.ndarray:
     """Index of the first value of each run of bit-identical values."""
-    bits = _bits(values)
+    bits = values.view(f"u{values.itemsize}")  # equal bits, equal integers
     heads = np.empty(len(bits), dtype=bool)
     heads[:1] = True
     np.not_equal(bits[1:], bits[:-1], out=heads[1:])
@@ -281,8 +281,8 @@ class TelemetryLog:
         sequence of the same length or a single value repeated on every
         row. ``phase`` holds phase names from ``PHASES`` or their codes
         (indices into it); a code out of range, or a ``cycle_index`` that is
-        not a whole number, raises ValueError. A single value of a step
-        column adds at most one run.
+        not a whole number that int64 holds, raises ValueError. A single
+        value of a step column adds at most one run.
         """
         t = np.asarray(t, dtype=np.float64)
         k = len(t)
@@ -495,13 +495,8 @@ def format_floats(values) -> list[str]:
 
 
 def _block_runs(log: TelemetryLog, name: str, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Runs of one column over rows [lo, hi): first rows, counted from
-    ``lo``, and values. A step column's runs are cut from the log's; a
-    row-by-row column's are found by bit pattern."""
-    if name in _DENSE:
-        values = log.column(name, slice(lo, hi))
-        heads = _run_heads(values)
-        return heads, values[heads]
+    """Runs of a step column over rows [lo, hi), cut from the log's: first
+    rows, counted from ``lo``, and values."""
     starts, values = log.runs(name)
     first = np.searchsorted(starts, lo, side="right") - 1
     stop = np.searchsorted(starts, hi, side="left")
@@ -542,7 +537,8 @@ def _write_rows(log: TelemetryLog, lo: int, hi: int, out: BinaryIO) -> None:
     for start in range(lo, hi, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, hi)
         block = [
-            _column_texts(*_block_runs(log, name, start, stop), stop - start, fmt)
+            format_floats(log.column(name, slice(start, stop))) if name in _DENSE
+            else _column_texts(*_block_runs(log, name, start, stop), stop - start, fmt)
             for name, fmt in zip(FIELDS, _FORMATS)
         ]
         out.write("\n".join(map(",".join, zip(*block))).encode())
@@ -566,43 +562,10 @@ def _processes(rows: int, blocks: int) -> int:
     return max(1, min(cpus, rows // _MIN_FORK_ROWS, blocks))
 
 
-def _split(costs: np.ndarray, parts: int) -> list[int]:
-    """Edges cutting the blocks into ``parts`` contiguous runs of about equal cost."""
-    if parts == 1:
-        return [0, len(costs)]
-    done = np.cumsum(costs)
-    cuts = np.searchsorted(done, done[-1] * np.arange(1, parts) / parts) + 1
-    return [0, *cuts.tolist(), len(costs)]
-
-
-def _row_ranges(log: TelemetryLog) -> list[tuple[int, int]]:
-    """Contiguous row ranges on block boundaries, one per writer process.
-
-    The ranges share out the values to format, not the rows: each run of
-    bit-identical values is formatted once, so a block where the level
-    and volts vary row by row costs more than one where they hold.
-    """
-    rows = len(log)
-    blocks = -(-rows // _BLOCK_ROWS)
-    writers = _processes(rows, blocks)
-    if writers == 1:
-        return [(0, rows)]
-    # Changes of value inside each block's float columns: the runs that
-    # start inside it, and in a dense column the bits that differ from the
-    # row before, a block at a time so no temporary grows with the log.
-    values = np.zeros(blocks, dtype=np.int64)
-    for name in FIELDS[:7]:
-        if name in _DENSE:
-            col = log.column(name)
-            for i, start in enumerate(range(0, rows, _BLOCK_ROWS)):
-                bits = _bits(col[start : start + _BLOCK_ROWS])
-                values[i] += np.count_nonzero(bits[1:] != bits[:-1])
-        else:
-            starts = log.runs(name)[0]
-            inner = starts[starts % _BLOCK_ROWS != 0]
-            values += np.bincount(inner // _BLOCK_ROWS, minlength=blocks)
-    edges = np.minimum(np.array(_split(values, writers)) * _BLOCK_ROWS, rows).tolist()
-    return list(zip(edges, edges[1:]))
+def _split(blocks: int, parts: int) -> list[int]:
+    """Edges cutting ``blocks`` blocks into ``parts`` contiguous ranges,
+    whose block counts differ by at most one."""
+    return [blocks * i // parts for i in range(parts + 1)]
 
 
 def _run_and_exit(work: Callable[[int], None], i: int) -> NoReturn:
@@ -666,8 +629,14 @@ def write_csv(log: TelemetryLog, path: str) -> None:
     """
     folder = os.path.dirname(os.path.abspath(path))
     with open(path, "wb") as out, contextlib.ExitStack() as parts:
+        rows = len(log)
+        blocks = -(-rows // _BLOCK_ROWS)
         forking = _is_regular(out) and os.access(folder, os.W_OK)
-        ranges = _row_ranges(log) if forking else [(0, len(log))]
+        edges = [
+            min(edge * _BLOCK_ROWS, rows)
+            for edge in _split(blocks, _processes(rows, blocks) if forking else 1)
+        ]
+        ranges = list(zip(edges, edges[1:]))
         outs = [out] + [
             parts.enter_context(tempfile.TemporaryFile(dir=folder)) for _ in ranges[1:]
         ]
@@ -852,11 +821,11 @@ def read_csv(path: str) -> TelemetryLog:
     A first pass counts the lines of each block, so the columns are sized
     once and each range's rows start at its first line's row. A long
     regular file is then parsed in contiguous ranges of blocks, one per
-    available CPU: the parent parses the first and forked readers the
-    others, into a shared mapping. Raises OSError if a reader fails. Any
-    other input, such as a pipe, is read whole into memory and parsed in
-    one process. Each block is parsed one way, by ``_put_block``: as the
-    writer formats each run once, a reader converts each run's step
+    available CPU, cut as ``write_csv`` cuts its blocks: the parent parses
+    the first and forked readers the others, into a shared mapping.
+    Raises OSError if a reader fails. Any other input, such as a pipe, is
+    read whole into memory and parsed in one process. Each block is
+    parsed one way, by ``_put_block``: a reader converts each run's step
     fields once, and puts the row-by-row columns in place and the step
     columns' values on head rows only. Each range's heads and values go
     to ``TelemetryLog.from_runs`` as they lie, which encodes them as the
@@ -874,7 +843,7 @@ def read_csv(path: str) -> TelemetryLog:
             edges.append(edges[-1] + len(text))
             lines.append(lines[-1] + _line_count(text))
         readers = _processes(lines[-1], len(edges) - 1) if regular else 1
-        bounds = _split(np.diff(edges), readers)
+        bounds = _split(len(edges) - 1, readers)
         dense = _shared_arrays([(np.float64, lines[-1])] * len(_DENSE))
         # The heads, step values and counts get a mapping of their own,
         # freed once they are encoded as runs. Each reader puts its heads

@@ -223,32 +223,46 @@ def test_subnormal_resolver_step_names_field(tmp_path):
     )
 
 
-def _desk_figure8(tmp_path, old, new):
-    """desk_figure8 cut to 30 s, with one line changed."""
+def _desk_figure8(tmp_path, old, new, duration="30.0"):
+    """desk_figure8 cut to ``duration`` s, with one line changed."""
     path = tmp_path / "s.yaml"
     text = resolve_scenario_path("desk_figure8").read_text()
     assert old in text
-    path.write_text(text.replace("duration_s: 600.0", "duration_s: 30.0").replace(old, new))
+    path.write_text(
+        text.replace("duration_s: 600.0", f"duration_s: {duration}").replace(old, new)
+    )
     return path
 
 
 @pytest.mark.parametrize(
-    "old, new, message",
+    "old, new, duration, argv, message",
     [
-        ("period_s: 600.0", "period_s: 5.0e-324",
+        ("period_s: 600.0", "period_s: 5.0e-324", "30.0", [],
          "invalid scenario configuration: orbit.period_s 5e-324 is too short for "
          "duration_s 30.0: the orbit angle overflows"),
-        ("forgetting: 0.98", "forgetting: 1.0e-9",
+        # The file's duration passes; the one given on the command line must not.
+        ("period_s: 600.0", "period_s: 5.0e-324", "0.0", ["--duration-s", "30"],
+         "invalid scenario configuration: orbit.period_s 5e-324 is too short for "
+         "duration_s 30.0: the orbit angle overflows"),
+        ("forgetting: 0.98", "forgetting: 1.0e-9", "30.0", [],
          "forgetting 1e-09 overflows the RLS gain within one pattern of 56 samples"),
+        ("elevation_amplitude_deg: 1.2",
+         "elevation_amplitude_deg: 1.0\n  axis_mode: elevation-major\n"
+         "  drift_deg_per_day: 4000.0", "600.0", [],
+         "invalid scenario configuration: orbit.drift_deg_per_day 4000.0 over "
+         "duration_s 600.0 moves the elevation swing to [71.0, 100.77777777777777], "
+         "outside [0, 90] deg"),
     ],
-    ids=["orbit.period_s", "tracker.forgetting"],
+    ids=["orbit.period_s", "--duration-s", "tracker.forgetting", "orbit.drift_deg_per_day"],
 )
-def test_simulate_rejects_by_name_before_the_run(tmp_path, capsys, old, new, message):
-    path = _desk_figure8(tmp_path, old, new)
+def test_simulate_rejects_by_name_before_the_run(
+    tmp_path, capsys, old, new, duration, argv, message
+):
+    path = _desk_figure8(tmp_path, old, new, duration)
     out = tmp_path / "run.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["simulate", str(path), "--output", str(out)]) == 1
+        assert main(["simulate", str(path), "--output", str(out), *argv]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 

@@ -396,14 +396,21 @@ def test_extend_takes_phase_codes(codes):
 
 
 @pytest.mark.parametrize("rows", [2, 5_000])
-@pytest.mark.parametrize("bad", [1.5, 2.5, 2.7, 1e19, -1e19, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "bad",
+    [1.5, 2.5, 2.7, 1e19, -1e19, math.nan, math.inf, 2**63, 2**64 - 1,
+     pytest.param(np.uint64(2**63), id="uint64")],
+)
 def test_extend_rejects_a_cycle_index_that_is_not_an_int64(rows, bad):
     # Blocks that wait in the tail and blocks encoded at once are checked
     # alike, for one value or one per row, and leave the log as it was.
+    # numpy holds an integer of 2**63 or more as uint64, which must not
+    # wrap, or next to a 0 as float64; the message gives it as numpy holds it.
     log = _log([0.0])
     t = 1.0 + np.arange(rows)
-    message = re.escape(f"cycle_index must hold int64 integers, got {bad}")
     for cycle in (bad, np.full(rows, bad), [0] * (rows - 1) + [bad]):
+        got = np.asarray(cycle).flat[-1]
+        message = re.escape(f"cycle_index must hold int64 integers, got {got}")
         with pytest.raises(ValueError, match=f"^{message}$"):
             log.extend(t, *REST[:-1], cycle)
     assert len(log) == 1
@@ -722,10 +729,10 @@ def _count_forks(monkeypatch):
 def test_forked_writers_match_one_process(tmp_path, monkeypatch, cpus):
     log = _blocks_log()
     one = tmp_path / "one.csv"
-    assert len(telemetry._row_ranges(log)) == 1  # below the fork threshold
-    write_csv(log, str(one))
-    _force_writers(monkeypatch, cpus)
     forks = _count_forks(monkeypatch)
+    write_csv(log, str(one))
+    assert not forks  # below the fork threshold
+    _force_writers(monkeypatch, cpus)
     many = tmp_path / "many.csv"
     write_csv(log, str(many))
     assert len(forks) == cpus - 1
@@ -733,19 +740,35 @@ def test_forked_writers_match_one_process(tmp_path, monkeypatch, cpus):
     assert sorted(os.listdir(tmp_path)) == ["many.csv", "one.csv"]
 
 
-def test_row_ranges_share_out_the_values_to_format(monkeypatch):
+def test_writers_share_out_the_blocks_by_count(tmp_path, monkeypatch):
     _force_writers(monkeypatch, 3)
-    # The level holds for the first half and varies row by row after it,
-    # so a row there costs two values to format (time and level), not one.
+    # The writers run in this process, so each range they write is seen.
+    monkeypatch.setattr(
+        telemetry, "_fork_each", lambda work, count, what: [work(i) for i in range(count)]
+    )
+    ranges, real = [], telemetry._write_rows
+    monkeypatch.setattr(
+        telemetry, "_write_rows", lambda *args: ranges.append(args[1:3]) or real(*args)
+    )
+    # The level holds for the first half and varies row by row after it:
+    # the 13 blocks are shared out by count, not by the values to format.
     n = 12 * 4096 + 7
     i = np.arange(n)
     log = _log(i * 0.02, level=np.where(i < n // 2, 5.0, i * 0.001))
-    assert telemetry._row_ranges(log) == [
-        (0, 7 * 4096), (7 * 4096, 10 * 4096), (10 * 4096, n)
-    ]
-    assert telemetry._row_ranges(TelemetryLog()) == [(0, 0)]
+    many, one = tmp_path / "many.csv", tmp_path / "one.csv"
+    write_csv(log, str(many))
+    assert ranges == [(0, 4 * 4096), (4 * 4096, 8 * 4096), (8 * 4096, n)]
+    # An empty log is one empty range: the header, and no writer to fork.
+    ranges.clear()
+    write_csv(TelemetryLog(), str(one))
+    assert ranges == [(0, 0)]
+    assert one.read_text() == CSV_HEADER + "\n"
+    # Without os.fork one process writes it all, to the same bytes.
     monkeypatch.delattr(os, "fork")
-    assert telemetry._row_ranges(log) == [(0, n)]
+    ranges.clear()
+    write_csv(log, str(one))
+    assert ranges == [(0, n)]
+    assert one.read_bytes() == many.read_bytes()
 
 
 def test_no_writers_without_temp_space(tmp_path, monkeypatch):
