@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._checks import check_fields
 from .beacon import ParabolaParams, beacon_level
 
 # 16-bit resolver-to-digital conversion, in degrees per count.
@@ -42,18 +43,7 @@ class AntennaState:
     resolver_step: float = DEFAULT_RESOLVER_STEP  # deg per count
 
     def __post_init__(self) -> None:
-        # Angles need no check of their own: NaN or inf fails the
-        # limits comparison below once the limits are finite.
-        for name in ("az_slew_rate", "el_slew_rate", "resolver_step"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("az_limits", "el_limits"):
-            if not all(map(math.isfinite, getattr(self, name))):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.az_slew_rate <= 0 or self.el_slew_rate <= 0:
-            raise ValueError("slew rates must be positive")
-        if self.resolver_step <= 0:
-            raise ValueError("resolver_step must be positive")
+        check_fields(self, positive=("az_slew_rate", "el_slew_rate", "resolver_step"))
         # quantize_angle rounds angle / resolver_step to an int.
         reach = max(map(abs, (*self.az_limits, *self.el_limits)))
         if not math.isfinite(reach / self.resolver_step):
@@ -66,7 +56,7 @@ class AntennaState:
             ("true_elevation", self.true_elevation, self.el_limits),
         ):
             if not lo <= value <= hi:
-                raise AxisLimitError(f"{name}={value} outside limits [{lo}, {hi}]")
+                raise AxisLimitError(f"{name} must be within [{lo}, {hi}], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -91,17 +81,11 @@ class ReceiverConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("floor_db", "max_db", "noise_sigma", "drift_amplitude", "drift_period"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        check_fields(self, positive=("drift_period",), non_negative=("noise_sigma",))
         if self.max_db <= self.floor_db:
             raise ValueError(
                 f"max_db ({self.max_db}) must exceed floor_db ({self.floor_db})"
             )
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
-        if self.drift_period <= 0:
-            raise ValueError("drift_period must be positive")
         seed = self.rng_seed
         if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
             raise ValueError(f"rng_seed must be a non-negative integer, got {seed!r}")

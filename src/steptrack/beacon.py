@@ -44,9 +44,9 @@ class QuadraticCoefficients:
 class ParabolaParams(QuadraticCoefficients):
     """Full beacon surface: curvature, peak direction and peak level.
 
-    ``peak_level`` is expected to sit at or above the receiver noise
-    floor; that relation is checked where receiver and surface meet,
-    not here.
+    ``peak_level`` must sit at or above the receiver noise floor;
+    ``tracker.run_scenario``, where receiver and surface meet, refuses a
+    peak level below ``ReceiverConfig.floor_db`` or not finite.
 
     ``k_az``, ``peak_az`` and ``peak_el`` may also be equal-length arrays,
     one surface per sample time; ``beacon_level`` then evaluates each.

@@ -6,8 +6,8 @@ Subcommands:
   stats       beacon-level statistics over a time window
   trajectory  decimated (azimuth, elevation) pairs for plotting
 
-Exit codes: 0 success, 1 usage or configuration error, 2 runtime
-estimation error.
+Exit codes: 0 success, 1 usage or configuration error or a closed stdout,
+2 runtime estimation error.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -234,7 +235,15 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout has gone, as under ``| head``. Point stdout at
+        # the null device, so that the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = USAGE_ERROR
+    sys.exit(code)
 
 
 if __name__ == "__main__":

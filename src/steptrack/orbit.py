@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_fields
+
 SIDEREAL_DAY_S = 86164.0
 
 AXIS_MODES = ("azimuth-major", "elevation-major")
@@ -39,18 +41,11 @@ class OrbitConfig:
     drift_deg_per_day: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "center_azimuth", "center_elevation", "azimuth_amplitude",
-            "elevation_amplitude", "period", "phase", "drift_deg_per_day",
-        ):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.period <= 0:
-            raise ValueError(f"period must be positive, got {self.period}")
-        if self.azimuth_amplitude < 0 or self.elevation_amplitude < 0:
-            raise ValueError("orbit amplitudes must be non-negative")
-        if self.axis_mode not in AXIS_MODES:
-            raise ValueError(f"axis_mode must be one of {AXIS_MODES}, got {self.axis_mode!r}")
+        check_fields(
+            self, positive=("period",),
+            non_negative=("azimuth_amplitude", "elevation_amplitude"),
+            choices={"axis_mode": AXIS_MODES},
+        )
         lo = self.center_elevation - self.elevation_amplitude
         hi = self.center_elevation + self.elevation_amplitude
         if lo < 0.0 or hi > 90.0:

@@ -20,6 +20,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
+from ._checks import check_fields
 from .antenna import AntennaState, ReceiverConfig
 from .orbit import OrbitConfig
 from .tracker import TrackerConfig
@@ -41,12 +42,7 @@ class Scenario:
     output: str = "telemetry.csv"
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.duration) and self.duration >= 0):
-            raise ValueError(
-                f"duration_s must be finite and non-negative, got {self.duration}"
-            )
-        if not self.truth_k_el < 0:
-            raise ValueError(f"truth_k_el must be strictly negative, got {self.truth_k_el}")
+        check_fields(self, non_negative=("duration",), negative=("truth_k_el",))
         # satellite_direction takes the sine of twice the orbit angle
         # 2*pi*t/period, which must stay finite up to the last step.
         if not math.isfinite(2.0 * (2.0 * math.pi * self.duration / self.orbit.period)):
@@ -137,8 +133,9 @@ _type_hints = functools.cache(get_type_hints)
 def _check(name: str, value, kind):
     """``value`` as an instance of ``kind``, or ScenarioError naming ``name``.
 
-    An int is taken for a float, never a bool for a number; a float must be
-    finite, and a tuple is given as a list of its items.
+    An int is taken for a float, never a bool for a number, and a tuple is
+    given as a list of its items. Whether a float is finite is for its class
+    to check.
     """
     if get_origin(kind) is tuple:
         kinds = get_args(kind)
@@ -149,8 +146,6 @@ def _check(name: str, value, kind):
         value = float(value) if abs(value) <= sys.float_info.max else math.inf
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ScenarioError(f"field '{name}' must be {kind.__name__}, got {value!r}")
-    if kind is float and not math.isfinite(value):
-        raise ScenarioError(f"field '{name}' must be finite, got {value}")
     return value
 
 
@@ -162,19 +157,23 @@ def load_scenario(path: str | Path) -> Scenario:
     except yaml.YAMLError as exc:
         raise ScenarioError(f"cannot parse scenario file: {exc}") from exc
     values = defaultdict(dict)
-    _read(doc, "", None, _SCHEMA, values)
+    keys = {}
+    _read(doc, "", None, _SCHEMA, values, keys)
     for (cls, field), (source, source_field) in _FALLBACKS.items():
-        values[cls].setdefault(field, values[source][source_field])
+        if field not in values[cls]:
+            values[cls][field] = values[source][source_field]
+            keys[cls, field] = keys[source, source_field]
     configs = {
-        section: _build(section, cls, values[cls])
+        section: _build(section, cls, values[cls], keys)
         for section, (cls, table) in _SCHEMA.items()
         if isinstance(table, dict) and cls is not Scenario
     }
-    return _build("scenario", Scenario, {**values[Scenario], **configs})
+    return _build("scenario", Scenario, {**values[Scenario], **configs}, keys)
 
 
-def _read(doc, prefix: str, owner, table: dict, values: dict) -> None:
-    """Check a mapping against ``table``, storing ``values[class][field]``.
+def _read(doc, prefix: str, owner, table: dict, values: dict, keys: dict) -> None:
+    """Check a mapping against ``table``, storing ``values[class][field]``
+    and the key of each field, ``keys[class, field]``.
 
     The keys given are checked in file order, so an error names the first
     bad one; then the keys left out, of which a required one is an error.
@@ -189,8 +188,10 @@ def _read(doc, prefix: str, owner, table: dict, values: dict) -> None:
         name = prefix + key
         if isinstance(target, dict):
             section = doc.get(key)
-            _read({} if section is None else section, name + ".", cls, target, values)
-        elif key in doc:
+            _read({} if section is None else section, name + ".", cls, target, values, keys)
+            continue
+        keys[cls, target] = name
+        if key in doc:
             values[cls][target] = _check(name, doc[key], _type_hints(cls)[target])
         elif (cls, target) not in _FALLBACKS and _default(cls, target) is MISSING:
             raise ScenarioError(f"missing required field '{name}'")
@@ -200,11 +201,14 @@ def _default(cls, name: str):
     return next(f.default for f in fields(cls) if f.name == name)
 
 
-def _build(section: str, cls, kwargs: dict):
+def _build(section: str, cls, kwargs: dict, keys: dict):
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise ScenarioError(f"invalid {section} configuration: {exc}") from exc
+        # A per-field rule's message starts "<field> must be": name the key.
+        field, rule, rest = str(exc).partition(" must be ")
+        message = keys.get((cls, field), field) + rule + rest
+        raise ScenarioError(f"invalid {section} configuration: {message}") from exc
 
 
 def resolve_scenario_path(name_or_path: str) -> Path:

@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._checks import check_fields
 from .antenna import (
     AntennaState,
     ReceiverConfig,
@@ -109,33 +110,16 @@ class TrackerConfig:
     k_el: float = DEFAULT_K_EL
 
     def __post_init__(self) -> None:
-        for name in (
-            "rect_half_width_az", "rect_half_width_el", "dwell_time",
-            "sample_interval", "cycle_period", "forgetting", "k_el",
-        ):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.rect_half_width_az <= 0 or self.rect_half_width_el <= 0:
-            raise ValueError("rectangle half-widths must be positive")
-        if self.dwell_time < 0:
-            raise ValueError("dwell_time must be non-negative")
-        if self.sample_interval <= 0:
-            raise ValueError("sample_interval must be positive")
-        if self.cycle_period <= 0:
-            raise ValueError("cycle_period must be positive")
-        if self.sampling_mode not in SAMPLING_MODES:
-            raise ValueError(
-                f"sampling_mode must be one of {SAMPLING_MODES}, "
-                f"got {self.sampling_mode!r}"
-            )
-        if self.estimator not in ESTIMATORS:
-            raise ValueError(
-                f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}"
-            )
+        check_fields(
+            self,
+            positive=("rect_half_width_az", "rect_half_width_el", "sample_interval",
+                      "cycle_period"),
+            non_negative=("dwell_time",),
+            negative=("k_el",),
+            choices={"sampling_mode": SAMPLING_MODES, "estimator": ESTIMATORS},
+        )
         if not 0.0 < self.forgetting <= 1.0:
             raise ValueError(f"forgetting must be in (0, 1], got {self.forgetting}")
-        if self.k_el >= 0:
-            raise ValueError("k_el must be strictly negative")
 
 
 def plan_pattern(
@@ -392,8 +376,9 @@ def run_scenario(
     Deterministic for a fixed receiver seed. Raises ValueError before
     starting if ``duration`` is not finite and non-negative or needs more
     rows than can be allocated, the cycle period cannot contain the
-    pattern, ``truth_k_el`` is not negative or the RLS forgetting factor
-    would overflow the gain matrix within one pattern's samples,
+    pattern, ``truth_k_el`` is not negative, the peak level is not finite
+    or lies below ``rx.floor_db``, or the RLS forgetting factor would
+    overflow the gain matrix within one pattern's samples,
     and PatternInfeasibleError if the first cycle's pattern, centred on
     the resolver readback of the initial pose, violates axis limits.
     """
@@ -402,6 +387,11 @@ def run_scenario(
     k_el = config.k_el if truth_k_el is None else truth_k_el
     if not (math.isfinite(k_el) and k_el < 0):
         raise ValueError(f"truth_k_el must be finite and negative, got {k_el}")
+    peak = rx.max_db if peak_level_db is None else peak_level_db
+    if not (math.isfinite(peak) and peak >= rx.floor_db):
+        raise ValueError(
+            f"peak_level_db must be finite and at least floor_db {rx.floor_db}, got {peak}"
+        )
     min_cycle = pattern_duration(config, plant)
     if config.cycle_period <= min_cycle:
         raise ValueError(
@@ -425,7 +415,6 @@ def run_scenario(
         az_limits=plant.az_limits,
         el_limits=plant.el_limits,
     )
-    peak = rx.max_db if peak_level_db is None else peak_level_db
     tracker = StepTracker(config, plant)
     rng = np.random.default_rng(rx.rng_seed)
     dt = config.sample_interval

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from steptrack.antenna import AntennaState, ReceiverConfig
 from steptrack.beacon import az_coeff_from_elevation
@@ -252,8 +253,12 @@ def _desk_figure8(tmp_path, old, new, duration="30.0"):
          "invalid scenario configuration: orbit.drift_deg_per_day 4000.0 over "
          "duration_s 600.0 moves the elevation swing to [71.0, 100.77777777777777], "
          "outside [0, 90] deg"),
+        # Below the floor, every level logged was the floor.
+        ("peak_level_db: 6.0", "peak_level_db: -30.0", "60.0", [],
+         "peak_level_db must be finite and at least floor_db -24.0, got -30.0"),
     ],
-    ids=["orbit.period_s", "--duration-s", "tracker.forgetting", "orbit.drift_deg_per_day"],
+    ids=["orbit.period_s", "--duration-s", "tracker.forgetting", "orbit.drift_deg_per_day",
+         "parabola.peak_level_db"],
 )
 def test_simulate_rejects_by_name_before_the_run(
     tmp_path, capsys, old, new, duration, argv, message
@@ -265,6 +270,71 @@ def test_simulate_rejects_by_name_before_the_run(
         assert main(["simulate", str(path), "--output", str(out), *argv]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+# Each key with a rule of its own, a value that breaks it, and the section
+# whose configuration refuses it with the message after the colon.
+PER_FIELD_RULES = [
+    ("orbit.azimuth_amplitude_deg", -1.0,
+     "orbit: orbit.azimuth_amplitude_deg must be non-negative, got -1.0"),
+    ("orbit.elevation_amplitude_deg", -1.0,
+     "orbit: orbit.elevation_amplitude_deg must be non-negative, got -1.0"),
+    ("orbit.period_s", 0.0, "orbit: orbit.period_s must be positive, got 0.0"),
+    ("orbit.axis_mode", "diagonal",
+     "orbit: orbit.axis_mode must be one of ('azimuth-major', 'elevation-major'), "
+     "got 'diagonal'"),
+    ("antenna.az_slew_rate_deg_s", 0.0,
+     "antenna: antenna.az_slew_rate_deg_s must be positive, got 0.0"),
+    ("antenna.el_slew_rate_deg_s", -1.0,
+     "antenna: antenna.el_slew_rate_deg_s must be positive, got -1.0"),
+    ("antenna.resolver_step_deg", 0.0,
+     "antenna: antenna.resolver_step_deg must be positive, got 0.0"),
+    ("antenna.azimuth_deg", 400.0,
+     "antenna: antenna.azimuth_deg must be within [0.0, 360.0], got 400.0"),
+    ("receiver.noise_sigma_db", -0.1,
+     "receiver: receiver.noise_sigma_db must be non-negative, got -0.1"),
+    ("receiver.drift_period_s", 0.0,
+     "receiver: receiver.drift_period_s must be positive, got 0.0"),
+    ("seed", -1, "receiver: seed must be a non-negative integer, got -1"),
+    ("tracker.rect_half_width_az_deg", 0.0,
+     "tracker: tracker.rect_half_width_az_deg must be positive, got 0.0"),
+    ("tracker.rect_half_width_el_deg", -0.03,
+     "tracker: tracker.rect_half_width_el_deg must be positive, got -0.03"),
+    ("tracker.dwell_time_s", -1.0,
+     "tracker: tracker.dwell_time_s must be non-negative, got -1.0"),
+    ("tracker.sample_interval_s", 0.0,
+     "tracker: tracker.sample_interval_s must be positive, got 0.0"),
+    ("tracker.cycle_period_s", 0.0,
+     "tracker: tracker.cycle_period_s must be positive, got 0.0"),
+    ("tracker.sampling_mode", "spiral",
+     "tracker: tracker.sampling_mode must be one of ('continuous', 'corner-only'), "
+     "got 'spiral'"),
+    ("tracker.estimator", "kalman",
+     "tracker: tracker.estimator must be one of ('batch-ls', 'rls'), got 'kalman'"),
+    ("tracker.forgetting", 0.0, "tracker: tracker.forgetting must be in (0, 1], got 0.0"),
+    ("tracker.k_y_db_per_deg2", 0.0,
+     "tracker: tracker.k_y_db_per_deg2 must be negative, got 0.0"),
+    # desk_figure8 sets no tracker.k_y_db_per_deg2, so the tracker's
+    # a-priori curvature is the one this key sets, and fails first.
+    ("parabola.k_y_db_per_deg2", 0.0,
+     "tracker: parabola.k_y_db_per_deg2 must be negative, got 0.0"),
+    ("duration_s", -1.0, "scenario: duration_s must be non-negative, got -1.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value, message", PER_FIELD_RULES, ids=[key for key, _, _ in PER_FIELD_RULES]
+)
+def test_per_field_rule_names_the_key(tmp_path, key, value, message):
+    doc = yaml.safe_load(resolve_scenario_path("desk_figure8").read_text())
+    *section, name = key.split(".")
+    (doc[section[0]] if section else doc)[name] = value
+    path = tmp_path / "s.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(path)
+    section, rule = message.split(": ", 1)
+    assert str(exc.value) == f"invalid {section} configuration: {rule}"
 
 
 def test_negative_seed_names_field(tmp_path):
@@ -356,22 +426,48 @@ def test_simulate_subnormal_sample_interval_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("period", ["1.0e+200", "1.0e+308"])
 def test_simulate_huge_cycle_period_finishes(tmp_path, period):
-    # No cycle after the first is due within the run. The run is a child
-    # process with a timeout, so that a hang fails the test instead of
-    # stalling the suite.
+    # No cycle after the first is due within the run, which is a child
+    # process so that a hang fails the test.
     path = tmp_path / "s.yaml"
     text = resolve_scenario_path("desk_figure8").read_text()
     path.write_text(text.replace("cycle_period_s: 10.0", f"cycle_period_s: {period}"))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "steptrack.cli", "simulate", str(path),
-         "--duration-s", "10", "--output", str(tmp_path / "run.csv")],
-        env=env, capture_output=True, text=True, timeout=60,
+    done = _run_cli(
+        ["simulate", str(path), "--duration-s", "10", "--output", str(tmp_path / "run.csv")],
+        stdout=subprocess.PIPE,
     )
     assert (done.returncode, done.stderr) == (0, "")
     assert "wrote 500 records" in done.stdout
+
+
+def _run_cli(argv, stdout):
+    """``python -m steptrack.cli`` with ``argv`` in a child process, with a
+    timeout, so that a hang fails the test instead of stalling the suite."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "steptrack.cli", *argv],
+        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
+    )
+
+
+def test_closed_stdout_exits_one_without_traceback(tmp_path):
+    # Each command printed a BrokenPipeError traceback under ``| head -c 0``.
+    # A pipe whose read end is closed before the child starts fails every
+    # write to stdout, whatever the timing.
+    read, write = os.pipe()
+    os.close(read)
+    piped = tmp_path / "piped.csv"
+    try:
+        for argv in (["simulate", "desk_figure8", "--duration-s", "30", "--output", str(piped)],
+                     ["stats", str(piped)]):
+            done = _run_cli(argv, stdout=write)
+            assert (done.returncode, done.stderr) == (1, ""), argv
+    finally:
+        os.close(write)
+    normal = tmp_path / "normal.csv"
+    assert main(["simulate", "desk_figure8", "--duration-s", "30", "--output", str(normal)]) == 0
+    assert piped.read_bytes() == normal.read_bytes()
 
 
 def test_simulate_failing_csv_writer_exits_one(tmp_path, monkeypatch, capsys):
@@ -437,7 +533,7 @@ def test_non_negative_truth_curvature_rejected(tmp_path):
         MINIMAL.replace("  k_y_db_per_deg2: -11.4\n", "  k_y_db_per_deg2: 0.0\n")
         + "  k_y_db_per_deg2: -11.4\n"
     )
-    with pytest.raises(ScenarioError, match="truth_k_el"):
+    with pytest.raises(ScenarioError, match="parabola.k_y_db_per_deg2 must be negative"):
         load_scenario(path)
 
 

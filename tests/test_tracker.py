@@ -374,6 +374,21 @@ def test_run_scenario_rejects_invalid_truth_curvature(k):
         run_scenario(orbit, plant, rx, config, 10.0, truth_k_el=k)
 
 
+@pytest.mark.parametrize("peak", [float("inf"), float("nan"), float("-inf"), -30.0, -24.5])
+def test_run_scenario_rejects_a_peak_level_off_the_receiver_scale(peak):
+    # inf failed inside the first fit naming no parameter; nan, -inf and a
+    # level below the floor ran, logging every level at the floor.
+    orbit, plant, rx, config = _small_scenario()
+    with pytest.raises(ValueError) as exc:
+        run_scenario(orbit, plant, rx, config, 10.0, peak_level_db=peak)
+    assert str(exc.value) == (
+        f"peak_level_db must be finite and at least floor_db -24.0, got {peak}"
+    )
+    # The floor itself is a surface the receiver can report.
+    log = run_scenario(orbit, plant, rx, config, 1.0, peak_level_db=-24.0)
+    assert set(log.column("beacon_db")) == {-24.0}
+
+
 def test_run_scenario_checks_each_command_against_limits(monkeypatch):
     # No tracker decision leaves the limits; a command that did must stop
     # the run with the error ``command`` raises.
