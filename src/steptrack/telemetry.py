@@ -4,7 +4,10 @@ One row per simulation step, in nine columns named in ``FIELDS``: seven
 float64 columns (time in s, angles in deg, beacon level in dB, receiver
 volts), the phase as a small-int code (an index into ``PHASES``) and the
 cycle index. Rows go in as column blocks with ``extend`` (``append`` is
-a block of one), and time must be finite and strictly increase.
+a block of one), and time must be finite and strictly increase. Each
+block's step columns are encoded as runs as it comes in, at a fixed cost
+of some microseconds a column, so a log fed few long blocks costs least:
+``tracker.run_scenario`` logs a block per measure pass.
 
 Time, level and volts change on nearly every row and are stored dense,
 one value per row. The commands, readbacks, phase and cycle index are
@@ -23,14 +26,14 @@ still drops straight into any plotting tool. ``write_csv`` and
 ``read_csv`` work in fixed-size blocks (of rows, and of bytes on a grid
 fixed by the file), so their working memory does not grow with the log.
 Both follow the log's layout: the writer formats the row-by-row columns
-value by value and each run of a step column once, and the reader
-converts each run's step fields once. ``read_csv`` counts the lines
-first to size the columns once, then parses each block one way, with
-one ``np.loadtxt`` pass that converts the row-by-row fields and keeps
-the step fields' text, converts the step fields only on the rows where
-that text changes, and hands those rows to ``TelemetryLog.from_runs``;
-a block that pass cannot take is parsed a line at a time, which names
-its first bad line.
+value by value and each distinct value of a step column once a block,
+and the reader converts each run's step fields once. ``read_csv`` counts
+the lines first to size the columns once, then parses each block one
+way, with one ``np.loadtxt`` pass that converts the row-by-row fields
+and keeps the step fields' text, converts the step fields only on the
+rows where that text changes, and hands those rows to
+``TelemetryLog.from_runs``; a block that pass cannot take is parsed a
+line at a time, which names its first bad line.
 For a long log in a regular file, both fork up to one process per
 available CPU, each working on a contiguous range of blocks; ``_split``
 shares the blocks out by count for both, and ``_fork_each`` forks,
@@ -112,10 +115,6 @@ _MIN_FORK_ROWS = 1 << 15
 # Values per leaf of beacon_stats' blocked sum of squares: at least 128,
 # where numpy's pairwise sum stops splitting.
 _SUM_LEAF = 1 << 14
-# Rows of the step columns that wait, dense, to be encoded as runs.
-# Encoding costs about 9 us a column a call before any per-row work, as
-# much as copying a 30-80-row block of a moving plant into this tail.
-_TAIL_ROWS = 1 << 12
 
 
 class BeaconStats(NamedTuple):
@@ -211,8 +210,12 @@ class _Runs:
         """Append ``rows`` rows: one value each, one value for all, or the
         value at each of ``heads`` (rows counted from the first appended,
         which is the first head) up to the next head."""
+        same = self.count and values[:1].tobytes() == self.values[self.count - 1].tobytes()
+        if same and len(values) == 1:  # the last run goes on
+            self.rows += rows
+            return
         keep = _run_heads(values)
-        if self.count and values[:1].tobytes() == self.values[self.count - 1].tobytes():
+        if same:
             keep = keep[1:]
         end = self.count + len(keep)
         if end > len(self.starts):
@@ -230,9 +233,8 @@ class TelemetryLog:
 
     ``t``, ``beacon_db`` and ``receiver_volts`` are stored row by row,
     and the six step columns (commands, readbacks, phase and cycle) as
-    runs. The last rows of the step columns, up to ``_TAIL_ROWS``, wait
-    in a dense tail until it fills or a step column is read, so a stream
-    of short blocks costs a copy each and is encoded a tail at a time.
+    runs, each block's as it comes in: a block costs about 9 us a step
+    column before any per-row work, so few long blocks go in fastest.
     ``capacity`` preallocates that many rows of the row-by-row columns,
     so a log of known length (one row per simulation step) is never
     copied while it grows.
@@ -241,8 +243,6 @@ class TelemetryLog:
     def __init__(self, *, capacity: int = 0):
         self._dense = {name: np.empty(capacity, np.float64) for name in _DENSE}
         self._runs = {name: _Runs(_DTYPES[name]) for name in _STEPS}
-        self._tail = [np.empty(_TAIL_ROWS, _DTYPES[name]) for name in _STEPS]
-        self._pending = 0  # rows in the tail
         self._n = 0
 
     def append(
@@ -290,26 +290,20 @@ class TelemetryLog:
             return
         n = self._n
         _check_times(t, self._dense["t"][n - 1] if n else None)
-        steps = (
-            commanded_az, commanded_el, readback_az, readback_el,
-            _phase_codes(phase), _cycle_indices(cycle_index),
-        )
+        steps = [
+            _block(values, _DTYPES[name], k)
+            for name, values in zip(_STEPS, (
+                commanded_az, commanded_el, readback_az, readback_el,
+                _phase_codes(phase), _cycle_indices(cycle_index),
+            ))
+        ]
         self._reserve(n + k)
-        # A failed copy leaves the log as it was: the row count and the
-        # tail's count move only once every column is in place.
+        # A failed copy leaves the log as it was: the runs and the row
+        # count move only once every column is in place.
         for col, values in zip(self._dense.values(), (t, beacon_db, receiver_volts)):
             col[n : n + k] = values
-        if self._pending + k > _TAIL_ROWS:
-            self._seal()
-        if k > _TAIL_ROWS:
-            steps = [_block(values, tail.dtype, k) for values, tail in zip(steps, self._tail)]
-            for runs, values in zip(self._runs.values(), steps):
-                runs.encode(values, k)
-        else:
-            pending = self._pending
-            for tail, values in zip(self._tail, steps):
-                tail[pending : pending + k] = values
-            self._pending = pending + k
+        for runs, values in zip(self._runs.values(), steps):
+            runs.encode(values, k)
         self._n = n + k
 
     def column(self, name: str, rows: slice = slice(None)) -> np.ndarray:
@@ -358,20 +352,12 @@ class TelemetryLog:
         column stored row by row.
         """
         runs = self._runs[name]
-        self._seal()
         starts, values = runs.starts[: runs.count], runs.values[: runs.count]
         starts.flags.writeable = values.flags.writeable = False
         return starts, values
 
     def __len__(self) -> int:
         return self._n
-
-    def _seal(self) -> None:
-        """Encode the tail's rows as runs."""
-        if self._pending:
-            for runs, tail in zip(self._runs.values(), self._tail):
-                runs.encode(tail[: self._pending], self._pending)
-            self._pending = 0
 
     def _reserve(self, rows: int) -> None:
         capacity = len(self._dense["t"])
@@ -511,11 +497,15 @@ def _column_texts(
     rows: int,
     format_many: Callable[[np.ndarray], list[str]],
 ) -> list[str]:
-    """Text of each of ``rows`` rows given as runs; each run is formatted once."""
-    texts = format_many(values)
-    if len(texts) == rows:
-        return texts
-    return np.repeat(np.array(texts, dtype=object), np.diff(heads, append=rows)).tolist()
+    """Text of each of ``rows`` rows given as runs; each distinct value is
+    formatted once. Values are told apart by bit pattern, as runs are."""
+    if len(values) == 1:
+        return format_many(values) * rows
+    distinct, which = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+    texts = np.array(format_many(distinct.view(values.dtype)), dtype=object)[which]
+    if len(texts) < rows:
+        texts = texts.repeat(np.diff(heads, append=rows))
+    return texts.tolist()
 
 
 def _phase_names(codes: np.ndarray) -> list[str]:

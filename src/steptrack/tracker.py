@@ -10,8 +10,9 @@ characteristic sawtooth level trace.
 ``StepTracker.step`` decides on a sample's time and readbacks, never its
 level, and ``estimate`` fits the cycle's samples, which its caller keeps.
 ``run_scenario`` plans the run in plain floats, calling the tracker only
-where it decides (``awaiting``), and measures the planned steps in one
-array pass a cycle; see its docstring.
+where it decides (``awaiting``); it measures each fit's samples alone, and
+every row once, in array passes of at most ``_PASS_ROWS`` rows that are
+each logged as one block; see its docstring.
 """
 
 from __future__ import annotations
@@ -77,10 +78,13 @@ class TrackerPhase(str, enum.Enum):
 
 # Each phase's code in the telemetry log.
 _PHASE_CODES = {phase: PHASES.index(phase.value) for phase in TrackerPhase}
-# Rows of a WAIT span that run_scenario adds to the pending rows at a time,
-# measuring them first once they reach it: bounds a pass's memory over long
-# spans and skipped cycles (no ESTIMATE). A 600 s span at 20 ms fits.
-_PASS_ROWS = 1 << 16
+# The most rows run_scenario measures and logs in one pass, whatever phase
+# planned them: its planned rows, their noise and a pass's temporaries take
+# memory in proportion, and each pass costs about 0.1 ms besides its rows.
+# On a 2-core x86-64 host, 4096 kept each benchmark workload's peak RSS
+# below that of measuring once a cycle, with the package compiled from
+# source or not; 8192 raised the 1.5 s cycle's by 0.2 MB from source.
+_PASS_ROWS = 1 << 12
 # The natural log of the largest float.
 _LOG_MAX = math.log(np.finfo(np.float64).max)
 
@@ -354,24 +358,28 @@ def run_scenario(
     ``config.k_el`` when omitted) and an azimuth curvature re-derived from
     the satellite elevation.
 
-    The run has two passes. The plan pass moves the true pose in plain
-    floats as ``tick`` would, reads it back with ``quantize_angle`` and
-    calls the tracker only on the steps where it decides: ``step`` when a
-    cycle falls due or the readbacks arrive at the waypoint or move target
-    it waits for (``StepTracker.awaiting``), and ``estimate`` at
-    ESTIMATE. Every command gets ``command``'s limit check. The loop keeps
-    the cycle's fit samples, a readback pair and a step index each: the
-    steps ``step`` marks ``collected`` and the quiet steps of continuous
+    The loop plans the run: it moves the true pose in plain floats as
+    ``tick`` would, reads it back with ``quantize_angle`` and calls the
+    tracker only on the steps where it decides: ``step`` when a cycle
+    falls due or the readbacks arrive at the waypoint or move target it
+    waits for (``StepTracker.awaiting``), and ``estimate`` at ESTIMATE.
+    Every command gets ``command``'s limit check. The loop keeps the
+    cycle's fit samples, readbacks, true pose and step each: the steps
+    ``step`` marks ``collected`` and the quiet steps of continuous
     ACQUIRE, on which the tracker would only return None. A WAIT span,
     where the plant rests at its target until the next cycle is due, is
-    not planned step by step at all. The measure pass then evaluates the
-    level of every pending row (satellite direction, surface at the true
-    pose, drift, noise drawn as one batch from the same generator in row
-    order, floor clamp and volts) and logs them, a block per run of
-    planned steps and per span. It runs once a cycle, before ESTIMATE,
-    which reads the samples' levels from the log by their step indices,
-    and at the end. The log is the same, byte for byte once written, as
-    measuring, deciding, ``command`` and ``tick`` one step at a time.
+    not planned step by step at all.
+
+    The receiver noise is drawn ahead, a pass of rows at a time, from one
+    generator in row order: the stream of one draw a step. At ESTIMATE
+    only the samples are measured (``measure`` on their times, true poses
+    and noise), the levels their rows are logged with. The planned rows
+    are measured once, with their volts, in passes of ``_PASS_ROWS`` rows
+    (the last one shorter), whatever phase planned them, and each pass
+    goes into the log as one block; a pass may fall between a cycle's
+    samples and its ESTIMATE. The log is the same, byte for byte once
+    written, as measuring, deciding, ``command`` and ``tick`` one step at
+    a time.
 
     Deterministic for a fixed receiver seed. Raises ValueError before
     starting if ``duration`` is not finite and non-negative or needs more
@@ -427,32 +435,9 @@ def run_scenario(
             f"which cannot be allocated: {exc}"
         ) from None
 
-    # Blocks of rows planned but not measured, in row order: (rows, az, el,
-    # commanded az, commanded el, readback az, readback el, phase code,
-    # cycle), each an array or one value for every row of the block.
-    blocks: list[tuple] = []
-    # Planned steps not yet in a block: pose and readbacks, four floats a
-    # step, and (steps, commanded az, commanded el, phase code, cycle) of
-    # each tracker call and the quiet run after it.
-    poses: list[float] = []
-    runs: list[tuple] = []
-
-    def seal():
-        if runs:
-            counts, *steps = map(np.array, zip(*runs))
-            az, el, rb_az, rb_el = np.array(poses).reshape(-1, 4).T
-            cmd_az, cmd_el, phase, cycle = (v.repeat(counts) for v in steps)
-            blocks.append((len(az), az, el, cmd_az, cmd_el, rb_az, rb_el, phase, cycle))
-            poses.clear()
-            runs.clear()
-
-    def measure_pending():
-        # The measure pass over every pending row.
-        seal()
-        if not blocks:
-            return
-        first, count = len(log), sum(block[0] for block in blocks)
-        t = np.arange(first, first + count) * dt
+    def levels(az, el, t, noise):
+        """``measure`` at the times ``t`` with the plant's true pose, under
+        the satellite's surface then."""
         sat_az, sat_el = satellite_direction(orbit, t)
         field = ParabolaParams(
             k_az=az_coeff_from_elevation(k_el, sat_el),
@@ -461,55 +446,92 @@ def run_scenario(
             peak_el=sat_el,
             peak_level=peak,
         )
-        pose = np.empty((2, count))
-        lo = 0
-        for rows, az, el, *_ in blocks:
-            pose[0, lo : lo + rows] = az
-            pose[1, lo : lo + rows] = el
-            lo += rows
-        level = measure(pose[0], pose[1], field, rx, t, rng)
-        del pose, field, sat_az, sat_el  # freed before the volts' temporaries
-        volts = receiver_voltage(level, rx)
-        lo = 0
-        for rows, _, _, cmd_az, cmd_el, rb_az, rb_el, phase, cycle in blocks:
-            hi = lo + rows
-            log.extend(
-                t[lo:hi], cmd_az, cmd_el, rb_az, rb_el, level[lo:hi], volts[lo:hi],
-                phase, cycle,
-            )
-            lo = hi
-        blocks.clear()
+        return measure(az, el, field, rx, t, noise)
+
+    # The rows planned but not measured, rows len(log) to i, at most a pass
+    # of them: in ``pending`` (true pose, readbacks, commands, phase code
+    # and cycle, a row of floats each) up to row len(log) + filled, then the
+    # planned steps not yet sealed into it: pose and readbacks, four floats
+    # a step, and (steps, commanded az, commanded el, phase code, cycle) of
+    # each tracker call and the quiet run after it.
+    window = min(_PASS_ROWS, n_steps)
+    pending = np.empty((8, window))
+    filled = 0
+    poses: list[float] = []
+    runs: list[tuple] = []
+    # The receiver noise of rows noise_lo on, drawn a pass ahead in row
+    # order, so that a fit takes its samples' noise before their pass; it
+    # keeps the rows of samples not yet fitted. None without noise.
+    sigma = rx.noise_sigma
+    noise = rng.normal(0.0, sigma, window) if sigma > 0.0 else None
+    noise_lo = 0
+    # The cycle's fit samples: readbacks, true pose and step.
+    samples: list[tuple[float, float, float, float, int]] = []
+    collect = samples.append
+
+    def seal():
+        nonlocal filled
+        if runs:
+            rows = slice(filled, filled + len(poses) // 4)
+            pending[:4, rows] = np.array(poses).reshape(-1, 4).T
+            steps = np.array(runs).T
+            pending[4:, rows] = steps[1:].repeat(steps[0].astype(np.intp), axis=1)
+            filled = rows.stop
+            poses.clear()
+            runs.clear()
+
+    def log_pass(rows, columns):
+        # Measure the next ``rows`` rows, given as columns, and log them.
+        nonlocal noise, noise_lo
+        first, end = len(log), len(log) + rows
+        az, el, rb_az, rb_el, cmd_az, cmd_el, phase, cycle = columns
+        t = np.arange(first, end) * dt
+        level = levels(
+            az, el, t, None if noise is None else noise[first - noise_lo : end - noise_lo]
+        )
+        log.extend(
+            t, cmd_az, cmd_el, rb_az, rb_el, level, receiver_voltage(level, rx), phase, cycle
+        )
+        if noise is not None:
+            keep = min(samples[0][4], end) if samples else end
+            ahead = rng.normal(0.0, sigma, min(_PASS_ROWS, n_steps - end))
+            noise, noise_lo = np.concatenate((noise[keep - noise_lo :], ahead)), keep
+
+    def measure_pass():
+        nonlocal filled
+        seal()
+        *floats, phase, cycle = pending[:, :filled]
+        log_pass(filled, (*floats, phase.astype(np.int8), cycle.astype(np.int64)))
+        filled = 0
 
     # The plant's pose and slew target as plain floats, at rest at the start.
     az, el = plant.true_azimuth, plant.true_elevation
     target_az, target_el = az, el
     az_step, el_step = plant.az_slew_rate * dt, plant.el_slew_rate * dt
     resolver = plant.resolver_step  # also the tracker's arrival tolerance
-    # The cycle's fit samples: readbacks and the step whose level goes with them.
-    samples: list[tuple[float, float, int]] = []
-    collect = samples.append
     i = 0
     while i < n_steps:
         start = i
         rb_az, rb_el = quantize_angle(az, resolver), quantize_angle(el, resolver)
         if tracker.phase is TrackerPhase.ESTIMATE:
-            # The fit reads the levels of the samples: measure the steps so far.
-            measure_pending()
-            fit_az, fit_el, fit_steps = np.reshape(samples, (-1, 3)).T
-            fit_db = log.column("beacon_db")[fit_steps.astype(np.intp)]
+            # The samples' levels, as their pass measures them.
+            fit_az, fit_el, true_az, true_el, steps = np.array(samples).reshape(-1, 5).T
+            fit_noise = None if noise is None else noise[steps.astype(np.intp) - noise_lo]
+            fit_db = levels(true_az, true_el, steps * dt, fit_noise)
             cmd = tracker.estimate(fit_az, fit_el, fit_db).command
             samples.clear()
+            seal()  # a cycle's planned steps at a time, so few floats wait in poses
         else:
             cmd = tracker.step(i * dt, rb_az, rb_el)
             if tracker.collected:
-                collect((rb_az, rb_el, i))
+                collect((rb_az, rb_el, az, el, i))
         if cmd is not None:
             command(plant, cmd[0], cmd[1])
             target_az, target_el = cmd
         # Then the quiet run up to the next deciding step, or in WAIT up to
-        # the step where the plant comes to rest.
+        # the step where the plant comes to rest, within the pass.
         due, goal, collecting = tracker.awaiting()
-        stop = _first_step_at(due, dt, n_steps)
+        stop = min(_first_step_at(due, dt, n_steps), len(log) + _PASS_ROWS)
         while True:
             poses += (az, el, rb_az, rb_el)
             az = _approach(az, target_az, az_step)
@@ -524,23 +546,30 @@ def run_scenario(
             elif _arrived(rb_az, rb_el, goal, resolver):
                 break
             if collecting:
-                collect((rb_az, rb_el, i))
+                collect((rb_az, rb_el, az, el, i))
         phase = tracker.phase
         code, cycle = _PHASE_CODES[phase], tracker.cycle_index
         runs.append((i - start, target_az, target_el, code, cycle))
+        if i == len(log) + _PASS_ROWS:
+            measure_pass()
         if phase is TrackerPhase.WAIT and az == target_az and el == target_el:
             # A WAIT span: no step moves the plant before the next cycle.
             end = _first_step_at(tracker.next_cycle_time, dt, n_steps)
             span = (
-                az, el, target_az, target_el,
-                quantize_angle(az, resolver), quantize_angle(el, resolver), code, cycle,
+                az, el, quantize_angle(az, resolver), quantize_angle(el, resolver),
+                target_az, target_el, code, cycle,
             )
             while i < end:
                 seal()
-                if sum(block[0] for block in blocks) >= _PASS_ROWS:
-                    measure_pending()
-                rows = min(end - i, _PASS_ROWS)
-                blocks.append((rows, *span))
+                rows = min(end, len(log) + _PASS_ROWS) - i
+                if not filled and (rows == _PASS_ROWS or i + rows == n_steps):
+                    log_pass(rows, span)  # a pass of the span alone: its single values
+                else:
+                    pending[:, filled : filled + rows] = np.reshape(span, (8, 1))
+                    filled += rows
                 i += rows
-    measure_pending()
+                if i == len(log) + _PASS_ROWS:
+                    measure_pass()
+    if i > len(log):
+        measure_pass()
     return log

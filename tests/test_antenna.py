@@ -132,7 +132,8 @@ def test_resolver_error_bounded_by_half_step():
 
 def _level(params, rx, t=0.0, az=10.0, el=70.0):
     """The one level ``measure`` gives at time ``t`` with the plant at (az, el)."""
-    level = measure(az, el, params, rx, np.array([t]), np.random.default_rng(0))
+    noise = np.random.default_rng(0).normal(0.0, rx.noise_sigma, 1)
+    level = measure(az, el, params, rx, np.array([t]), noise)
     return float(np.ravel(level)[0])
 
 
@@ -170,7 +171,8 @@ def test_measure_gives_one_level_per_time(times):
     # level for each time, not one level for all of them.
     rx = ReceiverConfig(noise_sigma=0.0, drift_amplitude=0.0)
     t = np.arange(times) * 0.02
-    level = measure(10.0, 70.0, _params(), rx, t, np.random.default_rng(0))
+    noise = np.random.default_rng(0).normal(0.0, rx.noise_sigma, len(t))
+    level = measure(10.0, 70.0, _params(), rx, t, noise)
     assert level.tolist() == [6.0] * times
 
 
@@ -179,8 +181,8 @@ def test_measure_seeded_sequences_repeat():
     t = np.arange(100) * 0.02
 
     def sequence():
-        rng = np.random.default_rng(rx.rng_seed)
-        return measure(10.0, 70.0, _params(), rx, t, rng).tolist()
+        noise = np.random.default_rng(rx.rng_seed).normal(0.0, rx.noise_sigma, len(t))
+        return measure(10.0, 70.0, _params(), rx, t, noise).tolist()
 
     first, second = sequence(), sequence()
     assert first == second

@@ -9,12 +9,14 @@ per-sample form bit for bit at each element.
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from steptrack import tracker
 from steptrack.antenna import (
     DEFAULT_RESOLVER_STEP,
     AntennaState,
@@ -26,11 +28,12 @@ from steptrack.antenna import (
 from steptrack.beacon import ParabolaParams, az_coeff_from_elevation, beacon_level
 from steptrack.orbit import OrbitConfig, satellite_direction
 from steptrack.scenario import load_scenario, resolve_scenario_path
-from steptrack.telemetry import FIELDS, TelemetryLog
+from steptrack.telemetry import FIELDS, PHASES, TelemetryLog
 from steptrack.tracker import (
     PatternInfeasibleError,
     StepTracker,
     TrackerConfig,
+    TrackerPhase,
     pattern_duration,
     plan_pattern,
     run_scenario,
@@ -96,6 +99,7 @@ BASE_CASE = dict(
     cycle=6.0,
     duration=30.0,
     seed=0,
+    pass_rows=None,
 )
 
 
@@ -135,6 +139,8 @@ cases = st.fixed_dictionaries(
         "cycle": st.floats(3.0, 12.0),
         "duration": st.floats(0.0, 30.0),
         "seed": st.integers(0, 2**32 - 1),
+        # The most rows a measure pass holds; None keeps run_scenario's.
+        "pass_rows": st.sampled_from([None, 1, 7, 64]),
     }
 )
 
@@ -158,8 +164,10 @@ cases = st.fixed_dictionaries(
 # Ends inside the quiet run of the second cycle's MOVE.
 @example(case=_case(duration=13.4, noise=0.2))
 # Each WAIT span at rest and the next cycle's ACQUIRE rows go through one
-# measure pass, which draws their noise as one batch in row order.
+# measure pass, whose noise is drawn as one batch in row order.
 @example(case=_case(noise=0.2, seed=3))
+# Passes of a few rows fall between the samples of each cycle and its fit.
+@example(case=_case(noise=0.2, drift_amp=0.5, pass_rows=7))
 # Slewing 2 mdeg a step, the readback arrives before the plant does, so
 # WAIT begins while the plant still settles within one resolver step.
 @example(case=_case(az_rate=0.1, el_rate=0.1, cycle=16.0, noise=0.2))
@@ -220,50 +228,81 @@ def test_run_scenario_matches_stepping(case):
             run_scenario(orbit, plant, rx, config, case["duration"])
         return
     want = _stepped(orbit, plant, rx, config, case["duration"])
-    got = run_scenario(orbit, plant, rx, config, case["duration"])
+    pass_rows = case["pass_rows"] or tracker._PASS_ROWS
+    with mock.patch.object(tracker, "_PASS_ROWS", pass_rows):
+        got = run_scenario(orbit, plant, rx, config, case["duration"])
     _assert_same_log(got, want)
 
 
-@pytest.mark.parametrize("cycle", [6.0, 1e200])
+def _span_rows(orbit, plant, rx, config, duration):
+    """The rows of WAIT spans, found by stepping: rows where the tracker
+    waits for a cycle not yet due and the plant rests at its target."""
+    rows, resting = [], None
+    for j, step in enumerate(oracles.closed_loop(orbit, plant, rx, config, duration)):
+        if resting is not None and j * config.sample_interval < resting:
+            rows.append(j)
+        pose = step.plant.true_azimuth, step.plant.true_elevation
+        at_rest = step.tracker.phase is TrackerPhase.WAIT and pose == step.target
+        resting = step.tracker.next_cycle_time if at_rest else None
+    return rows
+
+
+# The 1.3 s cycle falls due before the plant comes to rest after the move to
+# the peak: the plant never rests, so no WAIT span ends a pass.
+@pytest.mark.parametrize("cycle", [6.0, 1e200, 1.3])
 def test_long_spans_are_measured_in_bounded_passes(monkeypatch, cycle):
-    # With passes capped at 64 rows, the WAIT spans (about 230 rows each,
-    # or all the run after the first cycle when no other falls due) go
-    # through passes of at most twice that besides a cycle's 70 moving rows.
+    # With passes capped at 64 rows, every pass holds at most 64 rows: the
+    # WAIT spans (about 230 rows each, or all the run after the first cycle
+    # when no other falls due), and the moving rows of a run without spans.
+    # A pass falls inside a cycle's ACQUIRE, between samples and their fit.
     monkeypatch.setattr("steptrack.tracker._PASS_ROWS", 64)
     passes = []
 
-    def recorded(orbit, t):
-        passes.append(len(t))
-        return satellite_direction(orbit, t)
+    def recorded(level, rx):
+        passes.append(len(level))
+        return receiver_voltage(level, rx)
 
-    monkeypatch.setattr("steptrack.tracker.satellite_direction", recorded)
+    monkeypatch.setattr("steptrack.tracker.receiver_voltage", recorded)
     orbit = OrbitConfig(180.0, 60.0, 3.0, 0.5, 300.0)
     plant = AntennaState(180.0, 60.0)
     rx = ReceiverConfig(noise_sigma=0.2, drift_amplitude=0.5, drift_period=40.0, rng_seed=11)
     config = TrackerConfig(cycle_period=cycle)
+    assert bool(_span_rows(orbit, plant, rx, config, 20.0)) == (cycle != 1.3)
     want = _stepped(orbit, plant, rx, config, 20.0)
     got = run_scenario(orbit, plant, rx, config, 20.0)
     _assert_same_log(got, want)
-    assert max(passes) <= 2 * 64 + 70
+    assert max(passes) <= 64 and sum(passes) == len(got)
+    # A pass ends inside an ACQUIRE but for the one cycle of 1e200 s, whose
+    # ACQUIRE (about 60 rows from row 0) the first pass holds whole.
+    phase, cycle_index = got.column("phase"), got.column("cycle_index")
+    acquire = PHASES.index("acquire")
+    split = any(
+        phase[b - 1] == phase[b] == acquire and cycle_index[b - 1] == cycle_index[b]
+        for b in np.cumsum(passes)[:-1].tolist()
+    )
+    assert split == (cycle < 20.0)
+
+
+def _counting(calls, name, fn):
+    """``fn``, adding its calls up in ``calls[name]``."""
+    calls[name] = 0
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
 
 
 def test_tracker_is_called_only_where_it_decides(monkeypatch):
     # A cycle has 8 decisions: it falls due, 5 waypoint arrivals, ESTIMATE
-    # and the arrival at the fitted peak. Each cycle's rows are measured in
-    # one pass, before its ESTIMATE, and the rest at the end.
-    calls = {"step": 0, "satellite_direction": 0}
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(StepTracker, "step", counting("step", StepTracker.step))
+    # and the arrival at the fitted peak. The satellite's direction is taken
+    # for each fit's samples and for each pass, one here.
+    calls = {}
+    monkeypatch.setattr(StepTracker, "step", _counting(calls, "step", StepTracker.step))
     monkeypatch.setattr(
         "steptrack.tracker.satellite_direction",
-        counting("satellite_direction", satellite_direction),
+        _counting(calls, "satellite_direction", satellite_direction),
     )
     sc = load_scenario(resolve_scenario_path("desk_figure8"))
     log = run_scenario(
@@ -274,6 +313,32 @@ def test_tracker_is_called_only_where_it_decides(monkeypatch):
     assert cycles == 6 and len(log) == 3000
     assert calls["step"] <= 10 * cycles, calls
     assert calls["satellite_direction"] <= cycles + 1, calls
+
+
+def test_rapid_cycles_are_logged_a_pass_at_a_time(monkeypatch):
+    # A 1.5 s cycle, as in the benchmark's rapid_cycle, fits about 75 rows:
+    # its rows are measured and logged a pass of _PASS_ROWS rows at a time,
+    # not a cycle or a block of planned steps at a time.
+    calls = {}
+    monkeypatch.setattr(TelemetryLog, "extend", _counting(calls, "extend", TelemetryLog.extend))
+    monkeypatch.setattr(
+        "steptrack.tracker.receiver_voltage",
+        _counting(calls, "receiver_voltage", receiver_voltage),
+    )
+    sc = load_scenario(resolve_scenario_path("desk_figure8"))
+    rx = dataclasses.replace(
+        sc.receiver, noise_sigma=0.2, drift_amplitude=0.5, drift_period=300.0
+    )
+    config = dataclasses.replace(sc.tracker, cycle_period=1.5)
+    log = run_scenario(
+        sc.orbit, sc.antenna, rx, config, 180.0,
+        peak_level_db=sc.peak_level_db, truth_k_el=sc.truth_k_el,
+    )
+    cycles = int(log.column("cycle_index").max()) + 1
+    passes = -(-len(log) // tracker._PASS_ROWS)
+    assert cycles > 100 and passes < 5, (cycles, passes)
+    assert calls["receiver_voltage"] == passes, calls
+    assert calls["extend"] <= passes, calls
 
 
 # -- the physics over arrays, against the per-sample forms -----------------------
@@ -367,7 +432,8 @@ def test_measure_array_is_bit_equal(rows, az, el, noise, drift_amp, drift_period
         noise_sigma=noise, drift_amplitude=drift_amp, drift_period=drift_period
     )
     t = t0 + np.arange(len(rows)) * 0.02
-    got = measure(az, el, _surface(rows), rx, t, np.random.default_rng(seed))
+    noise_values = np.random.default_rng(seed).normal(0.0, noise, len(t))
+    got = measure(az, el, _surface(rows), rx, t, noise_values)
     rng = np.random.default_rng(seed)
     want = [
         oracles.measure(plant, ParabolaParams(k, -11.4, pa, pe, 6.0), rx, ti, rng=rng).level

@@ -536,19 +536,18 @@ def _equal_bits(a, b):
     return a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@given(blocks=step_blocks(), tail=st.sampled_from([1, 5, 4096]), reads=st.lists(st.booleans()))
-def test_run_layout_equals_the_dense_log(tmp_path_factory, blocks, tail, reads):
-    # Blocks longer than the tail are encoded at once; shorter ones wait
-    # in it, until a read of a step column encodes them.
-    with mock.patch.object(telemetry, "_TAIL_ROWS", tail):
-        log, dense = TelemetryLog(), DenseTelemetryLog()
-        for i, block in enumerate(blocks):
-            t, cmd_az, cmd_el, rb_az, rb_el, db, volts, phase, cycle = block
-            log.extend(t, cmd_az, cmd_el, rb_az, rb_el, db, volts, phase, cycle)
-            dense.extend(t, cmd_az, cmd_el, rb_az, rb_el, db, volts, phase, cycle)
-            if i < len(reads) and reads[i] or i == len(blocks) - 1:
-                for name in FIELDS:
-                    assert _equal_bits(log.column(name), dense.column(name)), name
+@given(blocks=step_blocks(), reads=st.lists(st.booleans()))
+def test_run_layout_equals_the_dense_log(tmp_path_factory, blocks, reads):
+    # Each block's step columns are encoded as runs as it goes in; a read
+    # between blocks sees every row so far.
+    log, dense = TelemetryLog(), DenseTelemetryLog()
+    for i, block in enumerate(blocks):
+        t, cmd_az, cmd_el, rb_az, rb_el, db, volts, phase, cycle = block
+        log.extend(t, cmd_az, cmd_el, rb_az, rb_el, db, volts, phase, cycle)
+        dense.extend(t, cmd_az, cmd_el, rb_az, rb_el, db, volts, phase, cycle)
+        if i < len(reads) and reads[i] or i == len(blocks) - 1:
+            for name in FIELDS:
+                assert _equal_bits(log.column(name), dense.column(name)), name
     for name in FIELDS[1:5] + FIELDS[7:]:
         starts, values = log.runs(name)
         assert starts[0] == 0 and (np.diff(starts) > 0).all() and starts[-1] < len(log)
