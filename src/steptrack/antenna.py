@@ -10,8 +10,8 @@ checks a slew target and ``tick`` returns a copy moved toward one.
 ``_approach`` (the arithmetic of ``tick``) with readbacks from
 ``quantize_angle``, and calls ``command`` on each command the tracker
 gives at its decisions. It measures the planned poses with ``measure``
-and ``receiver_voltage`` in passes of a bounded number of rows, and each
-fit's samples with ``measure`` alone.
+as each fit needs their levels, and computes their volts with
+``receiver_voltage`` once a pass of a bounded number of rows.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ def measure(
     params: ParabolaParams,
     rx: ReceiverConfig,
     t: np.ndarray,
-    noise: np.ndarray | None = None,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Beacon level through the receiver at each time in ``t``.
 
@@ -151,18 +151,17 @@ def measure(
     value per time for a moving plant or a single value for a plant at
     rest. ``params`` holds one surface per time (array ``k_az``,
     ``peak_az`` and ``peak_el``), peaked at the satellite's direction then.
-    Drift and the Gaussian ``noise``, one value per time, are added and the
-    floor clamp applied; ``noise`` is ignored, and may be None, when
-    ``rx.noise_sigma`` is 0. The simulation draws it from one persistent
-    generator seeded from ``rx.rng_seed``, as ``rng.normal(0.0,
-    rx.noise_sigma, n)`` in time order. The readbacks are left to the
-    caller (``quantize_angle``).
+    Drift and Gaussian noise are added and the floor clamp applied. The
+    noise is one batch from ``rng``, the same stream as one draw per time;
+    the simulation passes one persistent generator seeded from
+    ``rx.rng_seed``. The readbacks are left to the caller
+    (``quantize_angle``).
     """
     raw = beacon_level(params, azimuth, elevation)  # a new array or a float
     if rx.drift_amplitude != 0.0:
         raw += rx.drift_amplitude * np.sin(2.0 * math.pi * t / rx.drift_period)
     if rx.noise_sigma > 0.0:
-        raw += noise
+        raw += rng.normal(0.0, rx.noise_sigma, size=len(t))
     # One level per time, also from a single surface and pose.
     raw = np.broadcast_to(raw, np.shape(t))
     return np.where(raw > rx.floor_db, raw, rx.floor_db)

@@ -10,9 +10,9 @@ characteristic sawtooth level trace.
 ``StepTracker.step`` decides on a sample's time and readbacks, never its
 level, and ``estimate`` fits the cycle's samples, which its caller keeps.
 ``run_scenario`` plans the run in plain floats, calling the tracker only
-where it decides (``awaiting``); it measures each fit's samples alone, and
-every row once, in array passes of at most ``_PASS_ROWS`` rows that are
-each logged as one block; see its docstring.
+where it decides (``awaiting``), and measures the planned steps in array
+passes of at most ``_PASS_ROWS`` rows, each logged as one block; see its
+docstring.
 """
 
 from __future__ import annotations
@@ -79,11 +79,11 @@ class TrackerPhase(str, enum.Enum):
 # Each phase's code in the telemetry log.
 _PHASE_CODES = {phase: PHASES.index(phase.value) for phase in TrackerPhase}
 # The most rows run_scenario measures and logs in one pass, whatever phase
-# planned them: its planned rows, their noise and a pass's temporaries take
-# memory in proportion, and each pass costs about 0.1 ms besides its rows.
-# On a 2-core x86-64 host, 4096 kept each benchmark workload's peak RSS
-# below that of measuring once a cycle, with the package compiled from
-# source or not; 8192 raised the 1.5 s cycle's by 0.2 MB from source.
+# planned them: the pass buffer and a pass's temporaries take memory in
+# proportion, and each pass costs about 0.1 ms besides its rows. On a
+# 2-core x86-64 host, 4096 kept each benchmark workload's peak RSS within
+# that of logging once a cycle; 2048 and 8192 each raised the 1.5 s
+# cycle's by 0.1-0.2 MB.
 _PASS_ROWS = 1 << 12
 # The natural log of the largest float.
 _LOG_MAX = math.log(np.finfo(np.float64).max)
@@ -364,22 +364,22 @@ def run_scenario(
     falls due or the readbacks arrive at the waypoint or move target it
     waits for (``StepTracker.awaiting``), and ``estimate`` at ESTIMATE.
     Every command gets ``command``'s limit check. The loop keeps the
-    cycle's fit samples, readbacks, true pose and step each: the steps
+    cycle's fit samples, a readback pair and a step index each: the steps
     ``step`` marks ``collected`` and the quiet steps of continuous
     ACQUIRE, on which the tracker would only return None. A WAIT span,
     where the plant rests at its target until the next cycle is due, is
     not planned step by step at all.
 
-    The receiver noise is drawn ahead, a pass of rows at a time, from one
-    generator in row order: the stream of one draw a step. At ESTIMATE
-    only the samples are measured (``measure`` on their times, true poses
-    and noise), the levels their rows are logged with. The planned rows
-    are measured once, with their volts, in passes of ``_PASS_ROWS`` rows
-    (the last one shorter), whatever phase planned them, and each pass
-    goes into the log as one block; a pass may fall between a cycle's
-    samples and its ESTIMATE. The log is the same, byte for byte once
-    written, as measuring, deciding, ``command`` and ``tick`` one step at
-    a time.
+    The planned rows gather in a pass buffer of ``_PASS_ROWS`` rows,
+    whatever phase planned them. At ESTIMATE the rows planned since the
+    last measure get their level (satellite direction, surface at the
+    true pose, drift, noise drawn as one batch from the same generator in
+    row order, floor clamp), and the fit reads its samples' levels by
+    their step indices, from the buffer or, when a pass fell among them,
+    from the log. A full buffer, and the last one, is measured likewise,
+    gets its volts and goes into the log as one block. The log is the
+    same, byte for byte once written, as measuring, deciding, ``command``
+    and ``tick`` one step at a time.
 
     Deterministic for a fixed receiver seed. Raises ValueError before
     starting if ``duration`` is not finite and non-negative or needs more
@@ -435,39 +435,17 @@ def run_scenario(
             f"which cannot be allocated: {exc}"
         ) from None
 
-    def levels(az, el, t, noise):
-        """``measure`` at the times ``t`` with the plant's true pose, under
-        the satellite's surface then."""
-        sat_az, sat_el = satellite_direction(orbit, t)
-        field = ParabolaParams(
-            k_az=az_coeff_from_elevation(k_el, sat_el),
-            k_el=k_el,
-            peak_az=sat_az,
-            peak_el=sat_el,
-            peak_level=peak,
-        )
-        return measure(az, el, field, rx, t, noise)
-
-    # The rows planned but not measured, rows len(log) to i, at most a pass
-    # of them: in ``pending`` (true pose, readbacks, commands, phase code
-    # and cycle, a row of floats each) up to row len(log) + filled, then the
-    # planned steps not yet sealed into it: pose and readbacks, four floats
-    # a step, and (steps, commanded az, commanded el, phase code, cycle) of
-    # each tracker call and the quiet run after it.
-    window = min(_PASS_ROWS, n_steps)
-    pending = np.empty((8, window))
-    filled = 0
+    # The rows planned but not logged, rows len(log) to i, at most a pass
+    # of them: in ``pending`` (true pose, readbacks, commands, phase code,
+    # cycle and level, a row of floats each) up to row len(log) + filled,
+    # the first ``measured`` with their level, then the planned steps not
+    # yet sealed into it: pose and readbacks, four floats a step, and
+    # (steps, commanded az, commanded el, phase code, cycle) of each
+    # tracker call and the quiet run after it.
+    pending = np.empty((9, min(_PASS_ROWS, n_steps)))
+    filled = measured = 0
     poses: list[float] = []
     runs: list[tuple] = []
-    # The receiver noise of rows noise_lo on, drawn a pass ahead in row
-    # order, so that a fit takes its samples' noise before their pass; it
-    # keeps the rows of samples not yet fitted. None without noise.
-    sigma = rx.noise_sigma
-    noise = rng.normal(0.0, sigma, window) if sigma > 0.0 else None
-    noise_lo = 0
-    # The cycle's fit samples: readbacks, true pose and step.
-    samples: list[tuple[float, float, float, float, int]] = []
-    collect = samples.append
 
     def seal():
         nonlocal filled
@@ -475,56 +453,67 @@ def run_scenario(
             rows = slice(filled, filled + len(poses) // 4)
             pending[:4, rows] = np.array(poses).reshape(-1, 4).T
             steps = np.array(runs).T
-            pending[4:, rows] = steps[1:].repeat(steps[0].astype(np.intp), axis=1)
+            pending[4:8, rows] = steps[1:].repeat(steps[0].astype(np.intp), axis=1)
             filled = rows.stop
             poses.clear()
             runs.clear()
 
-    def log_pass(rows, columns):
-        # Measure the next ``rows`` rows, given as columns, and log them.
-        nonlocal noise, noise_lo
-        first, end = len(log), len(log) + rows
-        az, el, rb_az, rb_el, cmd_az, cmd_el, phase, cycle = columns
-        t = np.arange(first, end) * dt
-        level = levels(
-            az, el, t, None if noise is None else noise[first - noise_lo : end - noise_lo]
-        )
-        log.extend(
-            t, cmd_az, cmd_el, rb_az, rb_el, level, receiver_voltage(level, rx), phase, cycle
-        )
-        if noise is not None:
-            keep = min(samples[0][4], end) if samples else end
-            ahead = rng.normal(0.0, sigma, min(_PASS_ROWS, n_steps - end))
-            noise, noise_lo = np.concatenate((noise[keep - noise_lo :], ahead)), keep
-
-    def measure_pass():
-        nonlocal filled
+    def measure_planned():
+        # The level of every planned row, its noise drawn as one batch from
+        # the generator in row order.
+        nonlocal measured
         seal()
-        *floats, phase, cycle = pending[:, :filled]
-        log_pass(filled, (*floats, phase.astype(np.int8), cycle.astype(np.int64)))
-        filled = 0
+        if measured < filled:
+            rows = slice(measured, filled)
+            t = np.arange(len(log) + measured, len(log) + filled) * dt
+            sat_az, sat_el = satellite_direction(orbit, t)
+            field = ParabolaParams(
+                k_az=az_coeff_from_elevation(k_el, sat_el),
+                k_el=k_el,
+                peak_az=sat_az,
+                peak_el=sat_el,
+                peak_level=peak,
+            )
+            pending[8, rows] = measure(pending[0, rows], pending[1, rows], field, rx, t, rng)
+            measured = filled
+
+    def log_pass():
+        # Measure the rest of the pass and log it as one block.
+        nonlocal filled, measured
+        measure_planned()
+        _, _, rb_az, rb_el, cmd_az, cmd_el, phase, cycle, level = pending[:, :filled]
+        log.extend(
+            np.arange(len(log), len(log) + filled) * dt, cmd_az, cmd_el, rb_az, rb_el,
+            level, receiver_voltage(level, rx), phase.astype(np.int8), cycle.astype(np.int64),
+        )
+        filled = measured = 0
 
     # The plant's pose and slew target as plain floats, at rest at the start.
     az, el = plant.true_azimuth, plant.true_elevation
     target_az, target_el = az, el
     az_step, el_step = plant.az_slew_rate * dt, plant.el_slew_rate * dt
     resolver = plant.resolver_step  # also the tracker's arrival tolerance
+    # The cycle's fit samples: readbacks and the step whose level goes with them.
+    samples: list[tuple[float, float, int]] = []
+    collect = samples.append
     i = 0
     while i < n_steps:
         start = i
         rb_az, rb_el = quantize_angle(az, resolver), quantize_angle(el, resolver)
         if tracker.phase is TrackerPhase.ESTIMATE:
-            # The samples' levels, as their pass measures them.
-            fit_az, fit_el, true_az, true_el, steps = np.array(samples).reshape(-1, 5).T
-            fit_noise = None if noise is None else noise[steps.astype(np.intp) - noise_lo]
-            fit_db = levels(true_az, true_el, steps * dt, fit_noise)
+            # The fit reads the levels of the samples: measure the steps so far.
+            measure_planned()
+            fit_az, fit_el, steps = np.array(samples).reshape(-1, 3).T
+            # A pass may have logged the cycle's first samples.
+            first = min(len(log), int(steps.min(initial=len(log))))
+            logged = log.column("beacon_db", slice(first, len(log)))
+            fit_db = np.concatenate((logged, pending[8, :filled]))[steps.astype(np.intp) - first]
             cmd = tracker.estimate(fit_az, fit_el, fit_db).command
             samples.clear()
-            seal()  # a cycle's planned steps at a time, so few floats wait in poses
         else:
             cmd = tracker.step(i * dt, rb_az, rb_el)
             if tracker.collected:
-                collect((rb_az, rb_el, az, el, i))
+                collect((rb_az, rb_el, i))
         if cmd is not None:
             command(plant, cmd[0], cmd[1])
             target_az, target_el = cmd
@@ -546,12 +535,12 @@ def run_scenario(
             elif _arrived(rb_az, rb_el, goal, resolver):
                 break
             if collecting:
-                collect((rb_az, rb_el, az, el, i))
+                collect((rb_az, rb_el, i))
         phase = tracker.phase
         code, cycle = _PHASE_CODES[phase], tracker.cycle_index
         runs.append((i - start, target_az, target_el, code, cycle))
         if i == len(log) + _PASS_ROWS:
-            measure_pass()
+            log_pass()
         if phase is TrackerPhase.WAIT and az == target_az and el == target_el:
             # A WAIT span: no step moves the plant before the next cycle.
             end = _first_step_at(tracker.next_cycle_time, dt, n_steps)
@@ -562,14 +551,11 @@ def run_scenario(
             while i < end:
                 seal()
                 rows = min(end, len(log) + _PASS_ROWS) - i
-                if not filled and (rows == _PASS_ROWS or i + rows == n_steps):
-                    log_pass(rows, span)  # a pass of the span alone: its single values
-                else:
-                    pending[:, filled : filled + rows] = np.reshape(span, (8, 1))
-                    filled += rows
+                pending[:8, filled : filled + rows] = np.array(span)[:, None]
+                filled += rows
                 i += rows
                 if i == len(log) + _PASS_ROWS:
-                    measure_pass()
+                    log_pass()
     if i > len(log):
-        measure_pass()
+        log_pass()
     return log

@@ -132,8 +132,7 @@ def test_resolver_error_bounded_by_half_step():
 
 def _level(params, rx, t=0.0, az=10.0, el=70.0):
     """The one level ``measure`` gives at time ``t`` with the plant at (az, el)."""
-    noise = np.random.default_rng(0).normal(0.0, rx.noise_sigma, 1)
-    level = measure(az, el, params, rx, np.array([t]), noise)
+    level = measure(az, el, params, rx, np.array([t]), np.random.default_rng(0))
     return float(np.ravel(level)[0])
 
 
@@ -171,8 +170,7 @@ def test_measure_gives_one_level_per_time(times):
     # level for each time, not one level for all of them.
     rx = ReceiverConfig(noise_sigma=0.0, drift_amplitude=0.0)
     t = np.arange(times) * 0.02
-    noise = np.random.default_rng(0).normal(0.0, rx.noise_sigma, len(t))
-    level = measure(10.0, 70.0, _params(), rx, t, noise)
+    level = measure(10.0, 70.0, _params(), rx, t, np.random.default_rng(0))
     assert level.tolist() == [6.0] * times
 
 
@@ -181,8 +179,8 @@ def test_measure_seeded_sequences_repeat():
     t = np.arange(100) * 0.02
 
     def sequence():
-        noise = np.random.default_rng(rx.rng_seed).normal(0.0, rx.noise_sigma, len(t))
-        return measure(10.0, 70.0, _params(), rx, t, noise).tolist()
+        rng = np.random.default_rng(rx.rng_seed)
+        return measure(10.0, 70.0, _params(), rx, t, rng).tolist()
 
     first, second = sequence(), sequence()
     assert first == second

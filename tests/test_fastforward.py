@@ -297,7 +297,8 @@ def _counting(calls, name, fn):
 def test_tracker_is_called_only_where_it_decides(monkeypatch):
     # A cycle has 8 decisions: it falls due, 5 waypoint arrivals, ESTIMATE
     # and the arrival at the fitted peak. The satellite's direction is taken
-    # for each fit's samples and for each pass, one here.
+    # for the rows planned before each fit and for the rest of each pass,
+    # one here.
     calls = {}
     monkeypatch.setattr(StepTracker, "step", _counting(calls, "step", StepTracker.step))
     monkeypatch.setattr(
@@ -317,8 +318,8 @@ def test_tracker_is_called_only_where_it_decides(monkeypatch):
 
 def test_rapid_cycles_are_logged_a_pass_at_a_time(monkeypatch):
     # A 1.5 s cycle, as in the benchmark's rapid_cycle, fits about 75 rows:
-    # its rows are measured and logged a pass of _PASS_ROWS rows at a time,
-    # not a cycle or a block of planned steps at a time.
+    # its rows get their volts and go into the log a pass of _PASS_ROWS rows
+    # at a time, not a cycle or a block of planned steps at a time.
     calls = {}
     monkeypatch.setattr(TelemetryLog, "extend", _counting(calls, "extend", TelemetryLog.extend))
     monkeypatch.setattr(
@@ -432,8 +433,7 @@ def test_measure_array_is_bit_equal(rows, az, el, noise, drift_amp, drift_period
         noise_sigma=noise, drift_amplitude=drift_amp, drift_period=drift_period
     )
     t = t0 + np.arange(len(rows)) * 0.02
-    noise_values = np.random.default_rng(seed).normal(0.0, noise, len(t))
-    got = measure(az, el, _surface(rows), rx, t, noise_values)
+    got = measure(az, el, _surface(rows), rx, t, np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
     want = [
         oracles.measure(plant, ParabolaParams(k, -11.4, pa, pe, 6.0), rx, ti, rng=rng).level
