@@ -34,14 +34,14 @@ and keeps the step fields' text, converts the step fields only on the
 rows where that text changes, and hands those rows to
 ``TelemetryLog.from_runs``; a block that pass cannot take is parsed a
 line at a time, which names its first bad line.
-For a long log in a regular file, both fork up to one process per
-available CPU, each working on a contiguous range of blocks; ``_split``
-shares the blocks out by count for both, and ``_fork_each`` forks,
-reaps and kills the processes for both. Readers
-fill the columns in place through a shared anonymous mapping and need
-no temp file. While writing with W writers, ``write_csv`` holds up to
-(W-1)/W of the CSV's size in anonymous temp files in the output's
-directory.
+For a log of two blocks or more in a regular file, both fork up to one
+process per available CPU, each working on a contiguous range of
+blocks; ``_split`` shares the blocks out by count for both, and
+``_fork_each`` forks, reaps and kills the processes for both, and runs
+in the caller any range it cannot fork. Readers fill the columns in
+place through a shared anonymous mapping and need no temp file. While
+writing with W writers, ``write_csv`` holds up to (W-1)/W of the CSV's
+size in anonymous temp files in the output's directory.
 """
 
 from __future__ import annotations
@@ -104,14 +104,14 @@ _CSV_TEXT = np.dtype({
 _BLOCK_ROWS = 1 << 12
 _BLOCK_BYTES = _BLOCK_ROWS * 128
 # write_csv and read_csv use at most one process per _MIN_FORK_ROWS rows
-# (the ranges then share out the blocks by count). Measured for the
-# writers: after a fork, each page the parent or a writer first writes is
-# copied, which cost the parent about 30 ms on a 15 k-row range. On a
-# 2-core host, forking for rapid_cycle's 30 k-row log (15 k rows a writer)
-# made that workload 3-9 % slower end to end in 3 of 3 pairs, while 60
-# k-row logs (30 k rows a writer) wrote 35 % faster than in one process
-# in 29 and 30 of 30 pairs, for a moving and a resting plant.
-_MIN_FORK_ROWS = 1 << 15
+# (the ranges then share out the blocks by count), so a log of two whole
+# blocks or more goes to every core. Measured in-process on a 2-core
+# x86-64 host, in rounds alternating one process and two (medians, and
+# the rounds two processes won): rapid_cycle's 30,000-row log wrote in
+# 0.077 s against 0.053 s (19 of 21) and read in 0.075 s against 0.055 s
+# (17 of 21). Logs of 16,500 and 8,200 rows wrote and read within noise
+# of one process or faster, in two sets of 21 rounds (won 10 to 19).
+_MIN_FORK_ROWS = _BLOCK_ROWS
 # Values per leaf of beacon_stats' blocked sum of squares: at least 128,
 # where numpy's pairwise sum stops splitting.
 _SUM_LEAF = 1 << 14
@@ -572,19 +572,27 @@ def _run_and_exit(work: Callable[[int], None], i: int) -> NoReturn:
 def _fork_each(work: Callable[[int], None], count: int, what: str) -> None:
     """Run ``work(i)`` for each i below ``count``: 0 here, the others in forked children.
 
-    Raises OSError if a child exits non-zero (it prints its traceback to
-    stderr). Every child is reaped, and killed first if this process
-    fails, before this returns or raises. Children are forked, not
-    spawned, so they see the caller's arrays in place.
+    Where ``os.fork`` fails, this process runs each ``work(i)`` it could
+    not fork, after ``work(0)``. Raises OSError if a child exits non-zero
+    (it prints its traceback to stderr). Every child is reaped, and
+    killed first if this process fails, before this returns or raises.
+    Children are forked, not spawned, so they see the caller's arrays in
+    place.
     """
     children = []  # pids not yet reaped
+    here = [0]
     try:
         for i in range(1, count):
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:  # such as EAGAIN at a process limit
+                here += range(i, count)
+                break
             if pid == 0:
                 _run_and_exit(work, i)
             children.append(pid)
-        work(0)
+        for i in here:
+            work(i)
         while children:
             status = os.waitpid(children[0], 0)[1]
             pid = children.pop(0)  # only once reaped, so the finally reaps the rest

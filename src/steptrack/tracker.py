@@ -10,9 +10,11 @@ characteristic sawtooth level trace.
 ``StepTracker.step`` decides on a sample's time and readbacks, never its
 level, and ``estimate`` fits the cycle's samples, which its caller keeps.
 ``run_scenario`` plans the run in plain floats, calling the tracker only
-where it decides (``awaiting``), and measures the planned steps in array
-passes of at most ``_PASS_ROWS`` rows, each logged as one block; see its
-docstring.
+where it decides (``awaiting``), and gathers the planned steps in passes
+of at most ``_PASS_ROWS`` rows. Once a pass it takes the satellite field
+of the pass's rows and logs them as one block; once a fit it measures
+the rows planned since the last fit from a slice of that field and
+gathers the fit's samples by step index. See its docstring.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import beacon
 from ._checks import check_fields
 from .antenna import (
     AntennaState,
@@ -78,6 +81,9 @@ class TrackerPhase(str, enum.Enum):
 
 # Each phase's code in the telemetry log.
 _PHASE_CODES = {phase: PHASES.index(phase.value) for phase in TrackerPhase}
+# The log columns of a fit sample's readbacks and level, rows 2 to 4 of
+# run_scenario's pass buffer.
+_FIT_FIELDS = ("readback_az", "readback_el", "beacon_db")
 # The most rows run_scenario measures and logs in one pass, whatever phase
 # planned them: the pass buffer and a pass's temporaries take memory in
 # proportion, and each pass costs about 0.1 ms besides its rows. On a
@@ -260,7 +266,9 @@ class StepTracker:
         self.cycle_index += 1
         self.next_cycle_time = t + self.config.cycle_period
         self.pattern_center = (azimuth, elevation)
-        k_az = az_coeff_from_elevation(self.config.k_el, elevation)
+        # The tracker's a-priori curvature, taken through ``beacon``: this
+        # module's name is the truth surface's, taken once a pass.
+        k_az = beacon.az_coeff_from_elevation(self.config.k_el, elevation)
         if abs(k_az) < DEFAULT_COEFF_FLOOR:
             logger.warning(
                 "cycle %d skipped: azimuth curvature %.3g below floor %.3g",
@@ -364,22 +372,26 @@ def run_scenario(
     falls due or the readbacks arrive at the waypoint or move target it
     waits for (``StepTracker.awaiting``), and ``estimate`` at ESTIMATE.
     Every command gets ``command``'s limit check. The loop keeps the
-    cycle's fit samples, a readback pair and a step index each: the steps
-    ``step`` marks ``collected`` and the quiet steps of continuous
-    ACQUIRE, on which the tracker would only return None. A WAIT span,
-    where the plant rests at its target until the next cycle is due, is
-    not planned step by step at all.
+    cycle's fit samples as step indices: the steps ``step`` marks
+    ``collected`` and the quiet steps of continuous ACQUIRE, on which the
+    tracker would only return None. A WAIT span, where the plant rests at
+    its target until the next cycle is due, is not planned step by step
+    at all.
 
     The planned rows gather in a pass buffer of ``_PASS_ROWS`` rows,
-    whatever phase planned them. At ESTIMATE the rows planned since the
-    last measure get their level (satellite direction, surface at the
-    true pose, drift, noise drawn as one batch from the same generator in
-    row order, floor clamp), and the fit reads its samples' levels by
-    their step indices, from the buffer or, when a pass fell among them,
-    from the log. A full buffer, and the last one, is measured likewise,
-    gets its volts and goes into the log as one block. The log is the
-    same, byte for byte once written, as measuring, deciding, ``command``
-    and ``tick`` one step at a time.
+    whatever phase planned them. Once a pass, at its first measure, the
+    loop takes the satellite field of every row the pass will hold: the
+    times, ``satellite_direction`` and ``az_coeff_from_elevation`` of the
+    satellite elevation. Once a fit, at ESTIMATE, the rows planned since
+    the last measure get their level from a slice of that field
+    (``measure``: surface at the true pose, drift, noise drawn as one
+    batch from the same generator in row order, floor clamp), and the fit
+    gathers its samples' readbacks and levels by step index, from the
+    buffer or, when a pass fell among them, from the log. A full buffer,
+    and the last one, is measured likewise, gets its volts and goes into
+    the log as one block. The log is the same, byte for byte once
+    written, as measuring, deciding, ``command`` and ``tick`` one step at
+    a time.
 
     Deterministic for a fixed receiver seed. Raises ValueError before
     starting if ``duration`` is not finite and non-negative or needs more
@@ -436,16 +448,19 @@ def run_scenario(
         ) from None
 
     # The rows planned but not logged, rows len(log) to i, at most a pass
-    # of them: in ``pending`` (true pose, readbacks, commands, phase code,
-    # cycle and level, a row of floats each) up to row len(log) + filled,
+    # of them: in ``pending`` (true pose, readbacks, level, commands, phase
+    # code and cycle, a row of floats each) up to row len(log) + filled,
     # the first ``measured`` with their level, then the planned steps not
     # yet sealed into it: pose and readbacks, four floats a step, and
     # (steps, commanded az, commanded el, phase code, cycle) of each
-    # tracker call and the quiet run after it.
+    # tracker call and the quiet run after it. ``field`` holds the pass's
+    # times and its satellite field (direction and azimuth curvature),
+    # computed at its first measure for every row the pass will hold.
     pending = np.empty((9, min(_PASS_ROWS, n_steps)))
     filled = measured = 0
     poses: list[float] = []
     runs: list[tuple] = []
+    field: tuple[np.ndarray, ...] = ()
 
     def seal():
         nonlocal filled
@@ -453,7 +468,7 @@ def run_scenario(
             rows = slice(filled, filled + len(poses) // 4)
             pending[:4, rows] = np.array(poses).reshape(-1, 4).T
             steps = np.array(runs).T
-            pending[4:8, rows] = steps[1:].repeat(steps[0].astype(np.intp), axis=1)
+            pending[5:, rows] = steps[1:].repeat(steps[0].astype(np.intp), axis=1)
             filled = rows.stop
             poses.clear()
             runs.clear()
@@ -461,30 +476,29 @@ def run_scenario(
     def measure_planned():
         # The level of every planned row, its noise drawn as one batch from
         # the generator in row order.
-        nonlocal measured
+        nonlocal measured, field
         seal()
         if measured < filled:
+            if not measured:
+                t = np.arange(len(log), len(log) + min(_PASS_ROWS, n_steps - len(log))) * dt
+                sat_az, sat_el = satellite_direction(orbit, t)
+                field = t, sat_az, sat_el, az_coeff_from_elevation(k_el, sat_el)
             rows = slice(measured, filled)
-            t = np.arange(len(log) + measured, len(log) + filled) * dt
-            sat_az, sat_el = satellite_direction(orbit, t)
-            field = ParabolaParams(
-                k_az=az_coeff_from_elevation(k_el, sat_el),
-                k_el=k_el,
-                peak_az=sat_az,
-                peak_el=sat_el,
-                peak_level=peak,
+            t, sat_az, sat_el, k_az = (values[rows] for values in field)
+            surface = ParabolaParams(
+                k_az=k_az, k_el=k_el, peak_az=sat_az, peak_el=sat_el, peak_level=peak
             )
-            pending[8, rows] = measure(pending[0, rows], pending[1, rows], field, rx, t, rng)
+            pending[4, rows] = measure(pending[0, rows], pending[1, rows], surface, rx, t, rng)
             measured = filled
 
     def log_pass():
         # Measure the rest of the pass and log it as one block.
         nonlocal filled, measured
         measure_planned()
-        _, _, rb_az, rb_el, cmd_az, cmd_el, phase, cycle, level = pending[:, :filled]
+        _, _, rb_az, rb_el, level, cmd_az, cmd_el, phase, cycle = pending[:, :filled]
         log.extend(
-            np.arange(len(log), len(log) + filled) * dt, cmd_az, cmd_el, rb_az, rb_el,
-            level, receiver_voltage(level, rx), phase.astype(np.int8), cycle.astype(np.int64),
+            field[0][:filled], cmd_az, cmd_el, rb_az, rb_el, level,
+            receiver_voltage(level, rx), phase.astype(np.int8), cycle.astype(np.int64),
         )
         filled = measured = 0
 
@@ -493,27 +507,30 @@ def run_scenario(
     target_az, target_el = az, el
     az_step, el_step = plant.az_slew_rate * dt, plant.el_slew_rate * dt
     resolver = plant.resolver_step  # also the tracker's arrival tolerance
-    # The cycle's fit samples: readbacks and the step whose level goes with them.
-    samples: list[tuple[float, float, int]] = []
+    # The steps of the cycle's fit samples.
+    samples: list[int] = []
     collect = samples.append
     i = 0
     while i < n_steps:
         start = i
         rb_az, rb_el = quantize_angle(az, resolver), quantize_angle(el, resolver)
         if tracker.phase is TrackerPhase.ESTIMATE:
-            # The fit reads the levels of the samples: measure the steps so far.
+            # The fit reads the levels of the samples: measure the steps so
+            # far, and gather each sample's readbacks and level, rows 2 to 4.
             measure_planned()
-            fit_az, fit_el, steps = np.array(samples).reshape(-1, 3).T
-            # A pass may have logged the cycle's first samples.
-            first = min(len(log), int(steps.min(initial=len(log))))
-            logged = log.column("beacon_db", slice(first, len(log)))
-            fit_db = np.concatenate((logged, pending[8, :filled]))[steps.astype(np.intp) - first]
-            cmd = tracker.estimate(fit_az, fit_el, fit_db).command
+            at = np.array(samples, np.intp) - len(log)
+            if samples and at[0] < 0:
+                # A pass logged the cycle's first samples.
+                logged = [log.column(name, slice(samples[0], len(log))) for name in _FIT_FIELDS]
+                fit = np.concatenate((logged, pending[2:5, :filled]), axis=1)[:, at - at[0]]
+            else:
+                fit = pending[2:5, at]
+            cmd = tracker.estimate(*fit).command
             samples.clear()
         else:
             cmd = tracker.step(i * dt, rb_az, rb_el)
             if tracker.collected:
-                collect((rb_az, rb_el, i))
+                collect(i)
         if cmd is not None:
             command(plant, cmd[0], cmd[1])
             target_az, target_el = cmd
@@ -535,7 +552,7 @@ def run_scenario(
             elif _arrived(rb_az, rb_el, goal, resolver):
                 break
             if collecting:
-                collect((rb_az, rb_el, i))
+                collect(i)
         phase = tracker.phase
         code, cycle = _PHASE_CODES[phase], tracker.cycle_index
         runs.append((i - start, target_az, target_el, code, cycle))
@@ -544,14 +561,14 @@ def run_scenario(
         if phase is TrackerPhase.WAIT and az == target_az and el == target_el:
             # A WAIT span: no step moves the plant before the next cycle.
             end = _first_step_at(tracker.next_cycle_time, dt, n_steps)
-            span = (
+            span = np.array((
                 az, el, quantize_angle(az, resolver), quantize_angle(el, resolver),
-                target_az, target_el, code, cycle,
-            )
+                math.nan, target_az, target_el, code, cycle,  # the level is measured later
+            ))[:, None]
             while i < end:
                 seal()
                 rows = min(end, len(log) + _PASS_ROWS) - i
-                pending[:8, filled : filled + rows] = np.array(span)[:, None]
+                pending[:, filled : filled + rows] = span
                 filled += rows
                 i += rows
                 if i == len(log) + _PASS_ROWS:

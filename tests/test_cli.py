@@ -1,6 +1,7 @@
 """Scenario loading and command-line interface tests."""
 
 import dataclasses
+import errno
 import os
 import re
 import subprocess
@@ -486,6 +487,31 @@ def test_simulate_failing_csv_writer_exits_one(tmp_path, monkeypatch, capsys):
     code = main(["simulate", "desk_figure8", "--duration-s", "200", "--output", str(out)])
     assert code == 1
     assert "error: cannot write" in capsys.readouterr().err
+
+
+def test_simulate_and_stats_run_on_where_no_process_can_fork(tmp_path, monkeypatch, capsys):
+    argv = ["simulate", "desk_figure8", "--duration-s", "200", "--output"]
+    normal = tmp_path / "normal.csv"
+    monkeypatch.setattr(telemetry, "_available_cpus", lambda: 1)
+    assert main([*argv, str(normal)]) == 0
+    assert main(["stats", str(normal)]) == 0
+    want = capsys.readouterr().out
+    # 10,000 rows in three write blocks, 1.2 MB in three read blocks: a
+    # writer and a reader to fork on two CPUs.
+    monkeypatch.setattr(telemetry, "_available_cpus", lambda: 2)
+    tries = []
+
+    def fork():
+        tries.append(1)
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", fork)
+    out = tmp_path / "run.csv"
+    assert main([*argv, str(out)]) == 0
+    assert main(["stats", str(out)]) == 0
+    assert len(tries) == 2
+    assert capsys.readouterr().out == want.replace(str(normal), str(out))
+    assert out.read_bytes() == normal.read_bytes()
 
 
 def test_simulate_missing_field_exits_one(tmp_path, capsys):

@@ -43,20 +43,24 @@ import oracles
 
 
 def _stepped(orbit, plant, rx, config, duration, peak_level_db=None):
-    """run_scenario's loop with every step taken one at a time."""
-    log = TelemetryLog()
-    for step in oracles.closed_loop(orbit, plant, rx, config, duration, peak_level_db):
-        sample = step.sample
-        log.append(
-            sample.t,
+    """run_scenario's loop with every step taken one at a time, logged as
+    one block."""
+    rows = [
+        (
+            step.sample.t,
             *step.target,
-            sample.azimuth,
-            sample.elevation,
-            sample.level,
-            oracles.receiver_voltage(sample.level, rx),
+            step.sample.azimuth,
+            step.sample.elevation,
+            step.sample.level,
+            oracles.receiver_voltage(step.sample.level, rx),
             step.tracker.phase.value,
             step.tracker.cycle_index,
         )
+        for step in oracles.closed_loop(orbit, plant, rx, config, duration, peak_level_db)
+    ]
+    log = TelemetryLog()
+    if rows:
+        log.extend(*zip(*rows))
     return log
 
 
@@ -297,8 +301,7 @@ def _counting(calls, name, fn):
 def test_tracker_is_called_only_where_it_decides(monkeypatch):
     # A cycle has 8 decisions: it falls due, 5 waypoint arrivals, ESTIMATE
     # and the arrival at the fitted peak. The satellite's direction is taken
-    # for the rows planned before each fit and for the rest of each pass,
-    # one here.
+    # once a pass, for all its rows: one pass here.
     calls = {}
     monkeypatch.setattr(StepTracker, "step", _counting(calls, "step", StepTracker.step))
     monkeypatch.setattr(
@@ -313,19 +316,23 @@ def test_tracker_is_called_only_where_it_decides(monkeypatch):
     cycles = int(log.column("cycle_index").max()) + 1
     assert cycles == 6 and len(log) == 3000
     assert calls["step"] <= 10 * cycles, calls
-    assert calls["satellite_direction"] <= cycles + 1, calls
+    assert calls["satellite_direction"] == 1, calls
 
 
 def test_rapid_cycles_are_logged_a_pass_at_a_time(monkeypatch):
     # A 1.5 s cycle, as in the benchmark's rapid_cycle, fits about 75 rows:
     # its rows get their volts and go into the log a pass of _PASS_ROWS rows
-    # at a time, not a cycle or a block of planned steps at a time.
+    # at a time, not a cycle or a block of planned steps at a time. Each
+    # fit measures a slice of the pass's satellite field, which is taken
+    # once a pass.
     calls = {}
     monkeypatch.setattr(TelemetryLog, "extend", _counting(calls, "extend", TelemetryLog.extend))
-    monkeypatch.setattr(
-        "steptrack.tracker.receiver_voltage",
-        _counting(calls, "receiver_voltage", receiver_voltage),
-    )
+    for name, fn in (
+        ("receiver_voltage", receiver_voltage),
+        ("satellite_direction", satellite_direction),
+        ("az_coeff_from_elevation", az_coeff_from_elevation),
+    ):
+        monkeypatch.setattr(tracker, name, _counting(calls, name, fn))
     sc = load_scenario(resolve_scenario_path("desk_figure8"))
     rx = dataclasses.replace(
         sc.receiver, noise_sigma=0.2, drift_amplitude=0.5, drift_period=300.0
@@ -340,6 +347,8 @@ def test_rapid_cycles_are_logged_a_pass_at_a_time(monkeypatch):
     assert cycles > 100 and passes < 5, (cycles, passes)
     assert calls["receiver_voltage"] == passes, calls
     assert calls["extend"] <= passes, calls
+    assert calls["satellite_direction"] <= passes, calls
+    assert calls["az_coeff_from_elevation"] <= passes, calls
 
 
 # -- the physics over arrays, against the per-sample forms -----------------------

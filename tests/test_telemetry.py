@@ -1,6 +1,7 @@
 """Telemetry log tests: ordering, statistics, trajectory, CSV round trip."""
 
 import ast
+import errno
 import io
 import math
 import os
@@ -729,14 +730,24 @@ def test_forked_writers_match_one_process(tmp_path, monkeypatch, cpus):
     log = _blocks_log()
     one = tmp_path / "one.csv"
     forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(telemetry, "_available_cpus", lambda: 1)
     write_csv(log, str(one))
-    assert not forks  # below the fork threshold
+    assert not forks  # one CPU, one process
     _force_writers(monkeypatch, cpus)
     many = tmp_path / "many.csv"
     write_csv(log, str(many))
     assert len(forks) == cpus - 1
     assert many.read_bytes() == one.read_bytes()
     assert sorted(os.listdir(tmp_path)) == ["many.csv", "one.csv"]
+
+
+def test_logs_of_two_whole_blocks_go_to_every_core(tmp_path, monkeypatch):
+    monkeypatch.setattr(telemetry, "_available_cpus", lambda: 2)
+    forks = _count_forks(monkeypatch)
+    for rows, writers in ((2 * 4096 - 1, 1), (2 * 4096, 2), (30_000, 2)):
+        forks.clear()
+        write_csv(_blocks_log(rows), str(tmp_path / "log.csv"))
+        assert len(forks) == writers - 1, rows
 
 
 def test_writers_share_out_the_blocks_by_count(tmp_path, monkeypatch):
@@ -879,6 +890,37 @@ def test_forked_readers_match_one_process(tmp_path, monkeypatch, cpus):
     assert len(back) == len(log)
     assert _same_columns(back, log)
     _assert_no_child_left()
+
+
+def _failing_fork(monkeypatch, forks_left=0):
+    """Let ``os.fork`` fork ``forks_left`` times, then raise EAGAIN as at a
+    process limit."""
+    real = os.fork
+    left = [forks_left]
+
+    def fork():
+        if not left[0]:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        left[0] -= 1
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+@pytest.mark.parametrize("cpus, forks_left", [(2, 0), (3, 0), (3, 1)])
+def test_ranges_that_cannot_fork_run_in_this_process(tmp_path, monkeypatch, cpus, forks_left):
+    log = _blocks_log()
+    one = tmp_path / "one.csv"
+    monkeypatch.setattr(telemetry, "_available_cpus", lambda: 1)
+    write_csv(log, str(one))
+    _force_readers(monkeypatch, cpus, block_bytes=1 << 14)
+    _failing_fork(monkeypatch, forks_left)
+    path = tmp_path / "log.csv"
+    write_csv(log, str(path))
+    assert path.read_bytes() == one.read_bytes()
+    assert _same_columns(read_csv(str(path)), log)
+    _assert_no_child_left()
+    assert sorted(os.listdir(tmp_path)) == ["log.csv", "one.csv"]
 
 
 def _rows_text(n):
