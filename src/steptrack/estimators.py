@@ -18,8 +18,17 @@ or by the recursive filter (``rls_init``, ``rls_update``), recovers the
 peak (``recover_peak``) and shifts it back. The recursive filter keeps
 only a 3-vector and a 3x3 gain matrix, optionally down-weighting old
 samples through a forgetting factor, which both bounds memory and lets the
-fit follow a slowly moving peak. Each function takes all the samples at
-once, as arrays.
+fit follow a slowly moving peak.
+
+The functions take all the samples at once, as arrays, but ``fit_peak``,
+``ls_fit`` and ``rls_update`` read them in blocks of ``_BLOCK_ROWS`` rows:
+each block's offsets, responses and products are computed from slices of
+the inputs, each sum is one ``math.fsum`` over the blocks in turn, the
+recursion reads the blocks' rows as one stream, and ``fit_peak`` builds no
+regression rows. A fit then holds a few blocks of scratch memory however
+long its window, and gives the bits that one pass over whole arrays gives.
+Each pass keeps the last block it read, so the passes over a one-block
+window, such as a tracker cycle's, compute its offsets and responses once.
 
 A filter that diverges (a gain matrix wound up by a long stationary
 window) may end with every entry NaN; once a step gives such a state back
@@ -42,7 +51,8 @@ import math
 import struct
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterable
+from itertools import chain
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
@@ -65,6 +75,11 @@ DEFAULT_RLS_DELTA = 1e4
 
 # The solvers ``fit_peak`` selects between, by name.
 ESTIMATORS = ("batch-ls", "rls")
+
+# Rows a fit reads at a time. A block's scratch arrays (offsets, responses,
+# products) take 32 KiB each, so a fit's peak memory stays flat in its
+# window's length; the tracker's cycle fits are one block each.
+_BLOCK_ROWS = 4096
 
 
 class EstimationError(Exception):
@@ -110,8 +125,15 @@ def regression_row(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Map beacon samples to their linear-regression rows: the (n, 3)
     regressors [az, el, 1] and the n responses."""
-    response = level - k.k_az * az * az - k.k_el * el * el
-    return np.column_stack([az, el, np.ones(len(az))]), response
+    return np.column_stack([az, el, np.ones(len(az))]), _response(az, el, level, k)
+
+
+def _response(
+    az: np.ndarray, el: np.ndarray, level: np.ndarray, k: QuadraticCoefficients
+) -> np.ndarray:
+    """The regression responses of samples (az, el, level): the level less
+    the known quadratic terms."""
+    return level - k.k_az * az * az - k.k_el * el * el
 
 
 def _require_samples(n: int) -> None:
@@ -119,13 +141,34 @@ def _require_samples(n: int) -> None:
         raise InsufficientDataError(f"need at least 3 samples, got {n}")
 
 
-def _fsum(values: np.ndarray) -> float:
-    """Correctly rounded sum of a 1-D array; NaN where it meets inf - inf or
-    overflows. The floats are read through a memoryview, with no list."""
+def _blocks(n: int) -> list[slice]:
+    """The row slices of an n-row window, ``_BLOCK_ROWS`` rows each."""
+    return [slice(i, i + _BLOCK_ROWS) for i in range(0, n, _BLOCK_ROWS)]
+
+
+def _fsum(blocks: Iterable[np.ndarray]) -> float:
+    """Correctly rounded sum of the values of 1-D arrays, taken in turn: the
+    bits of one sum over their concatenation. NaN where it meets inf - inf
+    or overflows. The floats are read through memoryviews, with no list."""
     try:
-        return math.fsum(memoryview(values))
+        return math.fsum(chain.from_iterable(map(memoryview, blocks)))
     except (OverflowError, ValueError):
         return math.nan
+
+
+_Block = TypeVar("_Block")
+
+
+def _last_block(of: Callable[[slice], _Block]) -> Callable[[slice], _Block]:
+    """``of``, keeping what it gave for the last row slice: each pass over a
+    one-block window, such as a tracker cycle's, reuses that block."""
+    last: list = [None, None]
+
+    def block(s: slice) -> _Block:
+        if last[0] != s:
+            last[:] = s, of(s)
+        return last[1]
+    return block
 
 
 def ls_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -141,14 +184,39 @@ def ls_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     of the normal equations is not positive, or their reciprocal
     condition is below RCOND_LIMIT.
     """
-    n = len(x)
-    _require_samples(n)
-    mean_az = _fsum(x[:, 0]) / n
-    mean_el = _fsum(x[:, 1]) / n
-    a = x[:, 0] - mean_az
-    e = x[:, 1] - mean_el
-    saa, sae, see, sa, se = map(_fsum, (a * a, a * e, e * e, a, e))
-    say, sey, sy = map(_fsum, (a * y, e * y, y))
+    _require_samples(len(x))
+    return _solve(len(x), lambda s: (x[s, 0], x[s, 1]), lambda s: y[s])
+
+
+def _solve(
+    n: int,
+    angles: Callable[[slice], tuple[np.ndarray, np.ndarray]],
+    response: Callable[[slice], np.ndarray],
+) -> np.ndarray:
+    """``ls_fit`` over an n-row window read a block at a time: ``angles``
+    gives a row slice's first two regressor columns, ``response`` its
+    responses. The third regressor is 1 in every row."""
+    blocks = _blocks(n)
+    mean_az = _fsum(angles(s)[0] for s in blocks) / n
+    mean_el = _fsum(angles(s)[1] for s in blocks) / n
+
+    @_last_block
+    def centred(s: slice) -> tuple[np.ndarray, np.ndarray]:
+        x0, x1 = angles(s)
+        return x0 - mean_az, x1 - mean_el
+
+    def total(i: int, j: int | None = None) -> float:
+        """Sum over the window of column i of (a, e, y), the centred angles
+        and the response, times column j (none: times 1)."""
+        def block(s: slice) -> np.ndarray:
+            cols = centred(s)
+            if 2 in (i, j):
+                cols += (response(s),)
+            return cols[i] if j is None else cols[i] * cols[j]
+        return _fsum(map(block, blocks))
+
+    saa, sae, see, sa, se = total(0, 0), total(0, 1), total(1, 1), total(0), total(1)
+    say, sey, sy = total(0, 2), total(1, 2), total(2)
     # The adjugate of the symmetric Gram matrix [[saa, sae, sa],
     # [sae, see, se], [sa, se, n]], by its 6 distinct cofactors.
     c00 = see * n - se * se
@@ -268,14 +336,43 @@ def rls_update(state: RlsState, x: np.ndarray, y: np.ndarray) -> tuple[RlsState,
     """The recursion over each row of regressors x (n, 3) and responses y, in
     order: the new state and the last row's prediction residual.
 
-    Returns early, with the same bits, once the state is an all-NaN fixed
-    point.
+    Raises ValueError naming the first row that is not finite, before the
+    recursion has given any state back. Returns early, with the same bits,
+    once the state is an all-NaN fixed point.
     """
-    finite = np.isfinite(x).all(axis=1) & np.isfinite(y)
+    return _recursion(state, len(x), lambda s: (x[s, 0], x[s, 1], x[s, 2], y[s]))
+
+
+def _recursion(
+    state: RlsState,
+    n: int,
+    rows: Callable[[slice], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+) -> tuple[RlsState, float]:
+    """``rls_update`` over an n-row window read a block at a time: ``rows``
+    gives a row slice's regressor columns and responses."""
+    blocks = map(_checked_rows, map(rows, _blocks(n)))
+    result = _rls(state, chain.from_iterable(blocks))
+    # A recursion stopped at its NaN fixed point leaves blocks unread; they
+    # are checked all the same.
+    for _ in blocks:
+        pass
+    return result
+
+
+def _checked_rows(block: tuple[np.ndarray, ...]) -> Iterable[tuple[float, ...]]:
+    """The rows (x0, x1, x2, y) of a block of regressor and response columns.
+
+    Raises ValueError naming the block's first row that is not finite.
+    """
+    x0, x1, x2, y = block
+    finite = np.isfinite(x0) & np.isfinite(x1) & np.isfinite(x2) & np.isfinite(y)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise ValueError(f"non-finite regression row: regressors {x[i]}, response {y[i]}")
-    return _rls(state, zip(*map(memoryview, (x[:, 0], x[:, 1], x[:, 2], y))))
+        raise ValueError(
+            f"non-finite regression row: regressors "
+            f"{np.array([x0[i], x1[i], x2[i]])}, response {y[i]}"
+        )
+    return zip(*map(memoryview, block))
 
 
 def fit_peak(
@@ -301,11 +398,20 @@ def fit_peak(
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
-    _require_samples(len(az))
+    n = len(az)
+    _require_samples(n)
     caz, cel = centre
-    x, y = regression_row(az - caz, el - cel, level, k)
+
+    @_last_block
+    def angles(s: slice) -> tuple[np.ndarray, np.ndarray]:
+        return az[s] - caz, el[s] - cel
+
+    @_last_block
+    def response(s: slice) -> np.ndarray:
+        return _response(*angles(s), level[s], k)
+
     if estimator == "batch-ls":
-        beta = ls_fit(x, y)
+        beta = _solve(n, angles, response)
     else:
         state = rls_init(forgetting, delta)
         if prior is not None:
@@ -317,14 +423,24 @@ def fit_peak(
                 prior.level + k.k_az * daz * daz + k.k_el * del_ * del_,
             ])
             state = RlsState(coeffs=coeffs, cov=state.cov, forgetting=forgetting)
-        beta = rls_update(state, x, y)[0].coeffs
+
+        def rows(s: slice) -> tuple[np.ndarray, ...]:
+            a, e = angles(s)
+            return a, e, np.ones(len(a)), response(s)
+
+        beta = _recursion(state, n, rows)[0].coeffs
     local = recover_peak(beta, k)
     peak = PeakEstimate(local.azimuth + caz, local.elevation + cel, local.level)
     if not all(map(math.isfinite, (peak.azimuth, peak.elevation, peak.level))):
         raise EstimationError(f"non-finite estimate {peak}")
     b0, b1, b2 = beta.tolist()
-    residual = y - (x[:, 0] * b0 + x[:, 1] * b1 + x[:, 2] * b2)
-    return peak, math.sqrt(_fsum(residual * residual) / len(y))
+
+    def squared_residual(s: slice) -> np.ndarray:
+        a, e = angles(s)
+        r = response(s) - (a * b0 + e * b1 + b2)
+        return r * r
+
+    return peak, math.sqrt(_fsum(map(squared_residual, _blocks(n))) / n)
 
 
 def memory_horizon(forgetting: float) -> float:

@@ -13,7 +13,9 @@ package's log did before it stored the step columns as runs, and
 every row, as ``read_csv`` did before it converted each run's step fields
 once.
 ``closed_loop`` runs the tracking loop one step at a time, the reference
-for the package's ``run_scenario``.
+for the package's ``run_scenario``. ``fit_peak`` is the package's fit as it
+was before it read its window in blocks: whole-window arrays for the
+regression rows, the batch sums, the finiteness check and the residual.
 """
 
 from __future__ import annotations
@@ -31,7 +33,10 @@ from steptrack.antenna import (
     AntennaState, ReceiverConfig, command, quantize_angle, tick,
 )
 from steptrack.beacon import ParabolaParams, QuadraticCoefficients, beacon_level
-from steptrack.estimators import RlsState
+from steptrack.estimators import (
+    DEFAULT_RLS_DELTA, ESTIMATORS, RCOND_LIMIT, EstimationError, InsufficientDataError,
+    PeakEstimate, RankDeficientError, RlsState, recover_peak, rls_init,
+)
 from steptrack.orbit import OrbitConfig
 from steptrack import telemetry
 from steptrack.telemetry import FIELDS, _check_times, _phase_codes
@@ -142,6 +147,97 @@ def rls_update(state: RlsState, row: RegressionRow) -> tuple[RlsState, float]:
     return estimators.rls_update(
         state, row.regressors[None, :], np.array([row.response])
     )
+
+
+def _fsum(values: np.ndarray) -> float:
+    try:
+        return math.fsum(memoryview(values))
+    except (OverflowError, ValueError):
+        return math.nan
+
+
+def _whole_ls_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The batch solve with every sum taken over a whole-window array."""
+    n = len(x)
+    mean_az = _fsum(x[:, 0]) / n
+    mean_el = _fsum(x[:, 1]) / n
+    a = x[:, 0] - mean_az
+    e = x[:, 1] - mean_el
+    saa, sae, see, sa, se = map(_fsum, (a * a, a * e, e * e, a, e))
+    say, sey, sy = map(_fsum, (a * y, e * y, y))
+    c00 = see * n - se * se
+    c01 = se * sa - sae * n
+    c02 = sae * se - see * sa
+    c11 = saa * n - sa * sa
+    c12 = sae * sa - saa * se
+    c22 = saa * see - sae * sae
+    det = saa * c00 + sae * c01 + sa * c02
+    rcond = 0.0
+    if det > 0.0:
+        gram_norm = max(abs(saa) + abs(sae) + abs(sa), abs(sae) + abs(see) + abs(se),
+                        abs(sa) + abs(se) + n)
+        adj_norm = max(abs(c00) + abs(c01) + abs(c02), abs(c01) + abs(c11) + abs(c12),
+                       abs(c02) + abs(c12) + abs(c22))
+        rcond = det / (gram_norm * adj_norm)
+    if not rcond >= RCOND_LIMIT:
+        raise RankDeficientError(
+            f"sample positions are rank deficient "
+            f"(reciprocal condition {rcond:.3e} of the normal equations)"
+        )
+    b0 = (c00 * say + c01 * sey + c02 * sy) / det
+    b1 = (c01 * say + c11 * sey + c12 * sy) / det
+    b2 = (c02 * say + c12 * sey + c22 * sy) / det
+    return np.array([b0, b1, b2 - b0 * mean_az - b1 * mean_el])
+
+
+def _whole_rls_update(state: RlsState, x: np.ndarray, y: np.ndarray) -> RlsState:
+    """The recursion after one finiteness check of the whole window."""
+    finite = np.isfinite(x).all(axis=1) & np.isfinite(y)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"non-finite regression row: regressors {x[i]}, response {y[i]}")
+    return estimators._rls(state, zip(*map(memoryview, (x[:, 0], x[:, 1], x[:, 2], y))))[0]
+
+
+def fit_peak(
+    az: np.ndarray,
+    el: np.ndarray,
+    level: np.ndarray,
+    centre: tuple[float, float],
+    k: QuadraticCoefficients,
+    estimator: str,
+    forgetting: float = 1.0,
+    delta: float = DEFAULT_RLS_DELTA,
+    prior: PeakEstimate | None = None,
+) -> tuple[PeakEstimate, float]:
+    """``estimators.fit_peak`` over whole-window arrays: the (n, 3)
+    regression rows, the batch sums, the finiteness check and the residual."""
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
+    if len(az) < 3:
+        raise InsufficientDataError(f"need at least 3 samples, got {len(az)}")
+    caz, cel = centre
+    x, y = estimators.regression_row(az - caz, el - cel, level, k)
+    if estimator == "batch-ls":
+        beta = _whole_ls_fit(x, y)
+    else:
+        state = rls_init(forgetting, delta)
+        if prior is not None:
+            daz, del_ = prior.azimuth - caz, prior.elevation - cel
+            coeffs = np.array([
+                -2.0 * k.k_az * daz,
+                -2.0 * k.k_el * del_,
+                prior.level + k.k_az * daz * daz + k.k_el * del_ * del_,
+            ])
+            state = RlsState(coeffs=coeffs, cov=state.cov, forgetting=forgetting)
+        beta = _whole_rls_update(state, x, y).coeffs
+    local = recover_peak(beta, k)
+    peak = PeakEstimate(local.azimuth + caz, local.elevation + cel, local.level)
+    if not all(map(math.isfinite, (peak.azimuth, peak.elevation, peak.level))):
+        raise EstimationError(f"non-finite estimate {peak}")
+    b0, b1, b2 = beta.tolist()
+    residual = y - (x[:, 0] * b0 + x[:, 1] * b1 + x[:, 2] * b2)
+    return peak, math.sqrt(_fsum(residual * residual) / len(y))
 
 
 class DenseTelemetryLog:

@@ -7,16 +7,19 @@ against the batch solution it must reproduce at forgetting 1.
 """
 
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from steptrack import estimators
 from steptrack.beacon import QuadraticCoefficients, beacon_level, ParabolaParams
 from steptrack.estimators import (
+    ESTIMATORS,
     DegenerateCoefficientsError,
     EstimationError,
     InsufficientDataError,
@@ -585,3 +588,111 @@ def test_fit_peak_needs_three_samples(estimator):
 def test_fit_peak_rejects_unknown_estimator():
     with pytest.raises(ValueError, match="estimator"):
         fit_peak(np.ones(5), np.ones(5), np.ones(5), (1.0, 1.0), K12, "kalman")
+
+
+# -- fit_peak in blocks ------------------------------------------------------------
+# ``fit_peak`` reads its window ``_BLOCK_ROWS`` rows at a time; the reference
+# is the same fit over whole-window arrays (``oracles.fit_peak``).
+
+BLOCK = estimators._BLOCK_ROWS
+K_DESK = QuadraticCoefficients(-1.1, -11.4)
+
+
+def _window(n, seed, spread):
+    """n noisy samples of the desk beacon around (180, 72), spread deg wide."""
+    rng = np.random.default_rng(seed)
+    az = 180.0 + spread * rng.uniform(-1.0, 1.0, n)
+    el = 72.0 + 0.25 * spread * rng.uniform(-1.0, 1.0, n)
+    with np.errstate(all="ignore"):
+        level = (6.0 + K_DESK.k_az * (az - 180.01) ** 2 + K_DESK.k_el * (el - 72.005) ** 2
+                 + rng.normal(0.0, 0.2, n))
+    return az, el, level
+
+
+def _outcome(fit, *args, **kwargs):
+    """The peak's and the RMS's bits, or the exception's type and message."""
+    try:
+        with np.errstate(all="ignore"):
+            peak, rms = fit(*args, **kwargs)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+    return struct.pack("4d", peak.azimuth, peak.elevation, peak.level, rms)
+
+
+edge_lengths = st.sampled_from(
+    [3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1, 3 * BLOCK]
+)
+
+
+@given(
+    n=edge_lengths | st.integers(3, 3 * BLOCK + 1),
+    seed=st.integers(0, 2**32 - 1),
+    estimator=st.sampled_from(ESTIMATORS),
+    forgetting=st.sampled_from([1.0, 0.98, 0.5]),
+    prior=st.booleans(),
+    spread=st.sampled_from([0.2, 1e-9, 0.0, 1e200]),
+    bad=st.none() | st.tuples(
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.sampled_from(["az", "el", "level"]),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    ),
+)
+@example(n=2 * BLOCK + 1, seed=1, estimator="rls", forgetting=1.0, prior=True, spread=0.2,
+         bad=(BLOCK / (2 * BLOCK + 1), "level", math.nan))
+def test_fit_peak_in_blocks_matches_the_whole_window_fit(
+    n, seed, estimator, forgetting, prior, spread, bad
+):
+    az, el, level = _window(n, seed, spread)
+    if bad is not None:
+        where, column, value = bad
+        {"az": az, "el": el, "level": level}[column][int(where * n)] = value
+    args = (az, el, level, (180.0, 72.0), K_DESK, estimator, forgetting, 1e4)
+    kwargs = {"prior": PeakEstimate(180.02, 71.99, 5.5) if prior else None}
+    assert _outcome(fit_peak, *args, **kwargs) == _outcome(oracles.fit_peak, *args, **kwargs)
+
+
+def test_a_non_finite_row_after_the_recursion_stops_is_still_reported(monkeypatch):
+    # Held rows at forgetting 0.5 double the gain matrix along the
+    # directions they do not excite, row by row, until it overflows and the
+    # state is an all-NaN fixed point, well inside the first block. The NaN
+    # level in the second block is reported as the whole-window check
+    # reports it, not as a non-finite estimate.
+    n = 2 * BLOCK
+    az, el, level = np.full(n, 180.0), np.full(n, 72.0), np.full(n, 6.0)
+    args = (az, el, level, (180.0, 72.0), K_DESK, "rls", 0.5)
+    taken = []
+    real_rls = estimators._rls
+    monkeypatch.setattr(
+        estimators, "_rls", lambda state, rows: real_rls(state, (taken.append(1) or r for r in rows))
+    )
+    with np.errstate(all="ignore"), pytest.raises(EstimationError, match="non-finite estimate"):
+        fit_peak(*args)
+    assert 0 < len(taken) < BLOCK
+    level[BLOCK + 7] = math.nan
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError) as want:
+            oracles.fit_peak(*args)
+        with pytest.raises(ValueError) as got:
+            fit_peak(*args)
+        x, y = regression_row(az - 180.0, el - 72.0, level, K_DESK)
+        with pytest.raises(ValueError) as updated:
+            rls_update(rls_init(0.5), x, y)
+    assert str(got.value) == str(want.value) == str(updated.value)
+    assert str(got.value) == "non-finite regression row: regressors [0. 0. 1.], response nan"
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_a_fit_holds_a_few_blocks_of_scratch_whatever_its_window(estimator):
+    # The bound follows from the block size: sixteen float64 arrays of one
+    # block, 512 KiB at 4096 rows. A fit over whole-window arrays of 250,000
+    # samples holds about ten 2 MB arrays at once.
+    bound = 16 * BLOCK * 8
+    az, el, level = _window(250_000, 5, 0.2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fit_peak(az, el, level, (180.0, 72.0), K_DESK, estimator)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
