@@ -10,8 +10,8 @@ checks a slew target and ``tick`` returns a copy moved toward one.
 ``_approach`` (the arithmetic of ``tick``) with readbacks from
 ``quantize_angle``, and calls ``command`` on each command the tracker
 gives at its decisions. It measures the planned poses with ``measure``
-as each fit needs their levels, and computes their volts with
-``receiver_voltage`` once a pass of a bounded number of rows.
+as each fit needs their levels. Its log computes their volts with
+``receiver_voltage`` on the rows read, and once a pass to check them.
 """
 
 from __future__ import annotations

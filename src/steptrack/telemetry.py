@@ -9,29 +9,33 @@ block's step columns are encoded as runs as it comes in, at a fixed cost
 of some microseconds a column, so a log fed few long blocks costs least:
 ``tracker.run_scenario`` logs a block per measure pass.
 
-Time, level and volts change on nearly every row and are stored dense,
-one value per row. The commands, readbacks, phase and cycle index are
-step functions: they hold over a WAIT span or a pattern leg, and change
-a few thousand times in a simulated day of 4.32 M rows. They are stored
-run-length encoded: the first row and the value of each run, where
-neighbouring runs differ in bit pattern, so -0.0 and 0.0 stay apart.
-So the log takes about 24 B a row. Data comes out as columns:
+Time, level and volts change on nearly every row. The commands,
+readbacks, phase and cycle index are step functions: they hold over a
+WAIT span or a pattern leg, and change a few thousand times in a
+simulated day of 4.32 M rows. They are stored run-length encoded: the
+first row and the value of each run, where neighbouring runs differ in
+bit pattern, so -0.0 and 0.0 stay apart. The level is stored dense, one
+value per row. A log given the step interval ``dt`` and the receiver's
+volts function, as ``tracker.run_scenario`` builds it, derives the time
+(row times ``dt``) and the volts (of the level) and stores neither: it
+takes about 8 B a row. Any other log, such as one read from a file,
+stores them too, at about 24 B a row. Data comes out as columns:
 ``column(name, rows)`` gives a slice of a column's rows, read-only, and
-expands only the rows taken of a step column; ``runs`` gives a step
-column's runs, and ``len`` the row count.
+expands or computes only the rows taken; ``runs`` gives a step column's
+runs, and ``len`` the row count.
 
 The CSV encoding writes floats at full round-trip precision (padded to at
 least six decimal places), so a written log reads back bit-exact and
 still drops straight into any plotting tool. ``write_csv`` and
 ``read_csv`` work in fixed-size blocks (of rows, and of bytes on a grid
 fixed by the file), so their working memory does not grow with the log.
-Both follow the log's layout: the writer formats the row-by-row columns
-value by value and each distinct value of a step column once a block,
-and the reader converts each run's step fields once. ``read_csv`` counts
-the lines first to size the columns once, then parses each block one
-way, with one ``np.loadtxt`` pass that converts the row-by-row fields
-and keeps the step fields' text, converts the step fields only on the
-rows where that text changes, and hands those rows to
+Both follow the log's layout: the writer formats the row-by-row columns,
+stored or derived, value by value and each distinct value of a step
+column once a block, and the reader converts each run's step fields
+once. ``read_csv`` counts the lines first to size the columns once, then
+parses each block one way, with one ``np.loadtxt`` pass that converts
+the row-by-row fields and keeps the step fields' text, converts the step
+fields only on the rows where that text changes, and hands those rows to
 ``TelemetryLog.from_runs``; a block that pass cannot take is parsed a
 line at a time, which names its first bad line.
 For a log of two blocks or more in a regular file, both fork up to one
@@ -72,8 +76,9 @@ FIELDS = (
 )
 PHASES = ("acquire", "estimate", "move", "wait")
 _DTYPES = dict(zip(FIELDS, (np.float64,) * 7 + (np.int8, np.int64)))
-# The columns stored row by row; the other six hold each value over a run
-# of rows and are stored as runs.
+# The columns with a value a row, stored or (time and volts, in a log that
+# derives them) computed; the other six hold each value over a run of rows
+# and are stored as runs.
 _DENSE = ("t", "beacon_db", "receiver_volts")
 _STEPS = tuple(name for name in FIELDS if name not in _DENSE)
 # One parsed CSV row. A phase field longer than the longest name is cut
@@ -227,17 +232,26 @@ class _Runs:
 class TelemetryLog:
     """Columnar row store; each row must carry a later time than the last.
 
-    ``t``, ``beacon_db`` and ``receiver_volts`` are stored row by row,
-    and the six step columns (commands, readbacks, phase and cycle) as
-    runs, each block's as it comes in: a block costs about 9 us a step
-    column before any per-row work, so few long blocks go in fastest.
-    ``capacity`` preallocates that many rows of the row-by-row columns,
-    so a log of known length (one row per simulation step) is never
-    copied while it grows.
+    ``beacon_db`` is stored row by row, and the six step columns
+    (commands, readbacks, phase and cycle) as runs, each block's as it
+    comes in: a block costs about 9 us a step column before any per-row
+    work, so few long blocks go in fastest. Given a step interval ``dt``,
+    the log derives ``t`` of row j as ``j * dt``; given ``volts``, it
+    derives ``receiver_volts`` as ``volts(beacon_db)`` of the same rows.
+    Otherwise it stores them row by row too. ``capacity`` preallocates
+    that many rows of the stored row-by-row columns, so a log of known
+    length (one row per simulation step) is never copied while it grows.
     """
 
-    def __init__(self, *, capacity: int = 0):
-        self._dense = {name: np.empty(capacity, np.float64) for name in _DENSE}
+    def __init__(
+        self, *, capacity: int = 0, dt: Optional[float] = None,
+        volts: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    ):
+        self._dt, self._volts = dt, volts
+        self._dense = {
+            name: np.empty(capacity, np.float64)
+            for name, derived_by in zip(_DENSE, (dt, None, volts)) if derived_by is None
+        }
         self._runs = {name: _Runs(_DTYPES[name]) for name in _STEPS}
         self._n = 0
 
@@ -278,14 +292,15 @@ class TelemetryLog:
         row. ``phase`` holds phase names from ``PHASES`` or their codes
         (indices into it); a code out of range, or a ``cycle_index`` that is
         not a whole number that int64 holds, raises ValueError. A single
-        value of a step column adds at most one run.
+        value of a step column adds at most one run. A derived column's
+        values must equal the log's, bit for bit, or ValueError is raised.
         """
         t = np.asarray(t, dtype=np.float64)
         k = len(t)
         if k == 0:
             return
         n = self._n
-        _check_times(t, self._dense["t"][n - 1] if n else None)
+        _check_times(t, self._rows("t", n - 1, n)[0] if n else None)
         steps = [
             _block(values, _DTYPES[name], k)
             for name, values in zip(_STEPS, (
@@ -294,10 +309,19 @@ class TelemetryLog:
             ))
         ]
         self._reserve(n + k)
-        # A failed copy leaves the log as it was: the runs and the row
-        # count move only once every column is in place.
-        for col, values in zip(self._dense.values(), (t, beacon_db, receiver_volts)):
-            col[n : n + k] = values
+        # A failed copy or check leaves the log as it was: the runs and the
+        # row count move only once every column is in place. The level goes
+        # in before the volts derived from it are checked.
+        for name, values in zip(_DENSE, (t, beacon_db, receiver_volts)):
+            if name in self._dense:
+                self._dense[name][n : n + k] = values
+                continue
+            given = np.broadcast_to(np.asarray(values, np.float64), k)
+            want = self._rows(name, n, n + k)
+            bad = np.flatnonzero(given.view(np.uint64) != want.view(np.uint64))
+            if len(bad):
+                i = bad[0]
+                raise ValueError(f"{name} {given[i]} at row {n + i} is not the derived {want[i]}")
         for runs, values in zip(self._runs.values(), steps):
             runs.encode(values, k)
         self._n = n + k
@@ -306,14 +330,15 @@ class TelemetryLog:
         """Rows of one column, read-only, for a slice with a positive step;
         ``phase`` gives codes into ``PHASES``.
 
-        A row-by-row column gives a view. A step column is cut from its
-        runs, so only the rows taken are expanded, not the whole column.
+        A stored row-by-row column gives a view, and a derived one computes
+        only the rows taken. A step column is cut from its runs, so only
+        the rows taken are expanded, not the whole column.
         """
         lo, hi, step = rows.indices(self._n)
         if step < 1:
             raise ValueError(f"row step must be positive, got {step}")
-        if name in self._dense:
-            col = self._dense[name][lo:hi:step]
+        if name in _DENSE:
+            col = self._rows(name, lo, hi, step)
         elif hi <= lo:
             col = np.empty(0, _DTYPES[name])
         else:
@@ -328,11 +353,11 @@ class TelemetryLog:
     def from_runs(
         cls, dense: list[np.ndarray], ranges: list[tuple[int, np.ndarray, list[np.ndarray]]]
     ) -> TelemetryLog:
-        """A log of the row-by-row columns ``dense``, used in place, and of
-        the step columns given range by range in row order, each range as
-        ``(rows, heads, values)``: its row count, the rows where a step
-        column may change (counted from its first row, the first head) and
-        each step column's values on them."""
+        """A log of the row-by-row columns ``dense``, stored and used in
+        place, and of the step columns given range by range in row order,
+        each range as ``(rows, heads, values)``: its row count, the rows
+        where a step column may change (counted from its first row, the
+        first head) and each step column's values on them."""
         log = cls()
         for rows, heads, values in ranges:
             for runs, col in zip(log._runs.values(), values):
@@ -355,12 +380,27 @@ class TelemetryLog:
     def __len__(self) -> int:
         return self._n
 
+    def _rows(self, name: str, lo: int, hi: int, step: int = 1) -> np.ndarray:
+        """Rows ``lo:hi:step`` of a row-by-row column: a view of a stored
+        one, or a derived one computed on those rows alone."""
+        if name in self._dense:
+            return self._dense[name][lo:hi:step]
+        if name == "t":
+            return np.arange(lo, hi, step) * self._dt
+        return self._volts(self._rows("beacon_db", lo, hi, step))
+
+    def first_row_at(self, time: float) -> int:
+        """The first row whose time is at or after ``time``, or ``len`` if
+        none is or ``time`` is NaN, as ``searchsorted`` finds it. Derived
+        times are not computed: the row comes by arithmetic."""
+        if self._dt is None:
+            return int(np.searchsorted(self._rows("t", 0, self._n), time, side="left"))
+        return self._n if math.isnan(time) else _first_step_at(time, self._dt, self._n)
+
     def _reserve(self, rows: int) -> None:
-        capacity = len(self._dense["t"])
-        if rows > capacity:
-            size = max(rows, 2 * capacity, 1024)
-            for name, col in self._dense.items():
-                self._dense[name] = _grown(col, size, self._n)
+        for name, col in self._dense.items():
+            if rows > len(col):
+                self._dense[name] = _grown(col, max(rows, 2 * len(col), 1024), self._n)
 
 
 def _block(values, dtype: type, rows: int) -> np.ndarray:
@@ -371,6 +411,22 @@ def _block(values, dtype: type, rows: int) -> np.ndarray:
     return np.broadcast_to(values, (rows,))
 
 
+def _first_step_at(due: float, dt: float, n_steps: int) -> int:
+    """The first step j with ``j * dt >= due``, or ``n_steps`` if no step of
+    the run is."""
+    if due > (n_steps - 1) * dt:
+        return n_steps
+    if not due > 0:
+        return 0
+    # The quotient may round either way.
+    end = math.ceil(due / dt)
+    while end > 0 and (end - 1) * dt >= due:
+        end -= 1
+    while end * dt < due:
+        end += 1
+    return end
+
+
 def time_window(
     log: TelemetryLog, t0: Optional[float] = None, t1: Optional[float] = None
 ) -> slice:
@@ -379,11 +435,10 @@ def time_window(
     Times strictly increase, so the rows inside the window are contiguous.
     A NaN bound, which no time satisfies, gives an empty window.
     """
-    t = log.column("t")
-    lo = 0 if t0 is None else int(np.searchsorted(t, t0, side="left"))
-    hi = len(t) if t1 is None else int(np.searchsorted(t, t1, side="right"))
+    lo = 0 if t0 is None else log.first_row_at(t0)
+    hi = len(log) if t1 is None else log.first_row_at(math.nextafter(t1, math.inf))
     if t1 is not None and math.isnan(t1):
-        hi = lo  # searchsorted puts NaN after every time
+        hi = lo  # NaN sorts after every time
     return slice(lo, max(lo, hi))
 
 

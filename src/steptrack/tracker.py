@@ -53,7 +53,7 @@ from .estimators import (
     fit_peak,
 )
 from .orbit import OrbitConfig, satellite_direction
-from .telemetry import PHASES, TelemetryLog
+from .telemetry import PHASES, TelemetryLog, _first_step_at
 
 # Unused here since the cycle fits through ``fit_peak`` and ``run_scenario``
 # moves the plant in its plan pass, but bound as the layer names through
@@ -332,22 +332,6 @@ def _arrived(
     return abs(azimuth - target[0]) <= tol and abs(elevation - target[1]) <= tol
 
 
-def _first_step_at(due: float, dt: float, n_steps: int) -> int:
-    """The first step j with ``j * dt >= due``, or ``n_steps`` if no step of
-    the run is."""
-    if due > (n_steps - 1) * dt:
-        return n_steps
-    if not due > 0:
-        return 0
-    # The quotient may round either way.
-    end = math.ceil(due / dt)
-    while end > 0 and (end - 1) * dt >= due:
-        end -= 1
-    while end * dt < due:
-        end += 1
-    return end
-
-
 def run_scenario(
     orbit: OrbitConfig,
     plant: AntennaState,
@@ -388,10 +372,12 @@ def run_scenario(
     batch from the same generator in row order, floor clamp), and the fit
     gathers its samples' readbacks and levels by step index, from the
     buffer or, when a pass fell among them, from the log. A full buffer,
-    and the last one, is measured likewise, gets its volts and goes into
-    the log as one block. The log is the same, byte for byte once
-    written, as measuring, deciding, ``command`` and ``tick`` one step at
-    a time.
+    and the last one, is measured likewise and goes into the log as one
+    block. The log stores the levels and derives each row's time (row
+    times ``sample_interval``) and volts (``receiver_voltage`` of the
+    level); it checks the pass's times and volts against them. The log is
+    the same, byte for byte once written, as measuring, deciding,
+    ``command`` and ``tick`` one step at a time.
 
     Deterministic for a fixed receiver seed. Raises ValueError before
     starting if ``duration`` is not finite and non-negative or needs more
@@ -440,7 +426,9 @@ def run_scenario(
     dt = config.sample_interval
     try:
         n_steps = round(duration / dt)  # inf for a subnormal dt: OverflowError
-        log = TelemetryLog(capacity=n_steps)
+        log = TelemetryLog(
+            capacity=n_steps, dt=dt, volts=lambda level: receiver_voltage(level, rx)
+        )
     except (ValueError, MemoryError, OverflowError) as exc:
         raise ValueError(
             f"duration {duration} s needs {duration / dt:.4g} telemetry rows, "

@@ -260,19 +260,21 @@ def test_long_spans_are_measured_in_bounded_passes(monkeypatch, cycle):
     # when no other falls due), and the moving rows of a run without spans.
     # A pass falls inside a cycle's ACQUIRE, between samples and their fit.
     monkeypatch.setattr("steptrack.tracker._PASS_ROWS", 64)
-    passes = []
-
-    def recorded(level, rx):
-        passes.append(len(level))
-        return receiver_voltage(level, rx)
-
-    monkeypatch.setattr("steptrack.tracker.receiver_voltage", recorded)
     orbit = OrbitConfig(180.0, 60.0, 3.0, 0.5, 300.0)
     plant = AntennaState(180.0, 60.0)
     rx = ReceiverConfig(noise_sigma=0.2, drift_amplitude=0.5, drift_period=40.0, rng_seed=11)
     config = TrackerConfig(cycle_period=cycle)
     assert bool(_span_rows(orbit, plant, rx, config, 20.0)) == (cycle != 1.3)
     want = _stepped(orbit, plant, rx, config, 20.0)
+    # Each pass goes into the log as one block.
+    passes = []
+    extend = TelemetryLog.extend
+
+    def recorded(log, t, *columns):
+        passes.append(len(t))
+        return extend(log, t, *columns)
+
+    monkeypatch.setattr(TelemetryLog, "extend", recorded)
     got = run_scenario(orbit, plant, rx, config, 20.0)
     _assert_same_log(got, want)
     assert max(passes) <= 64 and sum(passes) == len(got)
@@ -321,14 +323,12 @@ def test_tracker_is_called_only_where_it_decides(monkeypatch):
 
 def test_rapid_cycles_are_logged_a_pass_at_a_time(monkeypatch):
     # A 1.5 s cycle, as in the benchmark's rapid_cycle, fits about 75 rows:
-    # its rows get their volts and go into the log a pass of _PASS_ROWS rows
-    # at a time, not a cycle or a block of planned steps at a time. Each
-    # fit measures a slice of the pass's satellite field, which is taken
-    # once a pass.
+    # its rows go into the log a pass of _PASS_ROWS rows at a time, not a
+    # cycle or a block of planned steps at a time. Each fit measures a
+    # slice of the pass's satellite field, which is taken once a pass.
     calls = {}
     monkeypatch.setattr(TelemetryLog, "extend", _counting(calls, "extend", TelemetryLog.extend))
     for name, fn in (
-        ("receiver_voltage", receiver_voltage),
         ("satellite_direction", satellite_direction),
         ("az_coeff_from_elevation", az_coeff_from_elevation),
     ):
@@ -345,8 +345,7 @@ def test_rapid_cycles_are_logged_a_pass_at_a_time(monkeypatch):
     cycles = int(log.column("cycle_index").max()) + 1
     passes = -(-len(log) // tracker._PASS_ROWS)
     assert cycles > 100 and passes < 5, (cycles, passes)
-    assert calls["receiver_voltage"] == passes, calls
-    assert calls["extend"] <= passes, calls
+    assert calls["extend"] == passes, calls
     assert calls["satellite_direction"] <= passes, calls
     assert calls["az_coeff_from_elevation"] <= passes, calls
 

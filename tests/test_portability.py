@@ -90,9 +90,11 @@ def test_commands_write_the_same_bytes_under_every_kernel(tmp_path):
 
 
 def test_windup_tests_pass_bit_for_bit_under_every_kernel(tmp_path):
+    module = TESTS / "test_estimators.py"
     args = [
-        "-m", "pytest", "-q", "-p", "no:cacheprovider", str(TESTS / "test_estimators.py"),
-        "-k", "through_windup or nan_fixed_point",
+        "-m", "pytest", "-q", "-p", "no:cacheprovider",
+        f"{module}::test_rls_run_matches_rls_update_loop_through_windup",
+        f"{module}::test_rls_run_stops_once_the_state_is_a_nan_fixed_point",
     ]
     for kernel, (code, stdout, stderr) in _run_under_each_kernel(args, tmp_path).items():
         assert code == 0 and "2 passed" in stdout, (kernel, stdout + stderr)

@@ -1,7 +1,10 @@
 """Telemetry log tests: ordering, statistics, trajectory, CSV round trip."""
 
 import ast
+import dataclasses
 import errno
+import functools
+import gc
 import io
 import math
 import os
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 
 from oracles import DenseTelemetryLog, read_csv_rows
 from steptrack import telemetry
+from steptrack.antenna import ReceiverConfig, receiver_voltage
 from steptrack.scenario import load_scenario, resolve_scenario_path
 from steptrack.telemetry import (
     CSV_HEADER,
@@ -623,6 +627,134 @@ def test_scalar_step_values_take_no_memory_per_row():
         tracemalloc.stop()
     assert peak <= 24 * n + 64 * 1024
     assert [len(log.runs(name)[0]) for name in FIELDS[1:5] + FIELDS[7:]] == [1] * 6
+
+
+# -- a simulated log derives its time and volts ----------------------------------
+
+
+def _desk_run(duration, cycle_period=None):
+    """A run of the desk figure-8, with the scenario's receiver and step."""
+    sc = load_scenario(resolve_scenario_path("desk_figure8"))
+    config = sc.tracker
+    if cycle_period is not None:
+        config = dataclasses.replace(config, cycle_period=cycle_period)
+    log = run_scenario(
+        sc.orbit, sc.antenna, sc.receiver, config, duration,
+        peak_level_db=sc.peak_level_db, truth_k_el=sc.truth_k_el,
+    )
+    return log, sc.receiver, config.sample_interval
+
+
+@functools.cache
+def _simulated():
+    """A simulated log of two passes and a bit, and the same rows in a log
+    that stores every column, with the times and volts computed whole."""
+    log, rx, dt = _desk_run(180.0)
+    stored = TelemetryLog()
+    stored.extend(
+        np.arange(len(log)) * dt, *(log.column(name) for name in FIELDS[1:6]),
+        receiver_voltage(log.column("beacon_db"), rx), *(log.column(name) for name in FIELDS[7:]),
+    )
+    return log, stored
+
+
+SIMULATED_ROWS = 9000
+row_bounds = st.none() | st.integers(-2 * SIMULATED_ROWS, 2 * SIMULATED_ROWS)
+
+
+@given(rows=st.builds(slice, row_bounds, row_bounds, st.none() | st.integers(1, 3 * 4096)))
+@example(rows=slice(None))
+@example(rows=slice(4096, 4096))
+@example(rows=slice(SIMULATED_ROWS, None))
+@example(rows=slice(-1, 10 * SIMULATED_ROWS, 7))
+def test_derived_columns_equal_the_stored_ones(rows):
+    log, stored = _simulated()
+    assert len(log) == SIMULATED_ROWS
+    for name in FIELDS:
+        assert _equal_bits(log.column(name, rows), stored.column(name, rows)), name
+
+
+def _near(x):
+    return st.sampled_from([x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)])
+
+
+# Grid times, an ulp either side of them, and bounds outside the log.
+window_bounds = (
+    st.none()
+    | st.integers(-3, SIMULATED_ROWS + 3).map(lambda j: j * 0.02).flatmap(_near)
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, -1.0, 1e300, -1e300])
+    | st.floats()
+)
+
+
+@given(t0=window_bounds, t1=window_bounds)
+@example(t0=None, t1=None)
+@example(t0=math.nan, t1=None)
+@example(t0=-1.0, t1=math.nan)
+@example(t0=(SIMULATED_ROWS - 1) * 0.02, t1=math.inf)
+def test_derived_time_window_equals_searchsorted(t0, t1):
+    log, stored = _simulated()
+    t = stored.column("t")
+    lo = 0 if t0 is None else int(np.searchsorted(t, t0, side="left"))
+    hi = len(t) if t1 is None else int(np.searchsorted(t, t1, side="right"))
+    if t1 is not None and math.isnan(t1):
+        hi = lo
+    want = slice(lo, max(lo, hi))
+    assert time_window(stored, t0, t1) == want
+    with mock.patch.object(TelemetryLog, "_rows", side_effect=AssertionError("t computed")):
+        assert time_window(log, t0, t1) == want
+
+
+RX = ReceiverConfig()
+
+
+def _volts(level):
+    return receiver_voltage(level, RX)
+
+
+@given(
+    k=st.integers(1, 20),
+    at=st.integers(0, 19),
+    name=st.sampled_from(["t", "receiver_volts"]),
+    ulps=st.sampled_from([-1, 1]),
+    level=st.floats(-40.0, 20.0),
+)
+def test_derived_log_rejects_other_times_and_volts(k, at, name, ulps, level):
+    # A time or a volts value one ulp off the log's own fails the block,
+    # and the log stays as it was.
+    log = TelemetryLog(dt=0.02, volts=_volts)
+    levels = level + np.arange(2 * k)
+
+    def block(rows):
+        return [rows * 0.02, 180.0, 72.0, 180.0, 72.0, levels[rows], _volts(levels[rows]), 3, 0]
+
+    log.extend(*block(np.arange(k)))
+    bad = block(np.arange(k, 2 * k))
+    column = bad[FIELDS.index(name)]
+    column[at % k] = math.nextafter(column[at % k], ulps * math.inf)
+    with pytest.raises(ValueError, match=f"{name} .* at row {k + at % k} is not the derived"):
+        log.extend(*bad)
+    assert len(log) == k and len(log.runs("phase")[0]) == 1
+    log.extend(*block(np.arange(k, 2 * k)))
+    assert _equal_bits(log.column("receiver_volts"), _volts(levels))
+
+
+def test_simulated_log_stores_one_column_a_row():
+    # The level is the one column stored row by row: 8 B a row, besides
+    # the step columns' runs (whose buffers grow by doubling) and 64 KiB.
+    _desk_run(10.0)  # any first-call caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        log, _, _ = _desk_run(1200.0, cycle_period=60.0)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    runs = sum(a.nbytes for name in FIELDS[1:5] + FIELDS[7:] for a in log.runs(name))
+    assert len(log) == 60_000
+    assert held <= 8 * len(log) + 2 * runs + 64 * 1024, (held, runs)
 
 
 def _reference_format(value):

@@ -426,7 +426,7 @@ def test_run_scenario_rejects_non_finite_duration(duration):
 
 
 def test_run_scenario_reports_rows_it_cannot_allocate(monkeypatch):
-    def no_memory(*, capacity):
+    def no_memory(*, capacity, dt, volts):
         raise MemoryError(f"cannot allocate {capacity} rows")
 
     monkeypatch.setattr("steptrack.tracker.TelemetryLog", no_memory)
