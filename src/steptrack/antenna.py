@@ -29,10 +29,6 @@ from .beacon import ParabolaParams, beacon_level
 DEFAULT_RESOLVER_STEP = 360.0 / 65536.0
 
 
-class AxisLimitError(ValueError):
-    """Commanded or configured angle falls outside an axis travel range."""
-
-
 @dataclass(frozen=True)
 class AntennaState:
     true_azimuth: float  # deg
@@ -57,7 +53,7 @@ class AntennaState:
             ("true_elevation", self.true_elevation, self.el_limits),
         ):
             if not lo <= value <= hi:
-                raise AxisLimitError(f"{name} must be within [{lo}, {hi}], got {value!r}")
+                raise ValueError(f"{name} must be within [{lo}, {hi}], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -95,15 +91,15 @@ class ReceiverConfig:
 def command(
     state: AntennaState, target_azimuth: float, target_elevation: float
 ) -> None:
-    """Raise AxisLimitError if a slew target lies outside the axis limits."""
+    """Raise ValueError if a slew target lies outside the axis limits."""
     lo, hi = state.az_limits
     if not lo <= target_azimuth <= hi:
-        raise AxisLimitError(
+        raise ValueError(
             f"target azimuth {target_azimuth} outside limits [{lo}, {hi}]"
         )
     lo, hi = state.el_limits
     if not lo <= target_elevation <= hi:
-        raise AxisLimitError(
+        raise ValueError(
             f"target elevation {target_elevation} outside limits [{lo}, {hi}]"
         )
 

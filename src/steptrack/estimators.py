@@ -83,19 +83,7 @@ _BLOCK_ROWS = 4096
 
 
 class EstimationError(Exception):
-    """Base class for estimator failures."""
-
-
-class InsufficientDataError(EstimationError):
-    """Fewer samples than unknowns."""
-
-
-class RankDeficientError(EstimationError):
-    """Sample positions do not span the regressor space."""
-
-
-class DegenerateCoefficientsError(EstimationError):
-    """Quadratic coefficient magnitude below the configured floor."""
+    """A fit that gives no peak; the message says why."""
 
 
 @dataclass(frozen=True)
@@ -138,7 +126,7 @@ def _response(
 
 def _require_samples(n: int) -> None:
     if n < 3:
-        raise InsufficientDataError(f"need at least 3 samples, got {n}")
+        raise EstimationError(f"need at least 3 samples, got {n}")
 
 
 def _blocks(n: int) -> list[slice]:
@@ -179,10 +167,9 @@ def ls_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     normal equations of the shifted rows are solved in closed form
     (adjugate over determinant). Every sum is a ``math.fsum``.
 
-    Raises InsufficientDataError for fewer than 3 rows and
-    RankDeficientError when the positions are collinear: the determinant
-    of the normal equations is not positive, or their reciprocal
-    condition is below RCOND_LIMIT.
+    Raises EstimationError for fewer than 3 rows and when the positions
+    are collinear: the determinant of the normal equations is not
+    positive, or their reciprocal condition is below RCOND_LIMIT.
     """
     _require_samples(len(x))
     return _solve(len(x), lambda s: (x[s, 0], x[s, 1]), lambda s: y[s])
@@ -234,7 +221,7 @@ def _solve(
                        abs(c02) + abs(c12) + abs(c22))
         rcond = det / (gram_norm * adj_norm)
     if not rcond >= RCOND_LIMIT:
-        raise RankDeficientError(
+        raise EstimationError(
             f"sample positions are rank deficient "
             f"(reciprocal condition {rcond:.3e} of the normal equations)"
         )
@@ -247,11 +234,11 @@ def _solve(
 def recover_peak(beta: np.ndarray, k: QuadraticCoefficients) -> PeakEstimate:
     """Invert the coefficient vector back to (peak_az, peak_el, peak_level).
 
-    Raises DegenerateCoefficientsError if either curvature's magnitude is
-    below ``DEFAULT_COEFF_FLOOR``.
+    Raises EstimationError if either curvature's magnitude is below
+    ``DEFAULT_COEFF_FLOOR``.
     """
     if abs(k.k_az) < DEFAULT_COEFF_FLOOR or abs(k.k_el) < DEFAULT_COEFF_FLOOR:
-        raise DegenerateCoefficientsError(
+        raise EstimationError(
             f"|k_az|={abs(k.k_az):.3g}, |k_el|={abs(k.k_el):.3g} "
             f"below floor {DEFAULT_COEFF_FLOOR}"
         )

@@ -4,10 +4,11 @@ One row per simulation step, in nine columns named in ``FIELDS``: seven
 float64 columns (time in s, angles in deg, beacon level in dB, receiver
 volts), the phase as a small-int code (an index into ``PHASES``) and the
 cycle index. Rows go in as column blocks with ``extend`` (``append`` is
-a block of one), and time must be finite and strictly increase. Each
-block's step columns are encoded as runs as it comes in, at a fixed cost
-of some microseconds a column, so a log fed few long blocks costs least:
-``tracker.run_scenario`` logs a block per measure pass.
+its name for one row, a single time), and time must be finite and
+strictly increase. Each block's step columns are encoded as runs as it
+comes in, at a fixed cost of some microseconds a column, so a log fed
+few long blocks costs least: ``tracker.run_scenario`` logs a block per
+measure pass.
 
 Time, level and volts change on nearly every row. The commands,
 readbacks, phase and cycle index are step functions: they hold over a
@@ -255,24 +256,6 @@ class TelemetryLog:
         self._runs = {name: _Runs(_DTYPES[name]) for name in _STEPS}
         self._n = 0
 
-    def append(
-        self,
-        t,
-        commanded_az,
-        commanded_el,
-        readback_az,
-        readback_el,
-        beacon_db,
-        receiver_volts,
-        phase,
-        cycle_index,
-    ) -> None:
-        """Append one row, one argument per field: ``extend`` with one row."""
-        self.extend(
-            [t], commanded_az, commanded_el, readback_az, readback_el,
-            beacon_db, receiver_volts, phase, cycle_index,
-        )
-
     def extend(
         self,
         t,
@@ -287,15 +270,18 @@ class TelemetryLog:
     ) -> None:
         """Append a block of rows given as columns, one argument per field.
 
-        ``t`` is a sequence of finite times; every other column is a
-        sequence of the same length or a single value repeated on every
-        row. ``phase`` holds phase names from ``PHASES`` or their codes
-        (indices into it); a code out of range, or a ``cycle_index`` that is
-        not a whole number that int64 holds, raises ValueError. A single
-        value of a step column adds at most one run. A derived column's
-        values must equal the log's, bit for bit, or ValueError is raised.
+        ``t`` is a sequence of finite times, or one time for one row; every
+        other column is a sequence of the same length or a single value
+        repeated on every row. ``phase`` holds phase names from ``PHASES``
+        or their codes (indices into it); a code out of range, or a
+        ``cycle_index`` that is not a whole number that int64 holds, raises
+        ValueError. A single value of a step column adds at most one run. A
+        derived column's values must equal the log's, bit for bit, or
+        ValueError is raised.
         """
-        t = np.asarray(t, dtype=np.float64)
+        t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+        if t.ndim != 1:
+            raise ValueError(f"t must be a time or a 1-D block of times, got shape {t.shape}")
         k = len(t)
         if k == 0:
             return
@@ -325,6 +311,9 @@ class TelemetryLog:
         for runs, values in zip(self._runs.values(), steps):
             runs.encode(values, k)
         self._n = n + k
+
+    # One row: ``t`` a single time and every column a single value.
+    append = extend
 
     def column(self, name: str, rows: slice = slice(None)) -> np.ndarray:
         """Rows of one column, read-only, for a slice with a positive step;

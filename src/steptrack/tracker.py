@@ -135,16 +135,15 @@ class TrackerConfig:
 def plan_pattern(
     center: tuple[float, float],
     config: TrackerConfig,
-    az_limits: tuple[float, float] | None = None,
-    el_limits: tuple[float, float] | None = None,
+    az_limits: tuple[float, float],
+    el_limits: tuple[float, float],
 ) -> list[tuple[float, float]]:
     """Closed rectangular circuit around the center: 4 corners plus return.
 
     Corners sit at center +/- the configured half-widths and are visited
     counter-clockwise from the lower-left corner, ending back there.
 
-    Raises PatternInfeasibleError when limits are supplied and a corner
-    falls outside them.
+    Raises PatternInfeasibleError when a corner falls outside the limits.
     """
     caz, cel = center
     w = config.rect_half_width_az
@@ -156,11 +155,11 @@ def plan_pattern(
         (caz - w, cel + h),
     ]
     for az, el in corners:
-        if az_limits is not None and not az_limits[0] <= az <= az_limits[1]:
+        if not az_limits[0] <= az <= az_limits[1]:
             raise PatternInfeasibleError(
                 f"corner azimuth {az} outside limits {az_limits}"
             )
-        if el_limits is not None and not el_limits[0] <= el <= el_limits[1]:
+        if not el_limits[0] <= el <= el_limits[1]:
             raise PatternInfeasibleError(
                 f"corner elevation {el} outside limits {el_limits}"
             )
@@ -417,9 +416,7 @@ def run_scenario(
     plan_pattern(
         (quantize_angle(plant.true_azimuth, plant.resolver_step),
          quantize_angle(plant.true_elevation, plant.resolver_step)),
-        config,
-        az_limits=plant.az_limits,
-        el_limits=plant.el_limits,
+        config, plant.az_limits, plant.el_limits,
     )
     tracker = StepTracker(config, plant)
     rng = np.random.default_rng(rx.rng_seed)

@@ -34,8 +34,8 @@ from steptrack.antenna import (
 )
 from steptrack.beacon import ParabolaParams, QuadraticCoefficients, beacon_level
 from steptrack.estimators import (
-    DEFAULT_RLS_DELTA, ESTIMATORS, RCOND_LIMIT, EstimationError, InsufficientDataError,
-    PeakEstimate, RankDeficientError, RlsState, recover_peak, rls_init,
+    DEFAULT_RLS_DELTA, ESTIMATORS, RCOND_LIMIT, EstimationError, PeakEstimate, RlsState,
+    recover_peak, rls_init,
 )
 from steptrack.orbit import OrbitConfig
 from steptrack import telemetry
@@ -180,7 +180,7 @@ def _whole_ls_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
                        abs(c02) + abs(c12) + abs(c22))
         rcond = det / (gram_norm * adj_norm)
     if not rcond >= RCOND_LIMIT:
-        raise RankDeficientError(
+        raise EstimationError(
             f"sample positions are rank deficient "
             f"(reciprocal condition {rcond:.3e} of the normal equations)"
         )
@@ -215,7 +215,7 @@ def fit_peak(
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
     if len(az) < 3:
-        raise InsufficientDataError(f"need at least 3 samples, got {len(az)}")
+        raise EstimationError(f"need at least 3 samples, got {len(az)}")
     caz, cel = centre
     x, y = estimators.regression_row(az - caz, el - cel, level, k)
     if estimator == "batch-ls":

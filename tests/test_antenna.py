@@ -6,7 +6,6 @@ import pytest
 from steptrack.antenna import (
     DEFAULT_RESOLVER_STEP,
     AntennaState,
-    AxisLimitError,
     ReceiverConfig,
     command,
     measure,
@@ -40,9 +39,9 @@ def test_command_accepts_target_within_limits():
 
 def test_command_outside_limits_rejected():
     state = _plant()
-    with pytest.raises(AxisLimitError, match=r"azimuth 361.0 outside limits \[0.0, 360.0\]"):
+    with pytest.raises(ValueError, match=r"target azimuth 361.0 outside limits \[0.0, 360.0\]"):
         command(state, 361.0, 70.0)
-    with pytest.raises(AxisLimitError, match=r"elevation 2.0 outside limits \[5.0, 90.0\]"):
+    with pytest.raises(ValueError, match=r"target elevation 2.0 outside limits \[5.0, 90.0\]"):
         command(state, 10.0, 2.0)
 
 
@@ -207,7 +206,7 @@ def test_voltage_clamped():
 # -- config validation ---------------------------------------------------------
 
 def test_state_validation():
-    with pytest.raises(AxisLimitError):
+    with pytest.raises(ValueError, match=r"true_azimuth must be within \[0.0, 360.0\], got -5.0"):
         _plant(true_azimuth=-5.0)
     with pytest.raises(ValueError):
         _plant(az_slew_rate=0.0)

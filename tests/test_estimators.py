@@ -7,6 +7,7 @@ against the batch solution it must reproduce at forgetting 1.
 """
 
 import math
+import re
 import struct
 import tracemalloc
 
@@ -20,11 +21,8 @@ from steptrack import estimators
 from steptrack.beacon import QuadraticCoefficients, beacon_level, ParabolaParams
 from steptrack.estimators import (
     ESTIMATORS,
-    DegenerateCoefficientsError,
     EstimationError,
-    InsufficientDataError,
     PeakEstimate,
-    RankDeficientError,
     RlsState,
     ls_fit,
     fit_peak,
@@ -101,20 +99,20 @@ def test_ls_fit_matches_normal_equations_oracle():
 
 def test_ls_fit_identical_rows_rank_deficient():
     rows = _rows_from_parabola(K12, 1.0, 2.0, 3.0, [(0.5, 1.9)] * 5)
-    with pytest.raises(RankDeficientError):
+    with pytest.raises(EstimationError, match="rank deficient"):
         ls_fit(*rows)
 
 
 def test_ls_fit_collinear_rows_rank_deficient():
     positions = [(0.1 * i, 0.2 * i) for i in range(6)]
     rows = _rows_from_parabola(K12, 1.0, 2.0, 3.0, positions)
-    with pytest.raises(RankDeficientError):
+    with pytest.raises(EstimationError, match="rank deficient"):
         ls_fit(*rows)
 
 
 def test_ls_fit_insufficient_data():
     rows = _rows_from_parabola(K12, 1.0, 2.0, 3.0, RECT[:2])
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(EstimationError, match="need at least 3 samples, got 2"):
         ls_fit(*rows)
 
 
@@ -141,7 +139,7 @@ def test_recover_peak_at_origin():
 
 
 def test_recover_peak_degenerate_coefficient():
-    with pytest.raises(DegenerateCoefficientsError):
+    with pytest.raises(EstimationError, match=r"\|k_az\|=1e-06, \|k_el\|=2 below floor 0\.01"):
         recover_peak(np.array([1.0, 1.0, 1.0]), QuadraticCoefficients(-1e-6, -2.0))
 
 
@@ -155,7 +153,9 @@ def test_noiseless_exactness_randomized():
         rows = _rows_from_parabola(k, *peak, positions)
         try:
             est = recover_peak(ls_fit(*rows), k)
-        except RankDeficientError:
+        except EstimationError as exc:
+            if "rank deficient" not in str(exc):
+                raise
             continue  # a random draw can be near-collinear
         assert est.azimuth == pytest.approx(peak[0], abs=1e-9)
         assert est.elevation == pytest.approx(peak[1], abs=1e-9)
@@ -276,7 +276,7 @@ def test_rls_recover_fresh_state_is_origin():
 
 
 def test_rls_recover_degenerate_k():
-    with pytest.raises(DegenerateCoefficientsError):
+    with pytest.raises(EstimationError, match=r"\|k_az\|=0\.001, \|k_el\|=2 below floor 0\.01"):
         rls_recover(rls_init(0.98), QuadraticCoefficients(-0.001, -2.0))
 
 
@@ -471,8 +471,10 @@ def test_ls_fit_matches_ls_solve(columns, k):
     rows = _scalar_rows(*columns, k)
     try:
         want = oracles.ls_fit(rows)
-    except RankDeficientError:
-        with pytest.raises(RankDeficientError):
+    except EstimationError as exc:
+        if "rank deficient" not in str(exc):
+            raise
+        with pytest.raises(EstimationError, match="rank deficient"):
             ls_fit(*regression_row(*columns, k))
         return
     assert _same_bits(ls_fit(*regression_row(*columns, k)), want)
@@ -485,12 +487,12 @@ def test_ls_solve_sums_that_overflow_are_rank_deficient(far):
     az, el = np.array([far, -far, 0.0, 1.0]), np.array([far, far, 0.0, 1.0])
     with np.errstate(over="ignore", invalid="ignore"):
         x, y = regression_row(az, el, np.zeros(4), K12)
-        with pytest.raises(RankDeficientError, match="reciprocal condition 0.000e"):
+        with pytest.raises(EstimationError, match="rank deficient .*reciprocal condition 0.000e"):
             ls_fit(x, y)
 
 
 def test_ls_solve_insufficient_data():
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(EstimationError, match="need at least 3 samples, got 2"):
         ls_fit(np.ones((2, 3)), np.ones(2))
 
 
@@ -550,7 +552,7 @@ def test_fit_peak_matches_scalar_composition(
             if not np.isfinite([want.azimuth, want.elevation, want.level]).all():
                 raise EstimationError("non-finite estimate")
         except EstimationError as exc:
-            with pytest.raises(type(exc)):
+            with pytest.raises(EstimationError, match=re.escape(str(exc))):
                 fit_peak(az, el, level, centre, k, estimator, forgetting, delta, prior=prior)
             return
         got, rms = fit_peak(az, el, level, centre, k, estimator, forgetting, delta, prior=prior)
@@ -581,7 +583,7 @@ def test_fit_peak_residual_rms_of_exact_and_offset_samples():
 
 @pytest.mark.parametrize("estimator", ["batch-ls", "rls"])
 def test_fit_peak_needs_three_samples(estimator):
-    with pytest.raises(InsufficientDataError, match="need at least 3"):
+    with pytest.raises(EstimationError, match="need at least 3 samples, got 2"):
         fit_peak(np.ones(2), np.ones(2), np.ones(2), (1.0, 1.0), K12, estimator)
 
 

@@ -445,6 +445,20 @@ def test_extend_equals_appends():
     log.extend(t, az, 72.0, az, 72.0, np.array(db), 5.0, "wait", 0)
     assert _columns(log) == _columns(appended)
     assert log.column("t").tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
+    # One way in: ``append`` is ``extend``, a 0-d time is one row, and a
+    # block of more dimensions is refused rather than flattened.
+    assert TelemetryLog.append is TelemetryLog.extend
+    for t in (2.5, np.float64(2.5), np.array(2.5)):
+        one, listed = TelemetryLog(), TelemetryLog()
+        one.extend(t, *rows[0][1:])
+        listed.extend([2.5], *rows[0][1:])
+        assert {name: one.column(name).tobytes() for name in FIELDS} == {
+            name: listed.column(name).tobytes() for name in FIELDS
+        }
+    for t in ([[2.5, 3.0]], np.zeros((0, 2))):
+        with pytest.raises(ValueError, match=r"t must be a time or a 1-D block of times"):
+            log.extend(t, *rows[0][1:])
+    assert len(log) == 5
 
 
 def test_extend_rejects_non_monotonic_time():

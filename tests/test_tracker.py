@@ -4,13 +4,13 @@ import ast
 import dataclasses
 import itertools
 import logging
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import steptrack as st
-from steptrack.antenna import AxisLimitError
 from steptrack.beacon import ParabolaParams, az_coeff_from_elevation, beacon_level
 from steptrack import tracker as tracker_module
 from steptrack.estimators import fit_peak
@@ -38,9 +38,13 @@ def _closed_loop(orbit, plant, rx, config, duration):
 
 # -- pattern planning --------------------------------------------------------
 
+# Axis limits that no corner leaves.
+NO_LIMITS = (-math.inf, math.inf)
+
+
 def test_pattern_corners_and_circuit_order():
     config = TrackerConfig(rect_half_width_az=0.2, rect_half_width_el=0.05)
-    circuit = plan_pattern((10.0, 70.0), config)
+    circuit = plan_pattern((10.0, 70.0), config, NO_LIMITS, NO_LIMITS)
     assert circuit == [
         (9.8, 69.95),
         (10.2, 69.95),
@@ -52,7 +56,7 @@ def test_pattern_corners_and_circuit_order():
 
 def test_pattern_square_when_half_widths_equal():
     config = TrackerConfig(rect_half_width_az=0.1, rect_half_width_el=0.1)
-    circuit = plan_pattern((0.0, 45.0), config)
+    circuit = plan_pattern((0.0, 45.0), config, NO_LIMITS, NO_LIMITS)
     azs = sorted({az for az, _ in circuit})
     els = sorted({el for _, el in circuit})
     assert azs == [-0.1, 0.1] and els == [44.9, 45.1]
@@ -60,14 +64,14 @@ def test_pattern_square_when_half_widths_equal():
 
 def test_pattern_infeasible_at_elevation_limit():
     config = TrackerConfig()
-    with pytest.raises(PatternInfeasibleError):
-        plan_pattern((10.0, 89.99), config, el_limits=(5.0, 90.0))
+    with pytest.raises(PatternInfeasibleError, match="corner elevation"):
+        plan_pattern((10.0, 89.99), config, NO_LIMITS, (5.0, 90.0))
 
 
 def test_pattern_starts_at_lower_left_corner():
     # At this centre the four corners' distances differ by rounding, and
     # the nearest one was the lower-right.
-    circuit = plan_pattern((8.0, 45.0), TrackerConfig())
+    circuit = plan_pattern((8.0, 45.0), TrackerConfig(), NO_LIMITS, NO_LIMITS)
     assert circuit[0] == circuit[-1] == (8.0 - 0.2, 45.0 - 0.05)
     assert len(circuit) == 5
 
@@ -183,7 +187,7 @@ def test_step_refuses_the_estimate_phase():
     plant = st.AntennaState(10.0, 70.0)
     tracker = StepTracker(TrackerConfig(cycle_period=20.0), plant)
     tracker.step(0.0, 10.0, 70.0)
-    for waypoint in plan_pattern((10.0, 70.0), TrackerConfig()):
+    for waypoint in plan_pattern((10.0, 70.0), TrackerConfig(), plant.az_limits, plant.el_limits):
         tracker.step(0.02, *waypoint)
     assert tracker.phase is TrackerPhase.ESTIMATE
     with pytest.raises(RuntimeError, match="estimate"):
@@ -394,7 +398,7 @@ def test_run_scenario_checks_each_command_against_limits(monkeypatch):
     # the run with the error ``command`` raises.
     orbit, plant, rx, config = _small_scenario()
     monkeypatch.setattr(StepTracker, "step", lambda self, t, az, el: (400.0, 72.0))
-    with pytest.raises(AxisLimitError, match=r"target azimuth 400.0 outside limits \[0.0, 360.0\]"):
+    with pytest.raises(ValueError, match=r"target azimuth 400.0 outside limits \[0.0, 360.0\]"):
         run_scenario(orbit, plant, rx, config, 1.0)
 
 
