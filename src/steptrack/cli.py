@@ -153,7 +153,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     try:
-        log = read_csv(args.log)
+        log = read_csv(args.log, args.t0, args.t1)
     except (OSError, ValueError) as exc:
         print(f"error: cannot read log: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -185,7 +185,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_stats(args) -> int:
     try:
-        log = read_csv(args.log)
+        log = read_csv(args.log, args.t0, args.t1)
         stats = beacon_stats(log, args.t0, args.t1)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,7 +38,9 @@ parses each block one way, with one ``np.loadtxt`` pass that converts
 the row-by-row fields and keeps the step fields' text, converts the step
 fields only on the rows where that text changes, and hands those rows to
 ``TelemetryLog.from_runs``; a block that pass cannot take is parsed a
-line at a time, which names its first bad line.
+line at a time, which names its first bad line. Given a time window,
+``read_csv`` finds by bisection the blocks that can hold it, and counts
+and parses those alone.
 For a log of two blocks or more in a regular file, both fork up to one
 process per available CPU, each working on a contiguous range of
 blocks; ``_split`` shares the blocks out by count for both, and
@@ -726,6 +728,54 @@ def _blocks(fh: BinaryIO, pos: int, stop: float) -> Iterator[bytes]:
         yield text
 
 
+def _window_edges(
+    fh: BinaryIO, start: int, t0: Optional[float], t1: Optional[float]
+) -> tuple[int, int]:
+    """The bytes, from block edge to block edge, of the blocks that can
+    hold rows with t0 <= t <= t1 (omitted bounds are open).
+
+    Probe k is the edge that ``_blocks`` cuts at the k-th multiple of
+    ``_BLOCK_BYTES``, with the time of the row there (inf at EOF): every
+    row before it is earlier. Two bisections over the probes find the
+    last edge at or before t0 and the first after t1. Gives the whole
+    file where it is one block, where a probe's time does not parse as a
+    finite number (a blank line, a fault, a line longer than a block) or
+    where the probed times do not increase.
+    """
+    size = fh.seek(0, os.SEEK_END)
+    first, last = start // _BLOCK_BYTES + 1, (size - 1) // _BLOCK_BYTES
+    probes = {first - 1: (start, -math.inf), last + 1: (size, math.inf)}  # k: edge, time
+
+    def probe(k: int) -> float:
+        if k not in probes:
+            fh.seek(k * _BLOCK_BYTES - 1)
+            if not fh.readline(_BLOCK_BYTES).endswith(b"\n") and fh.tell() < size:
+                raise ValueError("a line longer than a block")
+            edge = fh.tell()
+            field, comma, _ = fh.readline(_BLOCK_BYTES).partition(b",")
+            time = math.inf if edge == size else float(field) if comma else math.nan
+            if not math.isfinite(time) and edge < size:
+                raise ValueError(f"no time at byte {edge}")
+            probes[k] = edge, time
+        return probes[k][1]
+
+    def after(x: float) -> int:
+        """The first probe whose time is above ``x``."""
+        lo, hi = first, last + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if x < probe(mid) else (mid + 1, hi)
+        return lo
+
+    with contextlib.suppress(ValueError):
+        lo = first - 1 if t0 is None else after(t0) - 1
+        hi = last + 1 if t1 is None else after(t1)
+        seen = [probes[k] for k in sorted(probes)]
+        if all(a[1] < b[1] or a[0] == b[0] for a, b in zip(seen, seen[1:])):
+            return probes[lo][0], probes[hi][0]
+    return start, size
+
+
 def _line_count(text: bytes) -> int:
     """Lines in ``text``, split at ``\\n``, ``\\r\\n`` and bare ``\\r`` as
     ``_lines`` splits them."""
@@ -850,16 +900,25 @@ def _shared_arrays(shapes: list[tuple[type, int]]) -> list[np.ndarray]:
     ]
 
 
-def read_csv(path: str) -> TelemetryLog:
+def read_csv(path: str, t0: Optional[float] = None, t1: Optional[float] = None) -> TelemetryLog:
     """Parse a CSV written by ``write_csv``; blank lines are skipped.
 
     Raises ValueError on a foreign header, a line that does not parse
     into the nine fields (``#`` starts no comment), an unknown phase or a
     time that is not finite or does not strictly increase: the first of
-    these in the file, however many readers share the work.
+    these in the part of the file read, however many readers share the
+    work.
 
-    A first pass counts the lines of each block, so the columns are sized
-    once and each range's rows start at its first line's row. A long
+    Given ``t0`` or ``t1``, a regular file is read only over the blocks
+    that ``_window_edges`` finds can hold rows with t0 <= t <= t1: the log
+    holds every row of that window and may hold rows on either side.
+    Only those rows are checked: a fault outside them is not seen, and
+    one inside raises as in a whole read, naming the same file line. The
+    blocks are told by their first rows' times, so in a file whose times
+    go back where no probe sees it, the window can miss rows.
+
+    A first pass counts the lines of each block read, so the columns are
+    sized once and each range's rows start at its first line's row. A long
     regular file is then parsed in contiguous ranges of blocks, one per
     available CPU, cut as ``write_csv`` cuts its blocks: the parent parses
     the first and forked readers the others, into a shared mapping.
@@ -869,17 +928,18 @@ def read_csv(path: str) -> TelemetryLog:
     fields once, and puts the row-by-row columns in place and the step
     columns' values on head rows only. Each range's heads and values go
     to ``TelemetryLog.from_runs`` as they lie, which encodes them as the
-    log's runs. If a later range fails, or its times do not follow the
-    range before it, the file is read again as one range in this process,
-    which raises the first error. A byte that is not UTF-8 fails the line
-    that holds it.
+    log's runs. If a later range (or any range of a window) fails, or its
+    times do not follow the range before it, the blocks are read again as
+    one range in this process, which raises the first error. A byte that
+    is not UTF-8 fails the line that holds it.
     """
     with open(path, "rb") as fh:
         regular = _is_regular(fh)
         src = fh if regular else io.BytesIO(fh.read())
         start = _skip_header(src)
-        edges, lines = [start], [0]  # of each block, and lines before it
-        for text in _blocks(src, start, math.inf):
+        first, stop = _window_edges(src, start, t0, t1) if regular else (start, math.inf)
+        edges, lines = [first], [0]  # of each block, and lines before it in the range
+        for text in _blocks(src, first, stop):
             edges.append(edges[-1] + len(text))
             lines.append(lines[-1] + _line_count(text))
         readers = _processes(lines[-1], len(edges) - 1) if regular else 1
@@ -896,20 +956,21 @@ def read_csv(path: str) -> TelemetryLog:
         )
         counts = counts.reshape(2, readers)  # rows and heads each reader put
 
-        def read(lo: int, hi: int) -> _Parsed:
-            """Parse blocks [lo, hi) into the columns from their first line's row on."""
+        def read(lo: int, hi: int, line_no: int = 2) -> _Parsed:
+            """Parse blocks [lo, hi) into the columns from their first line's
+            row on; ``line_no`` is the file line of the range's first line."""
             at = slice(lines[lo], lines[hi])
             part = _Parsed([col[at] for col in dense], heads[at], [col[at] for col in steps])
             with open(path, "rb") if lo else contextlib.nullcontext(src) as own:
-                _read_blocks(own, edges[lo], edges[hi], 2 + lines[lo], part)
+                _read_blocks(own, edges[lo], edges[hi], line_no + lines[lo], part)
             return part
 
         def read_range(i: int) -> None:
             try:
                 part = read(bounds[i], bounds[i + 1])
             except ValueError:
-                if i == 0:
-                    raise  # the first range: the first error in the file
+                if i == 0 and first == start:
+                    raise  # the first range of the file: the first error in it
                 counts[0, i] = -1
                 return
             counts[:, i] = part.n, part.h
@@ -927,8 +988,10 @@ def read_csv(path: str) -> TelemetryLog:
             t = dense[0][:n]
             if (t[1:] > t[:-1]).all():
                 return TelemetryLog.from_runs(dense, ranges)
-        # A later range failed, or its times do not follow the range before
-        # it: reading the file in order raises the first error.
-        part = read(0, len(edges) - 1)
+        # A range failed, or its times do not follow the range before it:
+        # reading in order raises the first error. Only here are the lines
+        # before a window's blocks counted, so that it names its file line.
+        before = sum(map(_line_count, _blocks(src, start, first)))
+        part = read(0, len(edges) - 1, 2 + before)
         h = part.h
         return TelemetryLog.from_runs(dense, [(part.n, heads[:h], [col[:h] for col in steps])])

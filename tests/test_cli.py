@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -722,6 +723,69 @@ def test_trajectory_decimated(static_log, tmp_path):
     out = tmp_path / "traj.csv"
     assert main(["trajectory", str(static_log), "--decimation", "50", "--output", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 1 + 4  # 200 records / 50
+
+
+# -- windowed reads -----------------------------------------------------------------
+# fit and a bounded stats parse only the blocks that hold their window:
+# a fault in a block outside it goes unseen, one inside fails the command
+# and names its file line, and a pipe is read whole.
+
+WINDOW = ["--t0", "0.5", "--t1", "1.5"]
+WINDOWED = [["fit", "--k-y", "-11.4"], ["stats"]]
+
+
+def _with_fault(static_log, path, row):
+    """The log with the row at index ``row`` (file line ``row + 2``) malformed."""
+    lines = static_log.read_text().splitlines(keepends=True)
+    lines[1 + row] = lines[1 + row].replace(",", ";", 1)
+    path.write_text("".join(lines))
+    return path
+
+
+def _run(command, path, capsys):
+    code = main([command[0], str(path), *command[1:], *WINDOW])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("command", WINDOWED, ids=lambda command: command[0])
+def test_windowed_command_skips_a_fault_outside_its_window(
+    static_log, tmp_path, monkeypatch, capsys, command
+):
+    monkeypatch.setattr(telemetry, "_BLOCK_BYTES", 1024)  # the log spans about 23 blocks
+    clean = _run(command, static_log, capsys)
+    assert clean[0] == 0 and clean[1]
+    for row in (10, 175):  # at 0.2 s and 3.5 s, blocks away from [0.5, 1.5]
+        assert _run(command, _with_fault(static_log, tmp_path / "bad.csv", row), capsys) == clean
+
+
+@pytest.mark.parametrize("command", WINDOWED, ids=lambda command: command[0])
+def test_windowed_command_fails_on_a_fault_inside_its_window(
+    static_log, tmp_path, monkeypatch, capsys, command
+):
+    monkeypatch.setattr(telemetry, "_BLOCK_BYTES", 1024)
+    code, out, err = _run(command, _with_fault(static_log, tmp_path / "bad.csv", 50), capsys)
+    assert (code, out) == (1, "")
+    assert "malformed telemetry line 52: '1.000000;" in err
+
+
+@pytest.mark.parametrize("command", WINDOWED, ids=lambda command: command[0])
+def test_windowed_command_reads_a_pipe_whole(static_log, tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setattr(telemetry, "_BLOCK_BYTES", 1024)
+    clean = _run(command, static_log, capsys)
+    bad = _with_fault(static_log, tmp_path / "bad.csv", 175).read_text()
+    for text, line in ((static_log.read_text(), None), (bad, 177)):
+        fifo = tmp_path / f"pipe{line}"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_text(text), daemon=True)
+        writer.start()
+        got = _run(command, fifo, capsys)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        if line is None:
+            assert got == clean
+        else:
+            assert got[:2] == (1, "") and f"malformed telemetry line {line}: " in got[2]
 
 
 def test_usage_error_exits_one(capsys):

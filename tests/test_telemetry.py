@@ -1421,3 +1421,184 @@ def test_read_converts_each_run_once(tmp_path, monkeypatch, cpus, ends):
     assert rows == len(log) > 2 * scenario.tracker.cycle_period / scenario.tracker.sample_interval
     assert converted <= len(starts) + blocks < len(log) / 50
     assert heads <= len(starts) + blocks  # no reader fills a step column row by row
+
+
+# -- windowed reads ------------------------------------------------------------------
+# read_csv(path, t0, t1) parses only the blocks that can hold rows in
+# [t0, t1]. Its window must hold the rows of the same window of the whole
+# read, bit for bit, whatever the line ends and wherever blank or long
+# lines fall; a fault inside the window fails it as it fails the whole
+# read, naming the same file line.
+
+WINDOW_BLOCK = 1024  # bytes a block: about 10 rows of the logs below
+WINDOW_FAULTS = {
+    "malformed": lambda line: line.replace(",", ";", 1),
+    "phase": lambda line: re.sub(f",({'|'.join(PHASES)}),", ",idle,", line),
+}
+
+
+def _window_log(rows, start, dt):
+    """A log of ``rows`` rows from ``start`` every ``dt``, with runs and -0.0."""
+    rng = np.random.default_rng(rows)
+    i = np.arange(rows)
+    log = TelemetryLog()
+    log.extend(
+        start + i * dt,
+        np.repeat(rng.normal(180.0, 1.0, rows // 7 + 1), 7)[:rows],
+        np.where(i % 5 == 0, -0.0, 72.0),
+        rng.uniform(170.0, 190.0, rows),
+        72.0,
+        rng.normal(5.0, 0.3, rows),
+        6.0,
+        np.array(PHASES)[(i // 4) % 4],
+        i // 16,
+    )
+    return log
+
+
+def _window_outcome(path, t0, t1, bounded):
+    """The rows in [t0, t1] of a read bounded by the window or of a whole
+    read: each column's dtype and bytes, or the type and text of its error."""
+    try:
+        log = read_csv(str(path), t0, t1) if bounded else read_csv(str(path))
+    except ValueError as exc:
+        return type(exc), str(exc)
+    rows = time_window(log, t0, t1)
+    return {name: (log.column(name, rows).dtype.str, log.column(name, rows).tobytes())
+            for name in FIELDS}
+
+
+def _block_starts(path):
+    """The line index (0 for the header) at which each block of the file starts."""
+    with open(path, "rb") as fh:
+        texts = list(telemetry._blocks(fh, telemetry._skip_header(fh), math.inf))
+    return np.cumsum([1] + [telemetry._line_count(text) for text in texts[:-1]]).tolist()
+
+
+# A bound: a kind, and for a row or a block's first row its index and a
+# step of ulps.
+BOUND_KINDS = ["none", "nan", "inf", "-inf", "-0.0", "row", "edge", "before", "after"]
+window_bound = st.tuples(st.sampled_from(BOUND_KINDS), st.integers(0, 200), st.integers(-1, 1))
+EDITS = ["none", "crlf", "cr", "blank", "long"]
+
+
+def _bound(kind, times, edge_times, index, ulps):
+    if kind in ("row", "edge"):
+        chosen = times if kind == "row" else edge_times
+        value = chosen[index % len(chosen)]
+        return value if not ulps else math.nextafter(value, ulps * math.inf)
+    return {"none": None, "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-0.0": -0.0,
+            "before": times[0] - 1.0, "after": times[-1] + 1.0}[kind]
+
+
+def _edited(lines, edit, at, blank_offsets, edges):
+    """The CSV bytes of ``lines`` (the header first) after an edit."""
+    if edit == "blank":  # a blank line at or next to each block edge
+        marks = {edge + offset for edge in edges for offset in blank_offsets} - {0}
+        lines = [line for i, line in enumerate(lines) for line in [""] * (i in marks) + [line]]
+    if edit == "long":  # the time of a block's first row padded with zeros past a block
+        row = edges[at % len(edges)]
+        sign = lines[row][:1] == "-"
+        lines[row] = lines[row][:sign] + "0" * WINDOW_BLOCK + lines[row][sign:]
+    end = {"crlf": "\r\n", "cr": "\r"}.get(edit, "\n")
+    return (end.join(lines) + end).encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.integers(1, 100),
+    start=st.sampled_from([-2.0, 0.0, 1000.0]),
+    dt=st.sampled_from([0.5, 0.02]),
+    edit=st.sampled_from(EDITS),
+    at=st.integers(0, 200),
+    blank_offsets=st.sets(st.integers(-1, 1), min_size=1),
+    t0=window_bound,
+    t1=window_bound,
+    fault=st.none() | st.tuples(st.sampled_from(["malformed", "phase"]), st.integers(0, 200)),
+    cpus=st.sampled_from([1, 2]),
+)
+@example(rows=100, start=0.0, dt=0.5, edit="none", at=0, blank_offsets={0},
+         t0=("edge", 3, 0), t1=("edge", 6, 0), fault=None, cpus=1)
+@example(rows=100, start=0.0, dt=0.5, edit="none", at=0, blank_offsets={0},
+         t0=("edge", 3, 1), t1=("edge", 6, -1), fault=("phase", 5), cpus=2)
+@example(rows=100, start=-2.0, dt=0.5, edit="long", at=1, blank_offsets={0},
+         t0=("row", 7, 0), t1=("none", 0, 0), fault=None, cpus=1)
+def test_windowed_read_equals_the_whole_read_on_the_window(
+    tmp_path_factory, rows, start, dt, edit, at, blank_offsets, t0, t1, fault, cpus
+):
+    log = _window_log(rows, start, dt)
+    path = tmp_path_factory.mktemp("window") / "log.csv"
+    with mock.patch.multiple(telemetry, _BLOCK_BYTES=WINDOW_BLOCK, _MIN_FORK_ROWS=1,
+                             _available_cpus=lambda: cpus):
+        write_csv(log, str(path))
+        times = log.column("t").tolist()
+        edges = _block_starts(path)
+        edge_times = [times[edge - 1] for edge in edges]
+        t0, t1 = (_bound(kind, times, edge_times, i, ulps) for kind, i, ulps in (t0, t1))
+        lines = path.read_text().splitlines()
+        window = time_window(log, t0, t1)
+        if fault and window.stop > window.start:
+            row = window.start + fault[1] % (window.stop - window.start)
+            lines[1 + row] = WINDOW_FAULTS[fault[0]](lines[1 + row])
+        path.write_bytes(_edited(lines, edit, at, blank_offsets, edges))
+        want = _window_outcome(path, t0, t1, bounded=False)
+        assert _window_outcome(path, t0, t1, bounded=True) == want
+    _assert_no_child_left()
+
+
+def test_probes_that_go_back_in_time_read_the_whole_file(tmp_path, monkeypatch):
+    # A log written backwards: any two probes see the time go back, so the
+    # whole file is read and its first error raised.
+    monkeypatch.setattr(telemetry, "_BLOCK_BYTES", WINDOW_BLOCK)
+    path = tmp_path / "log.csv"
+    write_csv(_window_log(200, 0.0, 0.5), str(path))
+    header, *rows = path.read_text().splitlines(keepends=True)
+    path.write_text(header + "".join(rows[::-1]))
+    for t in (10.0, 50.0, 90.0):
+        want = _window_outcome(path, t, t, bounded=False)
+        assert want[0] is ValueError and "malformed telemetry line 3: " in want[1]
+        assert _window_outcome(path, t, t, bounded=True) == want
+
+
+def test_window_bounds_on_every_block_edge(tmp_path, monkeypatch):
+    # Each block's first row as t0 and as t1, exactly and one ulp either
+    # side: the rows at a bound are in the window.
+    log = _window_log(100, 0.0, 0.5)
+    path = tmp_path / "log.csv"
+    write_csv(log, str(path))
+    monkeypatch.setattr(telemetry, "_BLOCK_BYTES", WINDOW_BLOCK)
+    times = log.column("t").tolist()
+    edges = _block_starts(path)
+    assert len(edges) >= 10
+    for edge in edges:
+        for ulps in (-1, 0, 1):
+            t = times[edge - 1] if not ulps else math.nextafter(times[edge - 1], ulps * math.inf)
+            for t0, t1 in ((t, None), (None, t), (t, t), (t - 3.0, t)):
+                want = _window_outcome(path, t0, t1, bounded=False)
+                assert _window_outcome(path, t0, t1, bounded=True) == want, (edge, ulps, t0, t1)
+
+
+def test_windowed_read_parses_only_the_window_blocks(tmp_path, monkeypatch):
+    # A log of about 40 blocks, and a window inside one: at most 2 blocks
+    # are parsed, and no pass reads the others (only the probes touch them).
+    monkeypatch.setattr(telemetry, "_BLOCK_BYTES", 4096)
+    monkeypatch.setattr(telemetry, "_available_cpus", lambda: 1)
+    log = _window_log(1600, 0.0, 0.5)
+    path = tmp_path / "log.csv"
+    write_csv(log, str(path))
+    assert path.stat().st_size > 39 * 4096
+    puts, passed = [], []
+    real_put, real_blocks = telemetry._put_block, telemetry._blocks
+    monkeypatch.setattr(telemetry, "_put_block", lambda *args: puts.append(1) or real_put(*args))
+
+    def blocks(*args):
+        for text in real_blocks(*args):
+            passed.append(len(text))
+            yield text
+
+    monkeypatch.setattr(telemetry, "_blocks", blocks)
+    back = read_csv(str(path), 300.0, 301.0)
+    assert len(puts) <= 2
+    assert sum(passed) <= 2 * 2 * 4096  # the line count and the parse of 2 blocks
+    rows = time_window(back, 300.0, 301.0)
+    assert back.column("t", rows).tolist() == [300.0, 300.5, 301.0]
