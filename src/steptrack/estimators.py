@@ -27,8 +27,8 @@ the inputs, each sum is one ``math.fsum`` over the blocks in turn, the
 recursion reads the blocks' rows as one stream, and ``fit_peak`` builds no
 regression rows. A fit then holds a few blocks of scratch memory however
 long its window, and gives the bits that one pass over whole arrays gives.
-Each pass keeps the last block it read, so the passes over a one-block
-window, such as a tracker cycle's, compute its offsets and responses once.
+A one-block window, such as a tracker cycle's, has its offsets and
+responses computed once for all the passes.
 
 A filter that diverges (a gain matrix wound up by a long stationary
 window) may end with every entry NaN; once a step gives such a state back
@@ -39,10 +39,17 @@ Both solvers do their arithmetic in Python floats, in a fixed order, with
 no BLAS or LAPACK call, so their bits do not depend on the kernel that
 numpy's BLAS picks for the CPU. The recursion keeps the 3 coefficients
 and the 6 distinct entries of the symmetric gain matrix as floats across
-the rows. The batch fit forms the normal equations with ``math.fsum``,
-which rounds each sum correctly and so independently of order, and
-solves them in closed form; the reciprocal 1-norm condition of those
-equations, computed from the same sums, is what ``RCOND_LIMIT`` bounds.
+the rows. Its rows are the model's [a, e, 1], read as (a, e, y) with the
+response y; a product with the constant 1 is its other factor, bit for
+bit, so the recursion leaves those products out. ``ls_fit`` and
+``rls_update``, which take the regressors as an (n, 3) array, reject any
+third column other than 1. A row that is not finite leaves every
+coefficient inf or NaN, so the rows are checked only when the recursion
+ends with such coefficients. The batch fit forms the normal equations
+with ``math.fsum``, which rounds each sum correctly and so independently
+of order, and solves them in closed form; the reciprocal 1-norm condition
+of those equations, computed from the same sums, is what ``RCOND_LIMIT``
+bounds.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ import struct
 from dataclasses import dataclass
 from decimal import Decimal
 from itertools import chain
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -129,9 +136,31 @@ def _require_samples(n: int) -> None:
         raise EstimationError(f"need at least 3 samples, got {n}")
 
 
+def _require_model_rows(x: np.ndarray) -> None:
+    """Raise ValueError naming the first row of regressors x (n, 3) whose
+    third column is not 1.0: the model's rows are [a, e, 1]."""
+    ones = x[:, 2] == 1.0
+    if not ones.all():
+        i = int(np.argmin(ones))
+        raise ValueError(f"regression row {i} is not [a, e, 1]: regressors {x[i]}")
+
+
 def _blocks(n: int) -> list[slice]:
     """The row slices of an n-row window, ``_BLOCK_ROWS`` rows each."""
     return [slice(i, i + _BLOCK_ROWS) for i in range(0, n, _BLOCK_ROWS)]
+
+
+# A function that reads a window's blocks of columns afresh at each call.
+_Window = Callable[[], Iterable[tuple[np.ndarray, ...]]]
+
+
+def _held(n: int, window: _Window) -> _Window:
+    """``window`` for an n-row window, or for a one-block window, such as a
+    tracker cycle's, a function that gives back the block it read once."""
+    if n > _BLOCK_ROWS:
+        return window
+    block = tuple(window())
+    return lambda: block
 
 
 def _fsum(blocks: Iterable[np.ndarray]) -> float:
@@ -144,21 +173,6 @@ def _fsum(blocks: Iterable[np.ndarray]) -> float:
         return math.nan
 
 
-_Block = TypeVar("_Block")
-
-
-def _last_block(of: Callable[[slice], _Block]) -> Callable[[slice], _Block]:
-    """``of``, keeping what it gave for the last row slice: each pass over a
-    one-block window, such as a tracker cycle's, reuses that block."""
-    last: list = [None, None]
-
-    def block(s: slice) -> _Block:
-        if last[0] != s:
-            last[:] = s, of(s)
-        return last[1]
-    return block
-
-
 def ls_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least-squares coefficient vector for regressors x (n, 3) and responses y.
 
@@ -167,40 +181,34 @@ def ls_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     normal equations of the shifted rows are solved in closed form
     (adjugate over determinant). Every sum is a ``math.fsum``.
 
+    Raises ValueError naming the first row whose third regressor is not 1.
     Raises EstimationError for fewer than 3 rows and when the positions
     are collinear: the determinant of the normal equations is not
     positive, or their reciprocal condition is below RCOND_LIMIT.
     """
-    _require_samples(len(x))
-    return _solve(len(x), lambda s: (x[s, 0], x[s, 1]), lambda s: y[s])
+    _require_model_rows(x)
+    n = len(x)
+    _require_samples(n)
+    return np.array(_solve(n, lambda: _columns(x, y)))
 
 
-def _solve(
-    n: int,
-    angles: Callable[[slice], tuple[np.ndarray, np.ndarray]],
-    response: Callable[[slice], np.ndarray],
-) -> np.ndarray:
-    """``ls_fit`` over an n-row window read a block at a time: ``angles``
-    gives a row slice's first two regressor columns, ``response`` its
-    responses. The third regressor is 1 in every row."""
-    blocks = _blocks(n)
-    mean_az = _fsum(angles(s)[0] for s in blocks) / n
-    mean_el = _fsum(angles(s)[1] for s in blocks) / n
+def _columns(x: np.ndarray, y: np.ndarray) -> Iterable[tuple[np.ndarray, ...]]:
+    """The blocks (a, e, y) of regressors x (n, 3) and responses y."""
+    return ((x[s, 0], x[s, 1], y[s]) for s in _blocks(len(x)))
 
-    @_last_block
-    def centred(s: slice) -> tuple[np.ndarray, np.ndarray]:
-        x0, x1 = angles(s)
-        return x0 - mean_az, x1 - mean_el
+
+def _solve(n: int, window: _Window) -> tuple[float, float, float]:
+    """``ls_fit`` over an n-row window: ``window()`` reads its blocks
+    (a, e, y) of the first two regressor columns and the responses. The
+    third regressor is 1 in every row."""
+    mean_az = _fsum(a for a, _, _ in window()) / n
+    mean_el = _fsum(e for _, e, _ in window()) / n
+    centred = _held(n, lambda: ((a - mean_az, e - mean_el, y) for a, e, y in window()))
 
     def total(i: int, j: int | None = None) -> float:
         """Sum over the window of column i of (a, e, y), the centred angles
         and the response, times column j (none: times 1)."""
-        def block(s: slice) -> np.ndarray:
-            cols = centred(s)
-            if 2 in (i, j):
-                cols += (response(s),)
-            return cols[i] if j is None else cols[i] * cols[j]
-        return _fsum(map(block, blocks))
+        return _fsum(c[i] if j is None else c[i] * c[j] for c in centred())
 
     saa, sae, see, sa, se = total(0, 0), total(0, 1), total(1, 1), total(0), total(1)
     say, sey, sy = total(0, 2), total(1, 2), total(2)
@@ -228,10 +236,10 @@ def _solve(
     b0 = (c00 * say + c01 * sey + c02 * sy) / det
     b1 = (c01 * say + c11 * sey + c12 * sy) / det
     b2 = (c02 * say + c12 * sey + c22 * sy) / det
-    return np.array([b0, b1, b2 - b0 * mean_az - b1 * mean_el])
+    return b0, b1, b2 - b0 * mean_az - b1 * mean_el
 
 
-def recover_peak(beta: np.ndarray, k: QuadraticCoefficients) -> PeakEstimate:
+def recover_peak(beta: Sequence[float], k: QuadraticCoefficients) -> PeakEstimate:
     """Invert the coefficient vector back to (peak_az, peak_el, peak_level).
 
     Raises EstimationError if either curvature's magnitude is below
@@ -250,37 +258,53 @@ def recover_peak(beta: np.ndarray, k: QuadraticCoefficients) -> PeakEstimate:
 
 def rls_init(forgetting: float, delta: float = DEFAULT_RLS_DELTA) -> RlsState:
     """Fresh filter state: zero coefficients, delta-scaled identity gain."""
+    return _rls_state(_fresh(forgetting, delta))
+
+
+# The recursion's filter memory as floats: the 3 coefficients, the upper
+# triangle of the gain matrix row by row (p00, p01, p02, p11, p12, p22) and
+# the forgetting factor.
+_Floats = tuple[float, ...]
+
+
+def _fresh(forgetting: float, delta: float) -> _Floats:
+    """``rls_init``'s state as floats, with the bits of delta * I."""
     if not 0.0 < forgetting <= 1.0:
         raise ValueError(f"forgetting factor must be in (0, 1], got {forgetting}")
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    return RlsState(
-        coeffs=np.zeros(3), cov=delta * np.eye(3), forgetting=forgetting
-    )
+    on, off = float(delta), float(delta) * 0.0
+    return 0.0, 0.0, 0.0, on, off, off, on, off, on, float(forgetting)
 
 
-def _rls(
-    state: RlsState, rows: Iterable[tuple[float, float, float, float]]
-) -> tuple[RlsState, float]:
-    """The RLS recursion over rows (x0, x1, x2, y) of regressors and response,
-    in order: the final state and the last prediction residual (NaN for no rows).
+def _rls_state(floats: _Floats) -> RlsState:
+    """The filter state held as floats, as an ``RlsState``."""
+    c0, c1, c2, p00, p01, p02, p11, p12, p22, lam = floats
+    cov = np.array([[p00, p01, p02], [p01, p11, p12], [p02, p12, p22]])
+    return RlsState(coeffs=np.array([c0, c1, c2]), cov=cov, forgetting=lam)
+
+
+def _rls(state: _Floats, rows: Iterable[tuple[float, float, float]]) -> tuple[_Floats, float]:
+    """The RLS recursion from a state held as floats over the model's rows
+    [a, e, 1], given as (a, e, y) with y the response, in order: the final
+    state and the last prediction residual (NaN for no rows).
 
     Per row, in this order: gain-matrix product px = P x, denominator
     lam + x.px, gain vector px / denominator, residual, coefficient
     correction, and the forgetting-scaled downdate (P - g px^T) / lam of
-    the 6 distinct entries of P. Stops once the state is an all-NaN fixed
-    point (see ``_nan_fixed_point``); only a NaN residual triggers that
-    check, so a healthy run pays one float compare a row.
+    the 6 distinct entries of P. A product with the third regressor is its
+    other factor: v * 1.0 is v bit for bit, inf and NaN included. Stops
+    once the state is an all-NaN fixed point (see ``_nan_fixed_point``);
+    only a NaN residual triggers that check, so a healthy run pays one
+    float compare a row.
     """
-    c0, c1, c2 = state.coeffs.tolist()
-    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.cov.tolist()
-    lam = state.forgetting
+    c0, c1, c2, p00, p01, p02, p11, p12, p22, lam = state
     r = math.nan
-    for x0, x1, x2, y in rows:
-        px0 = p00 * x0 + p01 * x1 + p02 * x2
-        px1 = p01 * x0 + p11 * x1 + p12 * x2
-        px2 = p02 * x0 + p12 * x1 + p22 * x2
-        d = lam + (x0 * px0 + x1 * px1 + x2 * px2)
+    for a, e, y in rows:
+        px0 = p00 * a + p01 * e + p02
+        px1 = p01 * a + p11 * e + p12
+        px2 = p02 * a + p12 * e + p22
+        d = lam + (a * px0 + e * px1 + px2)
         try:
             g0 = px0 / d
             g1 = px1 / d
@@ -288,7 +312,7 @@ def _rls(
         except ZeroDivisionError:
             with np.errstate(all="ignore"):
                 g0, g1, g2 = (np.array([px0, px1, px2]) / d).tolist()
-        r = y - (x0 * c0 + x1 * c1 + x2 * c2)
+        r = y - (a * c0 + e * c1 + c2)
         if r != r:  # NaN
             before = (c0, c1, c2, p00, p01, p02, p11, p12, p22)
         c0 += g0 * r
@@ -302,8 +326,7 @@ def _rls(
         p22 = (p22 - g2 * px2) / lam
         if r != r and _nan_fixed_point(before, (c0, c1, c2, p00, p01, p02, p11, p12, p22)):
             break
-    cov = np.array([[p00, p01, p02], [p01, p11, p12], [p02, p12, p22]])
-    return RlsState(coeffs=np.array([c0, c1, c2]), cov=cov, forgetting=lam), r
+    return (c0, c1, c2, p00, p01, p02, p11, p12, p22, lam), r
 
 
 def _nan_fixed_point(before: tuple[float, ...], after: tuple[float, ...]) -> bool:
@@ -323,43 +346,46 @@ def rls_update(state: RlsState, x: np.ndarray, y: np.ndarray) -> tuple[RlsState,
     """The recursion over each row of regressors x (n, 3) and responses y, in
     order: the new state and the last row's prediction residual.
 
-    Raises ValueError naming the first row that is not finite, before the
-    recursion has given any state back. Returns early, with the same bits,
-    once the state is an all-NaN fixed point.
+    Raises ValueError naming the first row whose third regressor is not 1,
+    or else the first row that is not finite, before the recursion has
+    given any state back. Returns early, with the same bits, once the state
+    is an all-NaN fixed point.
     """
-    return _recursion(state, len(x), lambda s: (x[s, 0], x[s, 1], x[s, 2], y[s]))
+    _require_model_rows(x)
+    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.cov.tolist()
+    start = (*state.coeffs.tolist(), p00, p01, p02, p11, p12, p22, float(state.forgetting))
+    floats, r = _recursion(start, lambda: _columns(x, y))
+    return _rls_state(floats), r
 
 
-def _recursion(
-    state: RlsState,
-    n: int,
-    rows: Callable[[slice], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
-) -> tuple[RlsState, float]:
-    """``rls_update`` over an n-row window read a block at a time: ``rows``
-    gives a row slice's regressor columns and responses."""
-    blocks = map(_checked_rows, map(rows, _blocks(n)))
-    result = _rls(state, chain.from_iterable(blocks))
-    # A recursion stopped at its NaN fixed point leaves blocks unread; they
-    # are checked all the same.
-    for _ in blocks:
-        pass
+def _recursion(state: _Floats, window: _Window) -> tuple[_Floats, float]:
+    """``_rls`` over a window's rows: ``window()`` reads its blocks (a, e, y)
+    of the first two regressor columns and the responses.
+
+    Raises ValueError naming the window's first row that is not finite. Such
+    a row makes its residual inf or NaN, and with it every coefficient for
+    good (c += g * r), so the rows need checking only when the coefficients
+    come out non-finite: then they are checked block by block, including
+    any that a recursion stopped at its NaN fixed point left unread.
+    """
+    rows = chain.from_iterable(zip(*map(memoryview, block)) for block in window())
+    result = _rls(state, rows)
+    if not all(map(math.isfinite, result[0][:3])):
+        for block in window():
+            _require_finite(*block)
     return result
 
 
-def _checked_rows(block: tuple[np.ndarray, ...]) -> Iterable[tuple[float, ...]]:
-    """The rows (x0, x1, x2, y) of a block of regressor and response columns.
-
-    Raises ValueError naming the block's first row that is not finite.
-    """
-    x0, x1, x2, y = block
-    finite = np.isfinite(x0) & np.isfinite(x1) & np.isfinite(x2) & np.isfinite(y)
+def _require_finite(a: np.ndarray, e: np.ndarray, y: np.ndarray) -> None:
+    """Raise ValueError naming the first row of columns (a, e, y) that is
+    not finite."""
+    finite = np.isfinite(a) & np.isfinite(e) & np.isfinite(y)
     if not finite.all():
         i = int(np.argmin(finite))
         raise ValueError(
             f"non-finite regression row: regressors "
-            f"{np.array([x0[i], x1[i], x2[i]])}, response {y[i]}"
+            f"{np.array([a[i], e[i], 1.0])}, response {y[i]}"
         )
-    return zip(*map(memoryview, block))
 
 
 def fit_peak(
@@ -389,45 +415,37 @@ def fit_peak(
     _require_samples(n)
     caz, cel = centre
 
-    @_last_block
-    def angles(s: slice) -> tuple[np.ndarray, np.ndarray]:
-        return az[s] - caz, el[s] - cel
-
-    @_last_block
-    def response(s: slice) -> np.ndarray:
-        return _response(*angles(s), level[s], k)
+    def offsets():
+        for s in _blocks(n):
+            a, e = az[s] - caz, el[s] - cel
+            yield a, e, _response(a, e, level[s], k)
+    window = _held(n, offsets)
 
     if estimator == "batch-ls":
-        beta = _solve(n, angles, response)
+        beta = _solve(n, window)
     else:
-        state = rls_init(forgetting, delta)
+        state = _fresh(forgetting, delta)
         if prior is not None:
-            # The exact inverse of ``recover_peak``, in the centred frame.
+            # The exact inverse of ``recover_peak``, in the centred frame,
+            # as floats: a numpy curvature would make them numpy scalars.
             daz, del_ = prior.azimuth - caz, prior.elevation - cel
-            coeffs = np.array([
-                -2.0 * k.k_az * daz,
-                -2.0 * k.k_el * del_,
-                prior.level + k.k_az * daz * daz + k.k_el * del_ * del_,
-            ])
-            state = RlsState(coeffs=coeffs, cov=state.cov, forgetting=forgetting)
-
-        def rows(s: slice) -> tuple[np.ndarray, ...]:
-            a, e = angles(s)
-            return a, e, np.ones(len(a)), response(s)
-
-        beta = _recursion(state, n, rows)[0].coeffs
+            state = (
+                float(-2.0 * k.k_az * daz),
+                float(-2.0 * k.k_el * del_),
+                float(prior.level + k.k_az * daz * daz + k.k_el * del_ * del_),
+            ) + state[3:]
+        beta = _recursion(state, window)[0][:3]
     local = recover_peak(beta, k)
     peak = PeakEstimate(local.azimuth + caz, local.elevation + cel, local.level)
     if not all(map(math.isfinite, (peak.azimuth, peak.elevation, peak.level))):
         raise EstimationError(f"non-finite estimate {peak}")
-    b0, b1, b2 = beta.tolist()
+    b0, b1, b2 = beta
 
-    def squared_residual(s: slice) -> np.ndarray:
-        a, e = angles(s)
-        r = response(s) - (a * b0 + e * b1 + b2)
-        return r * r
-
-    return peak, math.sqrt(_fsum(map(squared_residual, _blocks(n))) / n)
+    def squared_residuals():
+        for a, e, y in window():
+            r = y - (a * b0 + e * b1 + b2)
+            yield r * r
+    return peak, math.sqrt(_fsum(squared_residuals()) / n)
 
 
 def memory_horizon(forgetting: float) -> float:

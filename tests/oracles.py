@@ -13,9 +13,12 @@ package's log did before it stored the step columns as runs, and
 every row, as ``read_csv`` did before it converted each run's step fields
 once.
 ``closed_loop`` runs the tracking loop one step at a time, the reference
-for the package's ``run_scenario``. ``fit_peak`` is the package's fit as it
-was before it read its window in blocks: whole-window arrays for the
-regression rows, the batch sums, the finiteness check and the residual.
+for the package's ``run_scenario``. ``rls_reference`` is the recursion
+written out on its own, row by row over whole (n, 3) regressors, with the
+third regressor's products that the package's recursion leaves out.
+``fit_peak`` is the package's fit as it was before it read its window in
+blocks: whole-window arrays for the regression rows, the batch sums, the
+finiteness check and the residual, with ``rls_reference`` as its recursion.
 """
 
 from __future__ import annotations
@@ -190,13 +193,35 @@ def _whole_ls_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array([b0, b1, b2 - b0 * mean_az - b1 * mean_el])
 
 
-def _whole_rls_update(state: RlsState, x: np.ndarray, y: np.ndarray) -> RlsState:
-    """The recursion after one finiteness check of the whole window."""
+def rls_reference(state: RlsState, x: np.ndarray, y: np.ndarray) -> RlsState:
+    """The recursion written out row by row over regressors x (n, 3) and
+    responses y, with every product of the third regressor, after one
+    finiteness check of the whole window. It runs every row: past an all-NaN
+    fixed point each row gives the same bits back."""
     finite = np.isfinite(x).all(axis=1) & np.isfinite(y)
     if not finite.all():
         i = int(np.argmin(finite))
         raise ValueError(f"non-finite regression row: regressors {x[i]}, response {y[i]}")
-    return estimators._rls(state, zip(*map(memoryview, (x[:, 0], x[:, 1], x[:, 2], y))))[0]
+    c0, c1, c2 = state.coeffs.tolist()
+    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.cov.tolist()
+    lam = state.forgetting
+    for (x0, x1, x2), yi in zip(x.tolist(), y.tolist()):
+        px0 = p00 * x0 + p01 * x1 + p02 * x2
+        px1 = p01 * x0 + p11 * x1 + p12 * x2
+        px2 = p02 * x0 + p12 * x1 + p22 * x2
+        d = lam + (x0 * px0 + x1 * px1 + x2 * px2)
+        if d == 0.0:  # IEEE division: +-inf, or NaN for 0 / 0
+            with np.errstate(all="ignore"):
+                g0, g1, g2 = (np.array([px0, px1, px2]) / d).tolist()
+        else:
+            g0, g1, g2 = px0 / d, px1 / d, px2 / d
+        r = yi - (x0 * c0 + x1 * c1 + x2 * c2)
+        c0, c1, c2 = c0 + g0 * r, c1 + g1 * r, c2 + g2 * r
+        p00, p01, p02 = (p00 - g0 * px0) / lam, (p01 - g0 * px1) / lam, (p02 - g0 * px2) / lam
+        p11, p12 = (p11 - g1 * px1) / lam, (p12 - g1 * px2) / lam
+        p22 = (p22 - g2 * px2) / lam
+    cov = np.array([[p00, p01, p02], [p01, p11, p12], [p02, p12, p22]])
+    return RlsState(coeffs=np.array([c0, c1, c2]), cov=cov, forgetting=lam)
 
 
 def fit_peak(
@@ -230,7 +255,7 @@ def fit_peak(
                 prior.level + k.k_az * daz * daz + k.k_el * del_ * del_,
             ])
             state = RlsState(coeffs=coeffs, cov=state.cov, forgetting=forgetting)
-        beta = _whole_rls_update(state, x, y).coeffs
+        beta = rls_reference(state, x, y).coeffs
     local = recover_peak(beta, k)
     peak = PeakEstimate(local.azimuth + caz, local.elevation + cel, local.level)
     if not all(map(math.isfinite, (peak.azimuth, peak.elevation, peak.level))):

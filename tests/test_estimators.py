@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from steptrack import estimators
-from steptrack.beacon import QuadraticCoefficients, beacon_level, ParabolaParams
+from steptrack.beacon import (
+    ParabolaParams, QuadraticCoefficients, az_coeff_from_elevation, beacon_level,
+)
 from steptrack.estimators import (
     ESTIMATORS,
     EstimationError,
@@ -114,6 +116,19 @@ def test_ls_fit_insufficient_data():
     rows = _rows_from_parabola(K12, 1.0, 2.0, 3.0, RECT[:2])
     with pytest.raises(EstimationError, match="need at least 3 samples, got 2"):
         ls_fit(*rows)
+
+
+@pytest.mark.parametrize("third", [2.0, 0.0, -1.0, math.nan, math.inf])
+def test_ls_fit_and_rls_update_take_only_the_model_rows(third):
+    # The model's rows are [a, e, 1]. With a third column of 2.0, lstsq's
+    # intercept would be half the fit's for a column of ones.
+    x, y = _rows_from_parabola(K12, 1.0, 2.0, 3.0, RECT + [(1.0, 2.0)])
+    x[3:, 2] = third
+    message = re.escape(f"regression row 3 is not [a, e, 1]: regressors {x[3]}")
+    with pytest.raises(ValueError, match=message):
+        ls_fit(x, y)
+    with pytest.raises(ValueError, match=message):
+        rls_update(rls_init(0.98), x, y)
 
 
 def test_ls_fit_permutation_invariant():
@@ -428,11 +443,12 @@ def test_rls_run_stops_once_the_state_is_a_nan_fixed_point(monkeypatch):
 def test_rls_zero_denominator_divides_like_ieee():
     # A gain matrix that is not positive definite can make lam + x.Px zero:
     # the gain is then px / 0, -inf or nan as IEEE arithmetic gives it.
-    state = RlsState(np.zeros(3), np.diag([-0.98, 1.0, 1.0]), 0.98)
+    # Here px = (0, 0, -0.98) and lam + x.px = 0.98 - 0.98.
+    state = RlsState(np.zeros(3), np.diag([1.0, 1.0, -0.98]), 0.98)
     with np.errstate(all="ignore"):
-        new, residual = rls_update(state, np.array([[1.0, 0.0, 0.0]]), np.array([1.0]))
+        new, residual = rls_update(state, np.array([[0.0, 0.0, 1.0]]), np.array([1.0]))
     assert residual == 1.0
-    assert new.coeffs[0] == -math.inf and np.isnan(new.coeffs[1:]).all()
+    assert np.isnan(new.coeffs[:2]).all() and new.coeffs[2] == -math.inf
 
 
 nan_signs = st.sampled_from([math.nan, -math.nan])
@@ -698,3 +714,74 @@ def test_a_fit_holds_a_few_blocks_of_scratch_whatever_its_window(estimator):
     finally:
         tracemalloc.stop()
     assert peak < bound
+
+
+# -- the recursion against its reference ------------------------------------------
+# ``oracles.rls_reference`` writes the recursion out row by row, with the
+# third regressor's products; ``oracles.fit_peak`` runs it over whole-window
+# arrays. The package's recursion reads rows (a, e, y) and drops them.
+
+def _windup(_n, seed, _spread):
+    """The windup data above around (180, 72): a rectangle, then 36,000 rows
+    held still, which at forgetting 0.98 run into the NaN fixed point."""
+    rng = np.random.default_rng(seed)
+    corners = np.repeat([(-0.2, -0.05), (0.2, -0.05), (0.2, 0.05), (-0.2, 0.05)], 50, 0)
+    pos = np.vstack([corners, np.tile([(0.01, -0.02)], (36_000, 1))])
+    return 180.0 + pos[:, 0], 72.0 + pos[:, 1], 6.0 + 0.2 * rng.standard_normal(len(pos))
+
+
+@given(
+    n=st.sampled_from([3, 57, 75, BLOCK, BLOCK + 1, 2 * BLOCK + 1]) | st.integers(3, 3 * BLOCK),
+    seed=st.integers(0, 2**32 - 1),
+    forgetting=st.sampled_from([1.0, 0.98]) | st.floats(0.5, 1.0),
+    delta=st.sampled_from([1e4, 1e8]),
+    prior=st.booleans(),
+    start=st.sampled_from(["fresh", "coeffs", "cov", "both"]),
+    nan=nan_signs,
+    data=st.just(_window),
+)
+@example(n=0, seed=12, forgetting=0.98, delta=1e8, prior=False, start="fresh", nan=math.nan,
+         data=_windup)
+@example(n=0, seed=12, forgetting=0.98, delta=1e8, prior=True, start="cov", nan=-math.nan,
+         data=_windup)
+def test_rls_matches_the_reference_recursion_bit_for_bit(
+    n, seed, forgetting, delta, prior, start, nan, data
+):
+    az, el, level = data(n, seed, 0.2)
+    args = (az, el, level, (180.0, 72.0), K_DESK, "rls", forgetting, delta)
+    kwargs = {"prior": PeakEstimate(180.02, 71.99, 5.5) if prior else None}
+    assert _outcome(fit_peak, *args, **kwargs) == _outcome(oracles.fit_peak, *args, **kwargs)
+    # The final state itself, also from states with NaN in them.
+    fresh = rls_init(forgetting, delta)
+    state = RlsState(
+        coeffs=np.full(3, nan) if start in ("coeffs", "both") else fresh.coeffs,
+        cov=np.full((3, 3), nan) if start in ("cov", "both") else fresh.cov,
+        forgetting=forgetting,
+    )
+    x, y = regression_row(az - 180.0, el - 72.0, level, K_DESK)
+    with np.errstate(all="ignore"):
+        run, _ = rls_update(state, x, y)
+        want = oracles.rls_reference(state, x, y)
+    assert _same_bits(run.coeffs, want.coeffs)
+    assert _same_bits(run.cov, want.cov)
+    assert run.forgetting == want.forgetting
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_a_numpy_curvature_gives_float_results(estimator, monkeypatch):
+    # The tracker's azimuth curvature is a numpy.float64. Seeded with it,
+    # the recursion would run in numpy scalars, and its peak would reach
+    # the plan loop as numpy scalars too.
+    k = QuadraticCoefficients(az_coeff_from_elevation(K_DESK.k_el, 72.0), K_DESK.k_el)
+    assert type(k.k_az) is np.float64
+    states = []
+    real_rls = estimators._rls
+    monkeypatch.setattr(
+        estimators, "_rls", lambda state, rows: states.append(state) or real_rls(state, rows)
+    )
+    az, el, level = _window(75, 3, 0.2)
+    peak, rms = fit_peak(az, el, level, (180.0, 72.0), k, estimator, 0.98,
+                         prior=PeakEstimate(180.02, 71.99, 5.5))
+    assert [type(v) for v in (peak.azimuth, peak.elevation, peak.level, rms)] == [float] * 4
+    assert all(type(v) is float for state in states for v in state)
+    assert len(states) == (estimator == "rls")

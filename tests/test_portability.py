@@ -95,6 +95,7 @@ def test_windup_tests_pass_bit_for_bit_under_every_kernel(tmp_path):
         "-m", "pytest", "-q", "-p", "no:cacheprovider",
         f"{module}::test_rls_run_matches_rls_update_loop_through_windup",
         f"{module}::test_rls_run_stops_once_the_state_is_a_nan_fixed_point",
+        f"{module}::test_rls_matches_the_reference_recursion_bit_for_bit",
     ]
     for kernel, (code, stdout, stderr) in _run_under_each_kernel(args, tmp_path).items():
-        assert code == 0 and "2 passed" in stdout, (kernel, stdout + stderr)
+        assert code == 0 and "3 passed" in stdout, (kernel, stdout + stderr)
